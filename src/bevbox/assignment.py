@@ -21,15 +21,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import Box3D, BoxParams8, _check_alpha, rotated_iou_exact
-from .gradients import regression_sample_loss
+from .geometry import (
+    Box3D,
+    BoxParams8,
+    _check_alpha,
+    center_distance_term_batch,
+    rotated_iou_exact,
+)
+from .gradients import regression_sample_loss, rwiou_loss_batch
 from .losses import quality_focal
 
 __all__ = [
+    "Candidate",
     "CellIndex",
     "GridSpec",
     "GroundTruth",
@@ -50,6 +57,18 @@ class CellIndex(NamedTuple):
 
     row: int
     col: int
+
+
+class Candidate(NamedTuple):
+    """A scored cross-region cell of one ground truth.
+
+    Tuples order by ``(cost, cell)``: the assignment's ranking, with cost
+    ties broken row-major.
+    """
+
+    cost: float
+    cell: CellIndex
+    iou: float
 
 
 @dataclass(frozen=True)
@@ -154,7 +173,9 @@ class PredictionMap:
 
     ``boxes`` is ``(rows, cols, 8)``; ``scores`` is ``(rows, cols, n_classes)``
     with values in ``[0, 1]``; ``iou_conf`` is ``(rows, cols)`` in ``[-1, 1]``
-    (zeros when omitted).  Box sizes must be strictly positive.
+    (zeros when omitted).  Box sizes must be strictly positive and every
+    value finite; this is the one place per step where cell values are
+    validated.
     """
 
     boxes: np.ndarray
@@ -170,6 +191,10 @@ class PredictionMap:
             raise ValueError(
                 f"scores must be (rows, cols, n_classes) matching boxes, got {self.scores.shape}"
             )
+        if not np.all(np.isfinite(self.boxes)):
+            raise ValueError("boxes must be finite")
+        if not np.all(np.isfinite(self.scores)):
+            raise ValueError("scores must be finite")
         if np.any(self.scores < 0.0) or np.any(self.scores > 1.0):
             raise ValueError("scores must lie in [0, 1]")
         if np.any(self.boxes[:, :, 3:6] <= 0.0):
@@ -182,6 +207,8 @@ class PredictionMap:
                 raise ValueError(
                     f"iou_conf must be (rows, cols) matching boxes, got {self.iou_conf.shape}"
                 )
+            if not np.all(np.isfinite(self.iou_conf)):
+                raise ValueError("iou_conf must be finite")
 
     @property
     def n_classes(self) -> int:
@@ -206,14 +233,17 @@ class AssignmentResult:
     conflicts.  ``owner`` is ``(rows, cols)`` with the owning ground-truth
     index or -1.  ``heatmap`` is ``(rows, cols, n_classes)``: exactly 1.0 on
     a positive's owner channel, the true-IoU weight on cross-region
-    negatives, 0 elsewhere.  Ground truths that end with no positives are
-    listed in ``unassigned``.
+    negatives, 0 elsewhere.  ``candidates[i]`` lists every cell of ground
+    truth ``i``'s cross region in row-major order with its selection cost
+    and exact IoU ``rotated_iou_exact(gt.box, pred)``.  Ground truths that
+    end with no positives are listed in ``unassigned``.
     """
 
     positives: list[list[CellIndex]]
     requested_k: list[int]
     owner: np.ndarray
     heatmap: np.ndarray
+    candidates: list[list[Candidate]]
     unassigned: list[int] = field(default_factory=list)
 
     @property
@@ -272,6 +302,23 @@ def selection_cost(gt: GroundTruth, pred_box: BoxParams8, pred_score: float,
     return l_cls + lambda_reg * l_reg
 
 
+def _selection_costs(boxes: np.ndarray, scores: np.ndarray, targets: np.ndarray,
+                     lambda_reg: float, alpha: float, gamma: float = 2.0) -> np.ndarray:
+    """Row-wise :func:`selection_cost`: ``(N, 8)`` boxes and targets, ``(N,)`` scores.
+
+    The same terms in the same order as the scalar function, so each value
+    equals the scalar cost bitwise.
+    """
+    l_reg = rwiou_loss_batch(boxes, targets, alpha) + center_distance_term_batch(boxes, targets)
+    return quality_focal(scores, 1.0, gamma) + lambda_reg * l_reg
+
+
+def _target_channels(box: Box3D) -> tuple[float, ...]:
+    """The 8 channels of :meth:`BoxParams8.from_box`, without building one."""
+    return (box.x, box.y, box.z, box.l, box.w, box.h,
+            math.sin(box.theta), math.cos(box.theta))
+
+
 def dynamic_k_from_ious(ious: Sequence[float], n_candidates: int | None = None) -> int:
     """Dynamic positive count: ``max(floor(sum(ious)), 1)`` capped at the count.
 
@@ -317,47 +364,56 @@ def _validate_scene(grid: GridSpec, gts: Sequence[GroundTruth], preds: Predictio
 
 
 def assign_dcla(grid: GridSpec, gts: Sequence[GroundTruth], preds: PredictionMap,
-                r: int = 1, lambda_reg: float = 3.0, alpha: float = 0.5,
-                iou_fn: Callable[[Box3D, Box3D], float] | None = None) -> AssignmentResult:
+                r: int = 1, lambda_reg: float = 3.0, alpha: float = 0.5) -> AssignmentResult:
     """Dynamic cross label assignment over one scene.
 
     For each ground truth: build the cross region of radius ``r`` around its
-    center cell, compute every candidate's selection cost and true IoU, pick
-    ``k`` from the summed IoUs, and shortlist the ``k`` cheapest candidates
-    (cost ties row-major).  Cross-ground-truth conflicts then resolve by
-    lower cost (ties by lower index) with no backfill; see the module
-    docstring.  ``iou_fn`` swaps the IoU used for k and the heatmap weights
-    (default: exact rotated IoU).
+    center cell, compute every candidate's selection cost and exact rotated
+    IoU, pick ``k`` from the summed IoUs, and shortlist the ``k`` cheapest
+    candidates (cost ties row-major).  Cross-ground-truth conflicts then
+    resolve by lower cost (ties by lower index) with no backfill; see the
+    module docstring.  The scored candidates are kept on the result, so
+    later consumers read costs and IoUs instead of recomputing them.
 
     The heatmap gives cross-region negatives their IoU weight on the ground
     truth's class channel (max over same-class overlapping regions) and
     forces exactly 1.0 on each positive's owner channel.
     """
-    if iou_fn is None:
-        iou_fn = rotated_iou_exact
     _validate_scene(grid, gts, preds)
+    if lambda_reg <= 0.0:
+        raise ValueError(f"lambda_reg must be positive, got {lambda_reg!r}")
     alpha = _check_alpha(alpha)
 
-    candidates: list[list[tuple[CellIndex, float, float]]] = []
+    # Every ground truth's region cells as one flat (gt, row, col) list, so
+    # all selection costs come out of a single array expression.
+    regions = [cross_region(grid, world_to_cell(grid, gt.box.x, gt.box.y), r) for gt in gts]
+    gt_of = [i for i, region in enumerate(regions) for _ in region]
+    rows = [cell.row for region in regions for cell in region]
+    cols = [cell.col for region in regions for cell in region]
+    boxes = preds.boxes[rows, cols]
+    scores = preds.scores[rows, cols, [gts[i].class_id for i in gt_of]]
+    targets = np.array([_target_channels(gt.box) for gt in gts]).reshape(-1, 8)[gt_of]
+    costs = _selection_costs(boxes, scores, targets, lambda_reg, alpha).tolist()
+    ious = [
+        rotated_iou_exact(gts[i].box, Box3D(x, y, z, l, w, h, math.atan2(s, c)))
+        for i, (x, y, z, l, w, h, s, c) in zip(gt_of, boxes.tolist())
+    ]
+
+    candidates: list[list[Candidate]] = []
     requested_k: list[int] = []
     shortlists: list[list[CellIndex]] = []
     cost_at: list[dict[CellIndex, float]] = []
-    for gt in gts:
-        center = world_to_cell(grid, gt.box.x, gt.box.y)
-        region = cross_region(grid, center, r)
-        entries = []
-        for cell in region:
-            pred_box = preds.params_at(cell)
-            score = float(preds.scores[cell.row, cell.col, gt.class_id])
-            cost = selection_cost(gt, pred_box, score, lambda_reg, alpha)
-            iou = iou_fn(gt.box, preds.box_at(cell))
-            entries.append((cell, cost, iou))
-        k = dynamic_k_from_ious([iou for _, _, iou in entries], len(entries))
-        ranked = sorted(entries, key=lambda e: (e[1], e[0]))
+    start = 0
+    for region in regions:
+        stop = start + len(region)
+        entries = [Candidate(cost, cell, iou)
+                   for cost, cell, iou in zip(costs[start:stop], region, ious[start:stop])]
+        start = stop
+        k = dynamic_k_from_ious([e.iou for e in entries], len(entries))
         candidates.append(entries)
         requested_k.append(k)
-        shortlists.append([cell for cell, _, _ in ranked[:k]])
-        cost_at.append({cell: cost for cell, cost, _ in entries})
+        shortlists.append([e.cell for e in sorted(entries)[:k]])
+        cost_at.append({e.cell: e.cost for e in entries})
 
     # Conflict resolution: the cheapest claimant wins each contested cell.
     claims: dict[CellIndex, list[tuple[float, int]]] = {}
@@ -382,7 +438,7 @@ def assign_dcla(grid: GridSpec, gts: Sequence[GroundTruth], preds: PredictionMap
     n_classes = preds.n_classes
     heatmap = np.zeros((grid.n_rows, grid.n_cols, n_classes))
     for gt, entries in zip(gts, candidates):
-        for cell, _, iou in entries:
+        for _, cell, iou in entries:
             if iou > heatmap[cell.row, cell.col, gt.class_id]:
                 heatmap[cell.row, cell.col, gt.class_id] = iou
     for i, cells in enumerate(positives):
@@ -390,17 +446,16 @@ def assign_dcla(grid: GridSpec, gts: Sequence[GroundTruth], preds: PredictionMap
             heatmap[cell.row, cell.col, gts[i].class_id] = 1.0
 
     return AssignmentResult(positives=positives, requested_k=requested_k,
-                            owner=owner, heatmap=heatmap, unassigned=unassigned)
+                            owner=owner, heatmap=heatmap, candidates=candidates,
+                            unassigned=unassigned)
 
 
 def assign_center(grid: GridSpec, gts: Sequence[GroundTruth], preds: PredictionMap,
-                  lambda_reg: float = 3.0, alpha: float = 0.5,
-                  iou_fn: Callable[[Box3D, Box3D], float] | None = None) -> AssignmentResult:
+                  lambda_reg: float = 3.0, alpha: float = 0.5) -> AssignmentResult:
     """Center-cell assignment: the cross scheme with radius 0.
 
     Exactly one candidate per ground truth (its center cell), so every
     requested k is 1; two ground truths sharing a center cell contest it and
     the loser is flagged unassigned.
     """
-    return assign_dcla(grid, gts, preds, r=0, lambda_reg=lambda_reg,
-                       alpha=alpha, iou_fn=iou_fn)
+    return assign_dcla(grid, gts, preds, r=0, lambda_reg=lambda_reg, alpha=alpha)

@@ -35,6 +35,7 @@ __all__ = [
     "rotated_iou_exact",
     "mc_iou_oracle",
     "center_distance_term",
+    "center_distance_term_batch",
 ]
 
 # Tolerance for the polygon clipper's cross-product side tests; vertices this
@@ -374,3 +375,21 @@ def center_distance_term(b1: Box3D | BoxParams8, b2: Box3D | BoxParams8) -> floa
         extent = max(hi1, hi2) - min(lo1, lo2)
         g2 += extent * extent
     return d2 / g2
+
+
+def center_distance_term_batch(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`center_distance_term` over ``(N, >=6)`` box arrays.
+
+    Columns are ``x, y, z, l, w, h`` (further columns are ignored).  The
+    operations follow the scalar function in the same order, and squares go
+    through ``np.float_power`` (libm ``pow``, like Python's ``**``), so each
+    row equals the scalar value bitwise.
+    """
+    sq = np.float_power(b1[:, 0:3] - b2[:, 0:3], 2)
+    d2 = sq[:, 0] + sq[:, 1] + sq[:, 2]
+    half1 = 0.5 * b1[:, 3:6]
+    half2 = 0.5 * b2[:, 3:6]
+    extent = (np.maximum(b1[:, 0:3] + half1, b2[:, 0:3] + half2)
+              - np.minimum(b1[:, 0:3] - half1, b2[:, 0:3] - half2))
+    e2 = extent * extent
+    return d2 / (e2[:, 0] + e2[:, 1] + e2[:, 2])

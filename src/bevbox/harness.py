@@ -31,10 +31,9 @@ from .assignment import (
     assign_center,
     assign_dcla,
     cross_region,
-    selection_cost,
     world_to_cell,
 )
-from .geometry import Box3D, BoxParams8, convex_intersection_area, rotated_iou_exact
+from .geometry import Box3D, convex_intersection_area
 from .losses import (
     LossReport,
     LossWeights,
@@ -61,7 +60,7 @@ class PlacementError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """Raised when the total loss exceeds the divergence threshold.
+    """Raised when the total loss exceeds the divergence threshold or is NaN.
 
     Carries the offending step index and loss report so callers can see
     where the run blew up.
@@ -70,7 +69,7 @@ class DivergenceError(RuntimeError):
     def __init__(self, step: int, report: LossReport):
         super().__init__(
             f"total loss {report.total:.6g} exceeded {DIVERGENCE_THRESHOLD:g} "
-            f"at step {step}"
+            f"or is NaN at step {step}"
         )
         self.step = step
         self.report = report
@@ -569,36 +568,14 @@ def _smooth_l1_scene(
     return total, grads
 
 
-def _true_iou_per_gt(
-    assigner: AssignerConfig,
-    grid: GridSpec,
-    gts: list[GroundTruth],
-    preds: PredictionMap,
-    weights: LossWeights,
-) -> list[float]:
+def _true_iou_per_gt(assignment: AssignmentResult) -> list[float]:
     """IoU between each ground truth and its best-matching region cell.
 
     The readout cell is the lowest selection cost over the cross region
-    (ties broken row-major), mirroring how the assignment ranks candidates.
+    (ties broken row-major), the assignment's own ranking, so the IoU is
+    read off the assignment's candidates.
     """
-    out: list[float] = []
-    r = assigner.effective_r
-    for gt in gts:
-        center = world_to_cell(grid, gt.box.x, gt.box.y)
-        best: tuple[float, CellIndex] | None = None
-        for cell in cross_region(grid, center, r):
-            cost = selection_cost(
-                gt,
-                preds.params_at(cell),
-                float(preds.scores[cell.row, cell.col, gt.class_id]),
-                lambda_reg=weights.lambda_reg,
-                alpha=weights.alpha,
-            )
-            key = (cost, cell)
-            if best is None or key < best:
-                best = key
-        out.append(rotated_iou_exact(gt.box, preds.box_at(best[1])))
-    return out
+    return [min(candidates).iou for candidates in assignment.candidates]
 
 
 def fit_scene(
@@ -619,7 +596,7 @@ def fit_scene(
     applies one plain gradient-descent update to the raw parameters. The
     recorded losses describe the state *before* that step's update, so step 0
     is the initialization. Raises :class:`DivergenceError` if the total loss
-    exceeds ``DIVERGENCE_THRESHOLD``.
+    exceeds ``DIVERGENCE_THRESHOLD`` or is NaN.
     """
     if regression not in ("rwiou", "smooth_l1"):
         raise ValueError("regression must be 'rwiou' or 'smooth_l1'")
@@ -671,17 +648,12 @@ def fit_scene(
                 l_iou=l_iou,
                 total=report.total,
                 mean_true_iou=(
-                    float(
-                        np.mean(
-                            _true_iou_per_gt(assigner, grid, gts, preds, weights)
-                        )
-                    )
-                    if gts
-                    else 0.0
+                    float(np.mean(_true_iou_per_gt(assignment))) if gts else 0.0
                 ),
             )
         )
-        if report.total > DIVERGENCE_THRESHOLD:
+        # Written so that a NaN total also counts as divergence.
+        if not report.total <= DIVERGENCE_THRESHOLD:
             raise DivergenceError(step, report)
         if step == optimizer.n_steps:
             break
@@ -723,9 +695,7 @@ def fit_scene(
         preds = state.prediction_map()
         assignment = _assign(assigner, grid, gts, preds, weights)
 
-    final_ious = (
-        _true_iou_per_gt(assigner, grid, gts, preds, weights) if gts else []
-    )
+    final_ious = _true_iou_per_gt(assignment)
     k_by_class = _mean_k_by_class(assignment, gts)
     return ExperimentReport(
         seed=init_seed,

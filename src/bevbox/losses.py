@@ -10,7 +10,8 @@ Three terms, mirroring a single-stage BEV detection head:
   total positive count.
 * :func:`iou_prediction_loss`: smooth-L1 between a per-cell confidence
   channel and the rescaled true IoU ``2 * IoU - 1`` of the cell's predicted
-  box against its owner, positives only.
+  box against its owner, positives only.  The IoU is the one the assignment
+  already computed for that candidate.
 
 :func:`total_loss` recombines the three with scalar weights into a
 :class:`LossReport`.  Every loss treats the assignment (ownership, weights,
@@ -25,8 +26,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .geometry import BoxParams8, _check_alpha, rotated_iou_exact
-from .gradients import regression_sample_grad, regression_sample_loss
+from .geometry import BoxParams8, _check_alpha
+from .gradients import regression_sample_grad
 
 if TYPE_CHECKING:  # pragma: no cover
     from .assignment import AssignmentResult, GroundTruth, PredictionMap
@@ -42,7 +43,6 @@ __all__ = [
     "smooth_l1",
     "smooth_l1_with_grad",
     "classification_loss",
-    "regression_loss_sample",
     "regression_loss_scene",
     "iou_prediction_loss",
     "total_loss",
@@ -123,13 +123,16 @@ def quality_focal(p, q, gamma: float = 2.0):
 
     Vectorized over numpy arrays; accepts scalars.  ``p`` is clamped to
     ``[SCORE_EPS, 1 - SCORE_EPS]`` inside the logs only, so ``p == q`` gives
-    exactly zero even at saturated scores.
+    exactly zero even at saturated scores.  The power goes through
+    ``np.float_power`` because ``**`` on arrays squares by multiplication
+    while on scalars it calls ``pow``, and the two round differently on
+    about 0.1% of inputs; this way array and scalar calls agree bitwise.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     p_safe = np.clip(p, SCORE_EPS, 1.0 - SCORE_EPS)
     ce = -(q * np.log(p_safe) + (1.0 - q) * np.log1p(-p_safe))
-    value = np.abs(q - p) ** gamma * ce
+    value = np.float_power(np.abs(q - p), gamma) * ce
     if value.ndim == 0:
         return float(value)
     return value
@@ -194,11 +197,6 @@ def classification_loss(assignment: "AssignmentResult", preds: "PredictionMap",
     return float(np.sum(value) * norm), grad * norm
 
 
-def regression_loss_sample(pred: BoxParams8, target: BoxParams8, alpha: float) -> float:
-    """Per-sample regression loss: RWIoU loss plus the center-distance term."""
-    return regression_sample_loss(pred, target, alpha)
-
-
 def regression_loss_scene(assignment: "AssignmentResult", preds: "PredictionMap",
                           gts: Sequence["GroundTruth"], alpha: float = 0.5) -> RegressionSceneLoss:
     """Mean per-sample regression loss over every positive cell.
@@ -239,16 +237,22 @@ def iou_prediction_loss(assignment: "AssignmentResult", preds: "PredictionMap",
 
     Positives only, averaged over ``max(N, 1)``; the rescaled-IoU target is a
     constant within the step (no gradient flows into the boxes from here).
+    Each positive's IoU is read from its candidate entry on the assignment,
+    which must therefore come from this scene's ``gts`` and ``preds``.
     Returns the scalar and the gradient map w.r.t. the confidence channel.
     """
+    if len(gts) != len(assignment.candidates):
+        raise ValueError(
+            f"assignment covers {len(assignment.candidates)} ground truths, got {len(gts)}"
+        )
     rows, cols = preds.boxes.shape[:2]
     grads = np.zeros((rows, cols))
     norm = 1.0 / max(assignment.n_positives, 1)
     total = 0.0
-    for i, gt in enumerate(gts):
-        for cell in assignment.positives[i]:
-            iou = rotated_iou_exact(preds.box_at(cell), gt.box)
-            target = 2.0 * iou - 1.0
+    for cells, candidates in zip(assignment.positives, assignment.candidates):
+        iou_at = {c.cell: c.iou for c in candidates}
+        for cell in cells:
+            target = 2.0 * iou_at[cell] - 1.0
             u = float(preds.iou_conf[cell.row, cell.col])
             value, grad = smooth_l1_with_grad(u - target)
             total += float(value)

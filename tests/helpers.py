@@ -22,6 +22,7 @@ from bevbox import (
     quality_focal,
     regression_sample_loss,
     rotated_iou_exact,
+    selection_cost,
 )
 from bevbox.geometry import BoxParams8
 
@@ -142,6 +143,38 @@ def brute_force_assign(
             heatmap[cell.row, cell.col, gts[i].class_id] = 1.0
 
     return positives, requested_k, owner, heatmap, unassigned
+
+
+def scan_readout(
+    grid: GridSpec,
+    gts: list[GroundTruth],
+    preds: PredictionMap,
+    r: int,
+    lambda_reg: float = 3.0,
+    alpha: float = 0.5,
+) -> list[float]:
+    """Reference IoU readout: for each ground truth, the exact IoU of its
+    lowest-(cost, cell) cross-region cell, found by a full-grid scan with
+    the scalar cost and IoU functions.
+    """
+    out = []
+    for gt in gts:
+        center_col = min(max(math.floor((gt.box.x - grid.x_min) / grid.cell_size), 0),
+                         grid.n_cols - 1)
+        center_row = min(max(math.floor((gt.box.y - grid.y_min) / grid.cell_size), 0),
+                         grid.n_rows - 1)
+        best = None
+        for row in range(grid.n_rows):
+            for col in range(grid.n_cols):
+                if abs(row - center_row) + abs(col - center_col) > r:
+                    continue
+                pred = BoxParams8.from_array(preds.boxes[row, col])
+                cost = selection_cost(gt, pred, float(preds.scores[row, col, gt.class_id]),
+                                      lambda_reg=lambda_reg, alpha=alpha)
+                if best is None or (cost, (row, col)) < best[0]:
+                    best = ((cost, (row, col)), pred)
+        out.append(rotated_iou_exact(gt.box, best[1].to_box()))
+    return out
 
 
 def random_prediction_map(

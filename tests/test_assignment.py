@@ -215,6 +215,15 @@ class TestPredictionMapValidation:
         with pytest.raises(ValueError):
             PredictionMap(boxes=bad, scores=np.zeros((2, 2, 1)))
 
+    @pytest.mark.parametrize("field", ["boxes", "scores", "iou_conf"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, bad):
+        arrays = {"boxes": np.ones((2, 2, 8)), "scores": np.full((2, 2, 1), 0.5),
+                  "iou_conf": np.zeros((2, 2))}
+        arrays[field][1, 0, ...] = bad
+        with pytest.raises(ValueError, match="finite"):
+            PredictionMap(**arrays)
+
     def test_iou_conf_default_and_shape(self):
         preds = PredictionMap(boxes=np.ones((2, 2, 8)), scores=np.zeros((2, 2, 1)))
         assert np.array_equal(preds.iou_conf, np.zeros((2, 2)))
@@ -354,16 +363,6 @@ class TestAssignHandBuilt:
         assert result.requested_k == [3]
         assert result.positives == [cross_region(GRID, CellIndex(0, 0), 1)]
 
-    def test_custom_iou_fn(self):
-        gt = GroundTruth(Box3D(2.5, 2.5, 0.0, 2.0, 1.5, 1.0, 0.3), 0)
-        preds = uniform_map(GRID, gt.box, n_classes=1, score=0.8)
-        result = assign_dcla(GRID, [gt], preds, r=1,
-                             iou_fn=lambda a, b: 0.0)
-        assert result.requested_k == [1]
-        assert result.positives == [[CellIndex(1, 2)]]
-        # negatives carry the swapped-in zero weight; the positive stays 1.0
-        assert np.sum(result.heatmap != 0.0) == 1
-
 
 class TestOracleParity:
     def test_matches_brute_force(self):
@@ -380,6 +379,19 @@ class TestOracleParity:
             assert np.array_equal(result.owner, owner)
             assert np.array_equal(result.heatmap, heatmap)
             assert result.unassigned == unassigned
+
+    def test_candidates_match_scalar_functions(self):
+        for seed in range(30):
+            rng = np.random.default_rng(300 + seed)
+            grid, gts, preds = random_scene(rng, n_gts=int(rng.integers(1, 7)))
+            for r in (0, 1, 2):
+                result = assign_dcla(grid, gts, preds, r=r)
+                assert len(result.candidates) == len(gts)
+                for gt, candidates in zip(gts, result.candidates):
+                    center = world_to_cell(grid, gt.box.x, gt.box.y)
+                    assert [c.cell for c in candidates] == cross_region(grid, center, r)
+                    for cost, cell, iou in candidates:
+                        assert_scalar_scores(gt, preds, cell, cost, iou)
 
     def test_positives_cover_owner_grid(self):
         rng = np.random.default_rng(99)
@@ -402,6 +414,54 @@ class TestOracleParity:
             result = assign_dcla(grid, gts, preds, r=1)
             for kept, req in zip(result.k_per_gt, result.requested_k):
                 assert 0 <= kept <= req
+
+
+def assert_scalar_scores(gt, preds, cell, cost, iou):
+    """A candidate's cost and IoU equal the public scalar functions bitwise."""
+    pred = BoxParams8.from_array(preds.boxes[cell.row, cell.col])
+    score = float(preds.scores[cell.row, cell.col, gt.class_id])
+    assert cost == selection_cost(gt, pred, score)
+    assert iou == rotated_iou_exact(gt.box, pred.to_box())
+
+
+@st.composite
+def edge_case_pair(draw):
+    """A ground truth and a prediction box (8 channels) in an edge regime."""
+    kind = draw(st.sampled_from(["touching", "yaw_pi", "tiny", "far"]))
+    size = st.floats(0.3, 5.0)
+    l, w, h = draw(size), draw(size), draw(size)
+    theta = draw(st.floats(-math.pi, math.pi))
+    gt = Box3D(4.5, 4.5, 0.5, l, w, h, theta)
+    pl, pw, ph = draw(size), draw(size), draw(size)
+    yaw = draw(st.floats(-math.pi, math.pi))
+    x, y, z = gt.x + draw(st.floats(-1, 1)), gt.y + draw(st.floats(-1, 1)), gt.z
+    if kind == "touching":
+        # x-faces (or z-faces) meet exactly
+        x = gt.x + 0.5 * l + 0.5 * pl
+        if draw(st.booleans()):
+            x, z = gt.x, gt.z + 0.5 * h + 0.5 * ph
+    elif kind == "yaw_pi":
+        yaw = draw(st.sampled_from([math.pi, -math.pi]))
+        gt = Box3D(gt.x, gt.y, gt.z, l, w, h, -yaw)
+    elif kind == "tiny":
+        pl, pw, ph = (draw(st.floats(1e-9, 1e-3)) for _ in range(3))
+    else:
+        x, y = x + draw(st.floats(-1e6, 1e6)), y + draw(st.floats(-1e6, 1e6))
+    return gt, [x, y, z, pl, pw, ph, math.sin(yaw), math.cos(yaw)]
+
+
+class TestCandidateEdgeCases:
+    @settings(max_examples=200, deadline=None)
+    @given(pair=edge_case_pair(), score=st.floats(0.0, 1.0))
+    def test_array_scores_equal_scalar(self, pair, score):
+        gt_box, pred = pair
+        gt = GroundTruth(gt_box, 0)
+        boxes = np.tile(np.array(pred), (GRID.n_rows, GRID.n_cols, 1))
+        preds = PredictionMap(boxes=boxes, scores=np.full((GRID.n_rows, GRID.n_cols, 1), score))
+        result = assign_dcla(GRID, [gt], preds, r=2)
+        assert len(result.candidates[0]) == 13
+        for cost, cell, iou in result.candidates[0]:
+            assert_scalar_scores(gt, preds, cell, cost, iou)
 
 
 class TestCenterEquivalence:

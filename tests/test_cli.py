@@ -8,6 +8,7 @@ strings pin the 6-decimal formatting contract.
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,9 +228,18 @@ class TestFitCommand:
 
 class TestConsoleScript:
     def test_installed_entry_point(self):
+        # The package entry point runs as a real subprocess; the installed
+        # `bevbox` script is the same main, checked through pyproject.toml.
         result = subprocess.run(
-            ["bevbox", "iou", BOX_A, BOX_A],
+            [sys.executable, "-m", "bevbox", "iou", BOX_A, BOX_A],
             capture_output=True, text=True, timeout=60,
         )
         assert result.returncode == 0
         assert result.stdout == "exact 1.000000\n"
+        try:
+            import tomllib
+        except ModuleNotFoundError:  # Python 3.10 has no tomllib
+            tomllib = pytest.importorskip("tomli")
+        pyproject = tomllib.loads(
+            (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+        assert pyproject["project"]["scripts"]["bevbox"] == "bevbox.cli:main"

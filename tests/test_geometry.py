@@ -18,6 +18,7 @@ from bevbox import (
     rotation_weight,
     rwiou,
 )
+from bevbox.geometry import center_distance_term_batch
 from helpers import axis_aligned_iou, polygon_area
 
 
@@ -297,3 +298,14 @@ class TestCenterDistanceTerm:
             b1 = Box3D(*rng.uniform(-10, 10, 3), *rng.uniform(0.3, 6, 3), 0.0)
             b2 = Box3D(*rng.uniform(-10, 10, 3), *rng.uniform(0.3, 6, 3), 0.0)
             assert 0.0 <= center_distance_term(b1, b2) < 1.0
+
+    def test_batch_matches_scalar_bitwise(self):
+        rng = np.random.default_rng(11)
+        n = 20_000
+        b1 = np.column_stack([rng.uniform(-10, 10, (n, 3)), rng.uniform(0.3, 6, (n, 3))])
+        b2 = np.column_stack([b1[:, :3] + rng.uniform(-3, 3, (n, 3)),
+                              rng.uniform(0.3, 6, (n, 3))])
+        b2[:100] = b1[:100]
+        scalar = [center_distance_term(Box3D(*p, 0.0), Box3D(*q, 0.0))
+                  for p, q in zip(b1.tolist(), b2.tolist())]
+        assert center_distance_term_batch(b1, b2).tolist() == scalar

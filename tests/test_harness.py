@@ -6,12 +6,14 @@ and come out of a multi-step fit bitwise unchanged. Everything else follows
 the usual pattern of determinism, validation, and closed-form expectations.
 """
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+import bevbox.harness
 from bevbox import (
     AssignerConfig,
     Box3D,
@@ -24,6 +26,7 @@ from bevbox import (
     PlacementError,
     SceneConfig,
     SizeClass,
+    assign_dcla,
     balance_experiment,
     convex_intersection_area,
     fit_scene,
@@ -39,7 +42,9 @@ from bevbox.harness import (
     DIVERGENCE_THRESHOLD,
     INIT_SEED_OFFSET,
     SATURATED_LOGIT,
+    _true_iou_per_gt,
 )
+from helpers import random_scene, scan_readout
 
 GRID16 = GridSpec(x_min=-8.0, y_min=-8.0, cell_size=1.0, n_rows=16, n_cols=16)
 GRID32 = GridSpec(x_min=-16.0, y_min=-16.0, cell_size=1.0, n_rows=32, n_cols=32)
@@ -300,6 +305,20 @@ class TestFit:
         assert err.report.total > DIVERGENCE_THRESHOLD
         assert "exceeded" in str(err)
 
+    def test_nan_total_raises(self, monkeypatch):
+        real_total_loss = bevbox.harness.total_loss
+
+        def nan_total(*args, **kwargs):
+            report = real_total_loss(*args, **kwargs)
+            return dataclasses.replace(report, total=math.nan)
+
+        monkeypatch.setattr(bevbox.harness, "total_loss", nan_total)
+        gts = generate_scene(scene16())
+        with pytest.raises(DivergenceError) as exc_info:
+            fit_scene(GRID16, gts, optimizer=OptimizerConfig(n_steps=3), n_classes=3)
+        assert exc_info.value.step == 0
+        assert math.isnan(exc_info.value.report.total)
+
     def test_trajectory_csv_roundtrip(self):
         gts = generate_scene(scene16())
         report = fit_scene(
@@ -328,6 +347,27 @@ class TestFit:
         assert payload["n_steps"] == 3
         assert payload["assigner"] == {"kind": "dcla", "r": 1}
         assert len(payload["final_iou_per_gt"]) == 4
+
+
+class TestIouReadout:
+    def test_matches_scan_readout_on_random_scenes(self):
+        for seed in range(20):
+            rng = np.random.default_rng(700 + seed)
+            grid, gts, preds = random_scene(rng, n_gts=int(rng.integers(1, 6)))
+            r = seed % 3
+            assignment = assign_dcla(grid, gts, preds, r=r, lambda_reg=2.0, alpha=0.3)
+            expected = scan_readout(grid, gts, preds, r, lambda_reg=2.0, alpha=0.3)
+            assert _true_iou_per_gt(assignment) == expected
+
+    @pytest.mark.parametrize("assigner", [AssignerConfig(kind="dcla", r=1),
+                                          AssignerConfig(kind="center")])
+    def test_fit_reports_scan_readout(self, assigner):
+        gts = generate_scene(scene16())
+        report = fit_scene(GRID16, gts, assigner=assigner,
+                           optimizer=OptimizerConfig(n_steps=10), n_classes=3)
+        preds = report.final_state.prediction_map()
+        assert report.final_iou_per_gt == scan_readout(GRID16, gts, preds,
+                                                       assigner.effective_r)
 
 
 class TestBalance:

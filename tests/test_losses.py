@@ -17,6 +17,7 @@ from bevbox import (
     AssignmentResult,
     Box3D,
     BoxParams8,
+    Candidate,
     CellIndex,
     GroundTruth,
     LossReport,
@@ -31,6 +32,7 @@ from bevbox import (
     regression_sample_grad,
     regression_sample_loss,
     rotated_iou_exact,
+    selection_cost,
     smooth_l1,
     smooth_l1_with_grad,
     total_loss,
@@ -146,16 +148,34 @@ class TestSmoothL1:
 
 
 def single_positive_assignment(rows, cols, n_classes, cell, class_id,
-                               extra_heat=()):
-    """Assignment with one positive cell plus optional negative weights."""
+                               extra_heat=(), gt=None, preds=None):
+    """Assignment with one positive cell plus optional negative weights.
+
+    Given ``gt`` and ``preds``, the positive's candidate entry carries its
+    cost and IoU from the public scalar functions; otherwise the result has
+    no candidate entries (only the IoU-prediction loss reads them).
+    """
     owner = np.full((rows, cols), -1, dtype=int)
     owner[cell.row, cell.col] = 0
     heatmap = np.zeros((rows, cols, n_classes))
     heatmap[cell.row, cell.col, class_id] = 1.0
     for r, c, k, w in extra_heat:
         heatmap[r, c, k] = w
+    candidates = [[]]
+    if gt is not None:
+        cost = selection_cost(gt, preds.params_at(cell),
+                              float(preds.scores[cell.row, cell.col, class_id]))
+        iou = rotated_iou_exact(gt.box, preds.box_at(cell))
+        candidates = [[Candidate(cost, cell, iou)]]
     return AssignmentResult(positives=[[cell]], requested_k=[1], owner=owner,
-                            heatmap=heatmap, unassigned=[])
+                            heatmap=heatmap, candidates=candidates, unassigned=[])
+
+
+def no_positive_assignment(rows, cols, n_classes):
+    return AssignmentResult(positives=[[]], requested_k=[1],
+                            owner=np.full((rows, cols), -1, dtype=int),
+                            heatmap=np.zeros((rows, cols, n_classes)),
+                            candidates=[[]], unassigned=[0])
 
 
 class TestClassificationLoss:
@@ -202,6 +222,7 @@ class TestClassificationLoss:
             requested_k=[1, 1],
             owner=one.owner.copy(),
             heatmap=one.heatmap.copy(),
+            candidates=[[], []],
             unassigned=[])
         two.heatmap[0, 0, 0] = 1.0
         v1, _ = classification_loss(one, preds)
@@ -266,9 +287,7 @@ class TestRegressionSceneLoss:
     def test_degenerate_scene(self):
         gts = [GroundTruth(Box3D(1.5, 1.5, 0.0, 1.0, 1.0, 1.0, 0.0), 0)]
         preds = PredictionMap(boxes=np.ones((3, 3, 8)), scores=np.zeros((3, 3, 1)))
-        empty = AssignmentResult(positives=[[]], requested_k=[1],
-                                 owner=np.full((3, 3), -1, dtype=int),
-                                 heatmap=np.zeros((3, 3, 1)), unassigned=[0])
+        empty = no_positive_assignment(3, 3, 1)
         result = regression_loss_scene(empty, preds, gts, alpha=0.5)
         assert result.value == 0.0
         assert result.degenerate
@@ -291,13 +310,14 @@ class TestIouPredictionLoss:
         iou_conf = np.full((3, 3), float(u))
         preds = PredictionMap(boxes=boxes, scores=np.full((3, 3, 1), 0.5),
                               iou_conf=iou_conf)
-        assignment = single_positive_assignment(3, 3, 1, CellIndex(1, 1), 0)
-        return gt, pred_box, preds, assignment
+        assignment = single_positive_assignment(3, 3, 1, CellIndex(1, 1), 0,
+                                                gt=gt, preds=preds)
+        return gt, preds, assignment
 
     def test_matches_scalar_expression(self):
-        gt, pred_box, preds, assignment = self.build_scene(0.3)
+        gt, preds, assignment = self.build_scene(0.3)
         value, grads = iou_prediction_loss(assignment, preds, [gt])
-        iou = rotated_iou_exact(pred_box, gt.box)
+        iou = rotated_iou_exact(gt.box, preds.box_at(CellIndex(1, 1)))
         target = 2.0 * iou - 1.0
         expected_value, expected_grad = smooth_l1_with_grad(0.3 - target)
         assert value == float(expected_value)
@@ -305,21 +325,34 @@ class TestIouPredictionLoss:
         assert np.sum(grads != 0.0) == 1
 
     def test_perfect_confidence_costs_zero(self):
-        gt, pred_box, preds, assignment = self.build_scene(0.0)
-        iou = rotated_iou_exact(pred_box, gt.box)
+        gt, preds, assignment = self.build_scene(0.0)
+        iou = rotated_iou_exact(gt.box, preds.box_at(CellIndex(1, 1)))
         preds.iou_conf[1, 1] = 2.0 * iou - 1.0
         value, grads = iou_prediction_loss(assignment, preds, [gt])
         assert value == 0.0
         assert np.all(grads == 0.0)
 
     def test_degenerate_no_positives(self):
-        gt, _, preds, _ = self.build_scene(0.3)
-        empty = AssignmentResult(positives=[[]], requested_k=[1],
-                                 owner=np.full((3, 3), -1, dtype=int),
-                                 heatmap=np.zeros((3, 3, 1)), unassigned=[0])
+        gt, preds, _ = self.build_scene(0.3)
+        empty = no_positive_assignment(3, 3, 1)
         value, grads = iou_prediction_loss(empty, preds, [gt])
         assert value == 0.0
         assert np.all(grads == 0.0)
+
+    def test_target_is_the_assignments_iou(self):
+        # the loss reads the IoU stored on the candidate, not a fresh one
+        gt, preds, assignment = self.build_scene(0.3)
+        cell = CellIndex(1, 1)
+        assignment.candidates = [[Candidate(0.0, cell, 0.25)]]
+        value, grads = iou_prediction_loss(assignment, preds, [gt])
+        expected_value, expected_grad = smooth_l1_with_grad(0.3 - (2.0 * 0.25 - 1.0))
+        assert value == float(expected_value)
+        assert grads[1, 1] == float(expected_grad)
+
+    def test_ground_truth_count_must_match(self):
+        gt, preds, assignment = self.build_scene(0.3)
+        with pytest.raises(ValueError):
+            iou_prediction_loss(assignment, preds, [gt, gt])
 
     def test_matches_oracle_on_random_scene(self):
         rng = np.random.default_rng(8)
