@@ -29,6 +29,9 @@ from .geometry import (
     Box3D,
     BoxParams8,
     _check_alpha,
+    _footprint,
+    _iou_footprints,
+    _target_rows,
     center_distance_term_batch,
     rotated_iou_exact,
 )
@@ -254,6 +257,20 @@ class AssignmentResult:
     def k_per_gt(self) -> list[int]:
         return [len(cells) for cells in self.positives]
 
+    def positive_index(self) -> tuple[list[int], list[int], list[int]]:
+        """Flat ``(rows, cols, gt)`` index lists of every positive.
+
+        Ground truth by ground truth, each in its ``positives`` order: the
+        gather and scatter index of the per-positive array computations.
+        """
+        rows, cols, gt_of = [], [], []
+        for i, cells in enumerate(self.positives):
+            for cell in cells:
+                rows.append(cell.row)
+                cols.append(cell.col)
+                gt_of.append(i)
+        return rows, cols, gt_of
+
     def to_json_dict(self) -> dict:
         rows, cols = self.owner.shape
         owner_entries = [
@@ -311,12 +328,6 @@ def _selection_costs(boxes: np.ndarray, scores: np.ndarray, targets: np.ndarray,
     """
     l_reg = rwiou_loss_batch(boxes, targets, alpha) + center_distance_term_batch(boxes, targets)
     return quality_focal(scores, 1.0, gamma) + lambda_reg * l_reg
-
-
-def _target_channels(box: Box3D) -> tuple[float, ...]:
-    """The 8 channels of :meth:`BoxParams8.from_box`, without building one."""
-    return (box.x, box.y, box.z, box.l, box.w, box.h,
-            math.sin(box.theta), math.cos(box.theta))
 
 
 def dynamic_k_from_ious(ious: Sequence[float], n_candidates: int | None = None) -> int:
@@ -392,10 +403,13 @@ def assign_dcla(grid: GridSpec, gts: Sequence[GroundTruth], preds: PredictionMap
     cols = [cell.col for region in regions for cell in region]
     boxes = preds.boxes[rows, cols]
     scores = preds.scores[rows, cols, [gts[i].class_id for i in gt_of]]
-    targets = np.array([_target_channels(gt.box) for gt in gts]).reshape(-1, 8)[gt_of]
+    targets = _target_rows([gt.box for gt in gts])[gt_of]
     costs = _selection_costs(boxes, scores, targets, lambda_reg, alpha).tolist()
+    # rotated_iou_exact(gt.box, pred) on footprints: each ground truth's is
+    # built once, and the candidates' straight from the validated row floats.
+    gt_feet = [_footprint(*gt.box.as_tuple()) for gt in gts]
     ious = [
-        rotated_iou_exact(gts[i].box, Box3D(x, y, z, l, w, h, math.atan2(s, c)))
+        _iou_footprints(gt_feet[i], _footprint(x, y, z, l, w, h, math.atan2(s, c)))
         for i, (x, y, z, l, w, h, s, c) in zip(gt_of, boxes.tolist())
     ]
 

@@ -87,14 +87,19 @@ class Box3D:
 
     def bev_corners(self) -> list[tuple[float, float]]:
         """Counter-clockwise BEV footprint corners."""
-        cos_t = math.cos(self.theta)
-        sin_t = math.sin(self.theta)
-        dx = 0.5 * self.l
-        dy = 0.5 * self.w
-        return [
-            (self.x + cos_t * ax - sin_t * ay, self.y + sin_t * ax + cos_t * ay)
-            for ax, ay in ((dx, dy), (-dx, dy), (-dx, -dy), (dx, -dy))
-        ]
+        return _bev_corners(self.x, self.y, self.l, self.w, self.theta)
+
+
+def _bev_corners(x: float, y: float, l: float, w: float,
+                 theta: float) -> list[tuple[float, float]]:
+    cos_t = math.cos(theta)
+    sin_t = math.sin(theta)
+    dx = 0.5 * l
+    dy = 0.5 * w
+    return [
+        (x + cos_t * ax - sin_t * ay, y + sin_t * ax + cos_t * ay)
+        for ax, ay in ((dx, dy), (-dx, dy), (-dx, -dy), (dx, -dy))
+    ]
 
 
 @dataclass(frozen=True)
@@ -145,6 +150,18 @@ class BoxParams8:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z, self.l, self.w, self.h, self.s, self.c])
+
+
+def _target_rows(boxes) -> np.ndarray:
+    """``(N, 8)`` array of the :meth:`BoxParams8.from_box` channels of each box.
+
+    The regression target rows of a scene's ground truths, built without a
+    :class:`BoxParams8` per box.
+    """
+    return np.array([
+        (b.x, b.y, b.z, b.l, b.w, b.h, math.sin(b.theta), math.cos(b.theta))
+        for b in boxes
+    ]).reshape(-1, 8)
 
 
 @dataclass(frozen=True)
@@ -230,50 +247,49 @@ def rwiou(b1: Box3D, b2: Box3D, alpha: float) -> float:
 
 def _shoelace_area(poly: list[tuple[float, float]]) -> float:
     """Signed shoelace area; positive for counter-clockwise polygons."""
-    n = len(poly)
-    if n < 3:
+    if len(poly) < 3:
         return 0.0
     total = 0.0
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
+    for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]):
         total += x1 * y2 - x2 * y1
     return 0.5 * total
 
 
-def _clip_against_edge(subject, ax, ay, bx, by):
-    """Keep the part of ``subject`` on the left of the directed edge a->b."""
-    ex = bx - ax
-    ey = by - ay
-    out = []
-    n = len(subject)
-    for i in range(n):
-        px, py = subject[i]
-        qx, qy = subject[(i + 1) % n]
-        side_p = ex * (py - ay) - ey * (px - ax)
-        side_q = ex * (qy - ay) - ey * (qx - ax)
-        inside_p = side_p >= -CLIP_EPS
-        inside_q = side_q >= -CLIP_EPS
-        if inside_p:
-            out.append((px, py))
-        # Insert the crossing point only on a genuine side change; near-zero
-        # denominators mean a collinear segment already handled above.
-        if inside_p != inside_q and abs(side_p - side_q) > CLIP_EPS:
-            t = side_p / (side_p - side_q)
-            out.append((px + t * (qx - px), py + t * (qy - py)))
-    return out
-
-
 def convex_intersection_area(poly1, poly2) -> float:
-    """Intersection area of two convex counter-clockwise polygons."""
+    """Intersection area of two convex counter-clockwise polygons.
+
+    Sutherland-Hodgman: ``poly1`` is clipped to the left of each directed
+    edge of ``poly2`` in turn.  Each vertex's side of the edge is computed
+    once; an edge with every vertex inside leaves the polygon as it is.
+    """
     clipped = list(poly1)
-    n = len(poly2)
-    for i in range(n):
-        ax, ay = poly2[i]
-        bx, by = poly2[(i + 1) % n]
-        clipped = _clip_against_edge(clipped, ax, ay, bx, by)
-        if len(clipped) < 3:
+    if len(clipped) < 3:
+        return 0.0
+    for (ax, ay), (bx, by) in zip(poly2, poly2[1:] + poly2[:1]):
+        ex = bx - ax
+        ey = by - ay
+        sides = [ex * (py - ay) - ey * (px - ax) for px, py in clipped]
+        if min(sides) >= -CLIP_EPS:
+            continue
+        out = []
+        n = len(clipped)
+        for i in range(n):
+            j = i + 1 if i + 1 < n else 0
+            side_p = sides[i]
+            side_q = sides[j]
+            inside_p = side_p >= -CLIP_EPS
+            if inside_p:
+                out.append(clipped[i])
+            # Insert the crossing point only on a genuine side change;
+            # near-zero denominators mean a collinear segment already
+            # handled above.
+            if inside_p != (side_q >= -CLIP_EPS) and abs(side_p - side_q) > CLIP_EPS:
+                (px, py), (qx, qy) = clipped[i], clipped[j]
+                t = side_p / (side_p - side_q)
+                out.append((px + t * (qx - px), py + t * (qy - py)))
+        if len(out) < 3:
             return 0.0
+        clipped = out
     return abs(_shoelace_area(clipped))
 
 
@@ -286,19 +302,34 @@ def rotated_iou_exact(b1: Box3D, b2: Box3D) -> float:
     z-face differences as the intersection so that identical boxes score
     exactly 1.0.
     """
-    lo1, hi1 = b1.z - 0.5 * b1.h, b1.z + 0.5 * b1.h
-    lo2, hi2 = b2.z - 0.5 * b2.h, b2.z + 0.5 * b2.h
+    return _iou_footprints(_footprint(*b1.as_tuple()), _footprint(*b2.as_tuple()))
+
+
+def _footprint(x: float, y: float, z: float, l: float, w: float, h: float,
+               theta: float) -> tuple[list[tuple[float, float]], float, float, float]:
+    """``(corners, z_lo, z_hi, volume)`` of a box given as raw floats.
+
+    The input of :func:`_iou_footprints`; callers holding many boxes build
+    each footprint once and skip the :class:`Box3D` validation of values
+    already checked elsewhere.
+    """
+    corners = _bev_corners(x, y, l, w, theta)
+    z_lo = z - 0.5 * h
+    z_hi = z + 0.5 * h
+    return corners, z_lo, z_hi, abs(_shoelace_area(corners)) * (z_hi - z_lo)
+
+
+def _iou_footprints(f1, f2) -> float:
+    """The exact rotated IoU of two :func:`_footprint` tuples."""
+    poly1, lo1, hi1, v1 = f1
+    poly2, lo2, hi2, v2 = f2
     dz = min(hi1, hi2) - max(lo1, lo2)
     if dz <= 0.0:
         return 0.0
-    poly1 = b1.bev_corners()
-    poly2 = b2.bev_corners()
     area_inter = convex_intersection_area(poly1, poly2)
     if area_inter <= 0.0:
         return 0.0
     v_inter = area_inter * dz
-    v1 = abs(_shoelace_area(poly1)) * (hi1 - lo1)
-    v2 = abs(_shoelace_area(poly2)) * (hi2 - lo2)
     v_union = v1 + v2 - v_inter
     return v_inter / v_union
 

@@ -44,6 +44,7 @@ __all__ = [
     "center_term_grad",
     "regression_sample_loss",
     "regression_sample_grad",
+    "regression_sample_grad_batch",
     "finite_difference_grad",
     "random_overlapping_pair",
     "gradient_check",
@@ -295,6 +296,89 @@ def regression_sample_grad(pred: BoxParams8, target: BoxParams8, alpha: float) -
     term, g_center = center_term_grad(pred, target)
     value = rwiou_loss(pred, target, alpha) + term
     return value, rwiou_loss_grad(pred, target, alpha) + g_center
+
+
+# Per axis i, the other two axes (j, k) in the scalar loop's order.
+_OTHER_J = np.array([1, 0, 0])
+_OTHER_K = np.array([2, 2, 1])
+
+
+def regression_sample_grad_batch(pred: np.ndarray, target: np.ndarray,
+                                 alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise :func:`regression_sample_grad` over ``(N, 8)`` channel arrays.
+
+    Returns ``(values (N,), grads (N, 8))``.  Every quantity follows the
+    scalar functions' operations in the same order, the tie and clamp rules
+    become ``np.where`` selections, and squares go through ``np.float_power``
+    (libm ``pow``, like Python's ``**``), so each row equals the scalar
+    result bitwise.
+    """
+    alpha = _check_alpha(alpha)
+    c_p, c_t = pred[:, 0:3], target[:, 0:3]
+    half_p, half_t = 0.5 * pred[:, 3:6], 0.5 * target[:, 3:6]
+    lo_p, hi_p = c_p - half_p, c_p + half_p
+    lo_t, hi_t = c_t - half_t, c_t + half_t
+    # Each prediction face lies strictly inside the target's, strictly
+    # outside it, or exactly on it (neither flag set: the tie rules).
+    lo_in, lo_out = lo_p > lo_t, lo_p < lo_t
+    hi_in, hi_out = hi_p < hi_t, hi_p > hi_t
+
+    # RWIoU loss and gradient: _interval_terms per axis, then rwiou_loss_grad.
+    w_lo = np.where(lo_in, 1.0, np.where(lo_out, 0.0, 0.5))
+    w_hi = np.where(hi_in, 1.0, np.where(hi_out, 0.0, 0.5))
+    gap = np.where(hi_out, hi_t, hi_p) - np.where(lo_out, lo_t, lo_p)
+    overlap = gap >= 0.0
+    width = np.where(overlap, gap, 0.0)
+    d_center = np.where(overlap, w_hi - w_lo, 0.0)
+    d_size = np.where(overlap, 0.5 * (w_hi + w_lo), 0.0)
+    pred_width = hi_p - lo_p
+    target_width = hi_t - lo_t
+    v_inter = width[:, 0] * width[:, 1] * width[:, 2]
+    v_p = pred_width[:, 0] * pred_width[:, 1] * pred_width[:, 2]
+    v_t = target_width[:, 0] * target_width[:, 1] * target_width[:, 2]
+    delta = pred[:, 6:8] - target[:, 6:8]
+    raw = 1.0 - 0.5 * alpha * np.abs(delta)
+    unclamped = raw > 0.0
+    w = np.where(unclamped, raw, 0.0)
+    dw = np.where(unclamped, -0.5 * alpha * np.where(delta >= 0.0, 1.0, -1.0), 0.0)
+    w_s, w_c = w[:, 0], w[:, 1]
+    omega = w_s * w_c
+    v_weighted = omega * v_inter
+    v_union = v_p + v_t - v_weighted
+    inv_u2 = 1.0 / (v_union * v_union)
+    common = (v_union + v_weighted) * inv_u2
+    other = width[:, _OTHER_J] * width[:, _OTHER_K]
+    other_pred = pred_width[:, _OTHER_J] * pred_width[:, _OTHER_K]
+    neg_omega = -omega[:, None]
+    g_loc = neg_omega * d_center * other * common[:, None]
+    g_size = (neg_omega * d_size * other * common[:, None]
+              + v_weighted[:, None] * other_pred * inv_u2[:, None])
+    g_s = -dw[:, 0] * w_c * v_inter * common
+    g_c = -w_s * dw[:, 1] * v_inter * common
+
+    # Center-distance term: center_term_grad, whose enclosing-bound weights
+    # are the complements of the intersection's.
+    deltas = c_p - c_t
+    sq = np.float_power(deltas, 2)
+    d2 = sq[:, 0] + sq[:, 1] + sq[:, 2]
+    e_hi = 1.0 - w_hi
+    e_lo = 1.0 - w_lo
+    extent = np.where(hi_in, hi_t, hi_p) - np.where(lo_in, lo_t, lo_p)
+    ext2 = extent * extent
+    g2 = ext2[:, 0] + ext2[:, 1] + ext2[:, 2]
+    inv_g2 = (1.0 / g2)[:, None]
+    scale = d2[:, None] * inv_g2 * inv_g2
+    c_loc = 2.0 * deltas * inv_g2 - scale * (2.0 * extent * (e_hi - e_lo))
+    c_size = -scale * (extent * (e_hi + e_lo))
+
+    values = 1.0 - v_weighted / v_union + d2 / g2
+    grads = np.empty_like(pred)
+    grads[:, 0:3] = g_loc + c_loc
+    grads[:, 3:6] = g_size + c_size
+    # Grad8.__add__ adds the center term's zero s/c components.
+    grads[:, 6] = g_s + 0.0
+    grads[:, 7] = g_c + 0.0
+    return values, grads
 
 
 _PARAM_NAMES = ("x", "y", "z", "l", "w", "h", "s", "c")

@@ -33,7 +33,7 @@ from .assignment import (
     cross_region,
     world_to_cell,
 )
-from .geometry import Box3D, convex_intersection_area
+from .geometry import Box3D, _target_rows, convex_intersection_area
 from .losses import (
     LossReport,
     LossWeights,
@@ -60,17 +60,21 @@ class PlacementError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """Raised when the total loss exceeds the divergence threshold or is NaN.
+    """Raised when a fit blows up.
 
-    Carries the offending step index and loss report so callers can see
-    where the run blew up.
+    Either the total loss exceeds the divergence threshold or is NaN, or an
+    update leaves a state whose predictions or assignment cannot be
+    evaluated (non-finite values, a degenerate overlap); ``reason`` then says
+    which.  Carries the step index and the loss report of the last evaluated
+    step (for an unusable update, the step before ``step``) so callers can
+    see where the run blew up.
     """
 
-    def __init__(self, step: int, report: LossReport):
-        super().__init__(
-            f"total loss {report.total:.6g} exceeded {DIVERGENCE_THRESHOLD:g} "
-            f"or is NaN at step {step}"
-        )
+    def __init__(self, step: int, report: LossReport, reason: str | None = None):
+        if reason is None:
+            reason = (f"total loss {report.total:.6g} exceeded "
+                      f"{DIVERGENCE_THRESHOLD:g} or is NaN")
+        super().__init__(f"{reason} at step {step}")
         self.step = step
         self.report = report
 
@@ -405,7 +409,7 @@ def _gt_param_rows(gts: list[GroundTruth]) -> np.ndarray:
             ]
             for gt in gts
         ]
-    )
+    ).reshape(-1, 8)
 
 
 def _nearest_gt_indices(grid: GridSpec, gts: list[GroundTruth]) -> np.ndarray:
@@ -538,33 +542,22 @@ def _smooth_l1_scene(
     """
     rows, cols = preds.boxes.shape[:2]
     grads = np.zeros((rows, cols, 8))
-    total = 0.0
     n = max(assignment.n_positives, 1)
-    targets = _gt_param_rows(gts) if gts else np.zeros((0, 8))
-    for gt_index, cells in enumerate(assignment.positives):
-        target = targets[gt_index]
-        for cell in cells:
-            raw = preds.params_at(cell)
-            pred = np.array(
-                [
-                    raw.x,
-                    raw.y,
-                    raw.z,
-                    math.log(raw.l),
-                    math.log(raw.w),
-                    math.log(raw.h),
-                    raw.s,
-                    raw.c,
-                ]
-            )
-            values, d_res = smooth_l1_with_grad(pred - target)
-            total += float(np.sum(values)) / n
-            d = d_res / n
-            # The log-size residual differentiates through 1/size.
-            d[3] /= raw.l
-            d[4] /= raw.w
-            d[5] /= raw.h
-            grads[cell.row, cell.col] += d
+    rows_i, cols_i, gt_of = assignment.positive_index()
+    raw = preds.boxes[rows_i, cols_i]
+    pred = raw.copy()
+    # math.log, not np.log: the two differ in the last bit on some sizes.
+    pred[:, 3:6] = np.array(
+        [math.log(v) for v in raw[:, 3:6].ravel().tolist()]
+    ).reshape(-1, 3)
+    values, d_res = smooth_l1_with_grad(pred - _gt_param_rows(gts)[gt_of])
+    total = 0.0
+    for cell_sum in np.sum(values, axis=1).tolist():
+        total += cell_sum / n
+    d = d_res / n
+    # The log-size residual differentiates through 1/size.
+    d[:, 3:6] /= raw[:, 3:6]
+    grads[rows_i, cols_i] += d
     return total, grads
 
 
@@ -596,7 +589,10 @@ def fit_scene(
     applies one plain gradient-descent update to the raw parameters. The
     recorded losses describe the state *before* that step's update, so step 0
     is the initialization. Raises :class:`DivergenceError` if the total loss
-    exceeds ``DIVERGENCE_THRESHOLD`` or is NaN.
+    exceeds ``DIVERGENCE_THRESHOLD`` or is NaN, or if an update leaves a
+    state whose predictions or assignment cannot be built (``ValueError`` or
+    ``ArithmeticError`` from either); an unusable initial state raises
+    ``ValueError``.
     """
     if regression not in ("rwiou", "smooth_l1"):
         raise ValueError("regression must be 'rwiou' or 'smooth_l1'")
@@ -607,15 +603,7 @@ def fit_scene(
     else:
         state = state.copy()
 
-    gt_channels = [
-        (math.sin(gt.box.theta), math.cos(gt.box.theta)) for gt in gts
-    ]
-    gt_targets = np.array(
-        [
-            [gt.box.x, gt.box.y, gt.box.z, gt.box.l, gt.box.w, gt.box.h, s, c]
-            for gt, (s, c) in zip(gts, gt_channels)
-        ]
-    ) if gts else np.zeros((0, 8))
+    gt_targets = _target_rows([gt.box for gt in gts])
     started = time.perf_counter()
     steps: list[StepRecord] = []
     preds = state.prediction_map()
@@ -671,29 +659,32 @@ def fit_scene(
         # channels, and nudging a converged cell by either would only knock it
         # off the optimum. Short of full equality, only the yaw channels get
         # the same treatment per channel.
-        for gt_index, cells in enumerate(assignment.positives):
-            s_t, c_t = gt_channels[gt_index]
-            target8 = gt_targets[gt_index]
-            for cell in cells:
-                i, j = cell.row, cell.col
-                if np.array_equal(preds.boxes[i, j], target8):
-                    continue
-                g = reg_grads[i, j]
-                sizes = np.exp(state.log_size[i, j])
-                state.loc[i, j] -= lr * weights.lambda_reg * g[0:3]
-                state.log_size[i, j] -= lr * weights.lambda_reg * g[3:6] * sizes
-                if (
-                    state.sin_cos[i, j, 0] != s_t
-                    or state.sin_cos[i, j, 1] != c_t
-                ):
-                    state.sin_cos[i, j] -= lr * weights.lambda_reg * g[6:8]
+        rows_i, cols_i, gt_of = assignment.positive_index()
+        target8 = gt_targets[gt_of]
+        live = ~np.all(preds.boxes[rows_i, cols_i] == target8, axis=1)
+        r = np.array(rows_i, dtype=int)[live]
+        c = np.array(cols_i, dtype=int)[live]
+        g = reg_grads[r, c]
+        step_reg = lr * weights.lambda_reg
+        state.loc[r, c] -= step_reg * g[:, 0:3]
+        state.log_size[r, c] -= step_reg * g[:, 3:6] * np.exp(state.log_size[r, c])
+        yaw = np.any(state.sin_cos[r, c] != target8[live, 6:8], axis=1)
+        state.sin_cos[r[yaw], c[yaw]] -= step_reg * g[yaw, 6:8]
 
         # Overlap confidence: raw channel moves through the tanh derivative.
         u = preds.iou_conf
         state.iou_conf_raw -= lr * weights.lambda_iou * iou_grads * (1.0 - u * u)
 
-        preds = state.prediction_map()
-        assignment = _assign(assigner, grid, gts, preds, weights)
+        # The initial state is user input and its errors stay ValueErrors;
+        # an updated state that cannot be evaluated is a blow-up.
+        try:
+            preds = state.prediction_map()
+            assignment = _assign(assigner, grid, gts, preds, weights)
+        except (ValueError, ArithmeticError) as exc:
+            raise DivergenceError(
+                step + 1, report,
+                reason=f"update left an unusable state ({type(exc).__name__}: {exc})",
+            ) from exc
 
     final_ious = _true_iou_per_gt(assignment)
     k_by_class = _mean_k_by_class(assignment, gts)

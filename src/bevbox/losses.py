@@ -26,8 +26,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .geometry import BoxParams8, _check_alpha
-from .gradients import regression_sample_grad
+from .geometry import _check_alpha, _target_rows
+from .gradients import regression_sample_grad_batch
 
 if TYPE_CHECKING:  # pragma: no cover
     from .assignment import AssignmentResult, GroundTruth, PredictionMap
@@ -214,17 +214,21 @@ def regression_loss_scene(assignment: "AssignmentResult", preds: "PredictionMap"
                                    [PerGtRegression(i, 0, 0.0) for i in range(len(gts))],
                                    degenerate=True)
     norm = 1.0 / n_pos
+    rows_i, cols_i, gt_of = assignment.positive_index()
+    targets = _target_rows([gt.box for gt in gts])[gt_of]
+    values, grads = regression_sample_grad_batch(preds.boxes[rows_i, cols_i], targets, alpha)
+    box_grads[rows_i, cols_i] += grads * norm
+    # Sums run sequentially in positive order: np.sum adds pairwise (and the
+    # builtin sum compensates on newer Pythons), which rounds differently.
+    values = values.tolist()
     total = 0.0
     per_gt = []
-    for i, gt in enumerate(gts):
-        target = BoxParams8.from_box(gt.box)
-        cells = assignment.positives[i]
+    start = 0
+    for i, cells in enumerate(assignment.positives):
         gt_sum = 0.0
-        for cell in cells:
-            pred = preds.params_at(cell)
-            value, grad = regression_sample_grad(pred, target, alpha)
+        for value in values[start:start + len(cells)]:
             gt_sum += value
-            box_grads[cell.row, cell.col] += grad.as_array() * norm
+        start += len(cells)
         mean = gt_sum / len(cells) if cells else 0.0
         per_gt.append(PerGtRegression(i, len(cells), mean))
         total += gt_sum
@@ -248,15 +252,17 @@ def iou_prediction_loss(assignment: "AssignmentResult", preds: "PredictionMap",
     rows, cols = preds.boxes.shape[:2]
     grads = np.zeros((rows, cols))
     norm = 1.0 / max(assignment.n_positives, 1)
-    total = 0.0
+    rows_i, cols_i, _ = assignment.positive_index()
+    ious = []
     for cells, candidates in zip(assignment.positives, assignment.candidates):
         iou_at = {c.cell: c.iou for c in candidates}
-        for cell in cells:
-            target = 2.0 * iou_at[cell] - 1.0
-            u = float(preds.iou_conf[cell.row, cell.col])
-            value, grad = smooth_l1_with_grad(u - target)
-            total += float(value)
-            grads[cell.row, cell.col] += float(grad) * norm
+        ious.extend(iou_at[cell] for cell in cells)
+    targets = 2.0 * np.array(ious) - 1.0
+    values, d = smooth_l1_with_grad(preds.iou_conf[rows_i, cols_i] - targets)
+    grads[rows_i, cols_i] += d * norm
+    total = 0.0  # sequential, as in regression_loss_scene
+    for value in values.tolist():
+        total += value
     return total * norm, grads
 
 

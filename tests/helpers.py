@@ -5,6 +5,11 @@ candidate regions come from a full-grid Manhattan scan, ranking uses explicit
 sorts, and conflicts resolve through an explicit claim map. Costs and IoUs
 are composed from the public primitives with the same expression structure so
 agreement can be checked bitwise.
+
+The rotated-IoU reference is the textbook per-edge Sutherland-Hodgman
+clipper, and the fit reference runs every per-positive loss and update as a
+scalar loop; both keep the arithmetic of the array paths they check, so
+agreement is bitwise too.
 """
 
 from __future__ import annotations
@@ -14,17 +19,28 @@ import math
 import numpy as np
 
 from bevbox import (
+    AssignerConfig,
     Box3D,
     CellIndex,
     GridSpec,
     GroundTruth,
+    InitConfig,
+    LossWeights,
+    OptimizerConfig,
     PredictionMap,
+    assign_center,
+    assign_dcla,
+    classification_loss,
+    init_state,
     quality_focal,
+    regression_sample_grad,
     regression_sample_loss,
     rotated_iou_exact,
     selection_cost,
+    smooth_l1_with_grad,
+    total_loss,
 )
-from bevbox.geometry import BoxParams8
+from bevbox.geometry import CLIP_EPS, BoxParams8
 
 
 def axis_aligned_iou(b1: Box3D, b2: Box3D) -> float:
@@ -224,3 +240,178 @@ def random_scene(
         )
     preds = random_prediction_map(rng, grid, n_classes)
     return grid, gts, preds
+
+
+def reference_rotated_iou(b1: Box3D, b2: Box3D) -> float:
+    """Exact rotated IoU from a textbook per-edge Sutherland-Hodgman clipper.
+
+    Corners, clipping and shoelace areas are written out here, apart from the
+    package kernel, with the same arithmetic, so the two agree bitwise.
+    """
+
+    def corners(box):
+        cos_t = math.cos(box.theta)
+        sin_t = math.sin(box.theta)
+        dx = 0.5 * box.l
+        dy = 0.5 * box.w
+        return [
+            (box.x + cos_t * ax - sin_t * ay, box.y + sin_t * ax + cos_t * ay)
+            for ax, ay in ((dx, dy), (-dx, dy), (-dx, -dy), (dx, -dy))
+        ]
+
+    def clip(subject, ax, ay, bx, by):
+        ex = bx - ax
+        ey = by - ay
+        out = []
+        n = len(subject)
+        for i in range(n):
+            px, py = subject[i]
+            qx, qy = subject[(i + 1) % n]
+            side_p = ex * (py - ay) - ey * (px - ax)
+            side_q = ex * (qy - ay) - ey * (qx - ax)
+            inside_p = side_p >= -CLIP_EPS
+            inside_q = side_q >= -CLIP_EPS
+            if inside_p:
+                out.append((px, py))
+            if inside_p != inside_q and abs(side_p - side_q) > CLIP_EPS:
+                t = side_p / (side_p - side_q)
+                out.append((px + t * (qx - px), py + t * (qy - py)))
+        return out
+
+    lo1, hi1 = b1.z - 0.5 * b1.h, b1.z + 0.5 * b1.h
+    lo2, hi2 = b2.z - 0.5 * b2.h, b2.z + 0.5 * b2.h
+    dz = min(hi1, hi2) - max(lo1, lo2)
+    if dz <= 0.0:
+        return 0.0
+    poly1 = corners(b1)
+    poly2 = corners(b2)
+    clipped = list(poly1)
+    for i in range(4):
+        ax, ay = poly2[i]
+        bx, by = poly2[(i + 1) % 4]
+        clipped = clip(clipped, ax, ay, bx, by)
+        if len(clipped) < 3:
+            return 0.0
+    area_inter = abs(polygon_area(clipped))
+    if area_inter <= 0.0:
+        return 0.0
+    v_inter = area_inter * dz
+    v1 = abs(polygon_area(poly1)) * (hi1 - lo1)
+    v2 = abs(polygon_area(poly2)) * (hi2 - lo2)
+    return v_inter / (v1 + v2 - v_inter)
+
+
+def reference_fit_scene(
+    grid: GridSpec,
+    gts: list[GroundTruth],
+    assigner: AssignerConfig,
+    optimizer: OptimizerConfig,
+    init: InitConfig,
+    weights: LossWeights,
+    regression: str,
+    init_seed: int,
+    n_classes: int,
+    state=None,
+):
+    """Scalar reference of ``fit_scene``: per-positive losses, per-cell update.
+
+    The regression, smooth-L1 and IoU-prediction losses loop over positives
+    with the scalar kernels, and the update walks the positive cells one by
+    one; assignment, classification loss and the decode are the package's.
+    Returns ``(steps, state)`` with ``steps`` as ``(step, l_cls, l_reg,
+    l_iou, total, mean_true_iou)`` tuples.
+    """
+    if state is None:
+        state = init_state(grid, gts, n_classes, init, assigner, init_seed)
+    else:
+        state = state.copy()
+
+    def assign(preds):
+        if assigner.kind == "center":
+            return assign_center(grid, gts, preds, lambda_reg=weights.lambda_reg,
+                                 alpha=weights.alpha)
+        return assign_dcla(grid, gts, preds, r=assigner.r,
+                           lambda_reg=weights.lambda_reg, alpha=weights.alpha)
+
+    targets = [BoxParams8.from_box(gt.box) for gt in gts]
+    log_targets = [
+        np.array([gt.box.x, gt.box.y, gt.box.z, math.log(gt.box.l),
+                  math.log(gt.box.w), math.log(gt.box.h),
+                  math.sin(gt.box.theta), math.cos(gt.box.theta)])
+        for gt in gts
+    ]
+    steps = []
+    preds = state.prediction_map()
+    assignment = assign(preds)
+    for step in range(optimizer.n_steps + 1):
+        l_cls, cls_grads = classification_loss(assignment, preds)
+        rows, cols = preds.boxes.shape[:2]
+        reg_grads = np.zeros((rows, cols, 8))
+        n_pos = assignment.n_positives
+        if regression == "rwiou":
+            l_reg = 0.0
+            if n_pos:
+                norm = 1.0 / n_pos
+                total = 0.0
+                for i, cells in enumerate(assignment.positives):
+                    gt_sum = 0.0
+                    for cell in cells:
+                        pred = preds.params_at(cell)
+                        value, grad = regression_sample_grad(pred, targets[i], weights.alpha)
+                        gt_sum += value
+                        reg_grads[cell.row, cell.col] += grad.as_array() * norm
+                    total += gt_sum
+                l_reg = total * norm
+        else:
+            n = max(n_pos, 1)
+            l_reg = 0.0
+            for i, cells in enumerate(assignment.positives):
+                for cell in cells:
+                    raw = preds.params_at(cell)
+                    pred = np.array([raw.x, raw.y, raw.z, math.log(raw.l),
+                                     math.log(raw.w), math.log(raw.h), raw.s, raw.c])
+                    values, d_res = smooth_l1_with_grad(pred - log_targets[i])
+                    l_reg += float(np.sum(values)) / n
+                    d = d_res / n
+                    d[3] /= raw.l
+                    d[4] /= raw.w
+                    d[5] /= raw.h
+                    reg_grads[cell.row, cell.col] += d
+        iou_grads = np.zeros((rows, cols))
+        norm = 1.0 / max(n_pos, 1)
+        l_iou = 0.0
+        for cells, candidates in zip(assignment.positives, assignment.candidates):
+            iou_at = {c.cell: c.iou for c in candidates}
+            for cell in cells:
+                u = float(preds.iou_conf[cell.row, cell.col])
+                value, grad = smooth_l1_with_grad(u - (2.0 * iou_at[cell] - 1.0))
+                l_iou += float(value)
+                iou_grads[cell.row, cell.col] += float(grad) * norm
+        l_iou *= norm
+        report = total_loss(l_cls, l_reg, l_iou, weights=weights, n_positives=n_pos)
+        readout = [min(candidates).iou for candidates in assignment.candidates]
+        steps.append((step, l_cls, l_reg, l_iou, report.total,
+                      float(np.mean(readout)) if gts else 0.0))
+        if step == optimizer.n_steps:
+            break
+
+        lr = optimizer.step_size
+        p = preds.scores
+        state.score_logits -= lr * weights.lambda_cls * cls_grads * p * (1.0 - p)
+        for i, cells in enumerate(assignment.positives):
+            target8 = targets[i].as_array()
+            for cell in cells:
+                r, c = cell.row, cell.col
+                if np.array_equal(preds.boxes[r, c], target8):
+                    continue
+                g = reg_grads[r, c]
+                sizes = np.exp(state.log_size[r, c])
+                state.loc[r, c] -= lr * weights.lambda_reg * g[0:3]
+                state.log_size[r, c] -= lr * weights.lambda_reg * g[3:6] * sizes
+                if state.sin_cos[r, c, 0] != target8[6] or state.sin_cos[r, c, 1] != target8[7]:
+                    state.sin_cos[r, c] -= lr * weights.lambda_reg * g[6:8]
+        u = preds.iou_conf
+        state.iou_conf_raw -= lr * weights.lambda_iou * iou_grads * (1.0 - u * u)
+        preds = state.prediction_map()
+        assignment = assign(preds)
+    return steps, state

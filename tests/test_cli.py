@@ -226,6 +226,26 @@ class TestFitCommand:
         assert "step 3" in err
 
 
+    @pytest.mark.parametrize("step_size", [1e3, 1e5])
+    def test_blow_up_exits_as_divergence(self, tmp_path, capsys, step_size):
+        config = {
+            "scene": {
+                "grid": {"x_min": -8.0, "y_min": -8.0, "cell_size": 1.0,
+                         "n_rows": 16, "n_cols": 16},
+                "n_objects": 4,
+                "seed": 3,
+            },
+            "optimizer": {"step_size": step_size, "n_steps": 20},
+        }
+        path = tmp_path / "blowup.json"
+        path.write_text(json.dumps(config))
+        with np.errstate(over="ignore"):
+            assert main(["fit", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "fit diverged" in err
+        assert "config:" not in err
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self):
         # The package entry point runs as a real subprocess; the installed

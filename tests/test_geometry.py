@@ -19,7 +19,7 @@ from bevbox import (
     rwiou,
 )
 from bevbox.geometry import center_distance_term_batch
-from helpers import axis_aligned_iou, polygon_area
+from helpers import axis_aligned_iou, polygon_area, reference_rotated_iou
 
 
 def box_strategy():
@@ -257,6 +257,66 @@ class TestRotatedIouExact:
                       box.theta + 0.15)
         value = rotated_iou_exact(box, other)
         assert 0.0 <= value <= 1.0
+
+
+def iou_pair_families(rng, n):
+    """``n`` box pairs per family: random overlapping, identical, nested,
+    touching, collinear-edge, near-collinear and yaw +-pi pairs."""
+    def box(x, y, z, l, w, h, theta):
+        return Box3D(float(x), float(y), float(z), float(l), float(w), float(h), float(theta))
+
+    pairs = []
+    for _ in range(n):
+        c = rng.uniform(-5, 5, 3)
+        size = rng.uniform(0.3, 5, 3)
+        yaw = rng.uniform(-math.pi, math.pi)
+        b1 = box(*c, *size, yaw)
+        # random overlapping
+        pairs.append((b1, box(*(c + rng.uniform(-0.6, 0.6, 3) * size),
+                              *(size * rng.uniform(0.6, 1.6, 3)), yaw + rng.normal(0, 0.8))))
+        # identical
+        pairs.append((b1, box(*c, *size, yaw)))
+        # nested: same center and yaw, smaller
+        pairs.append((b1, box(*c, *(size * rng.uniform(0.2, 0.99, 3)), yaw)))
+        # touching: axis-aligned, shifted by exactly the summed half-lengths
+        k = int(rng.integers(1, 9))
+        pairs.append((box(0.0, 0.0, 0.0, k / 4, 1.0, 1.0, 0.0),
+                      box(k / 8 + 0.5, 0.25, 0.0, 1.0, 1.0, 1.0, 0.0)))
+        # collinear edges: same yaw, slid along the box's own length axis
+        shift = rng.uniform(-1, 1) * size[0]
+        pairs.append((b1, box(c[0] + shift * math.cos(yaw), c[1] + shift * math.sin(yaw), c[2],
+                              *size, yaw)))
+        # edges a clip tolerance apart: shifted across the length axis and
+        # turned by far less than an ulp of a degree, so the two vertices
+        # next to an edge straddle the inside test within CLIP_EPS
+        normal = rng.uniform(0.3, 2.0) * 1e-12 / size[0]
+        turn = rng.uniform(-1, 1) * 1e-12 / (size[0] * size[0])
+        pairs.append((b1, box(c[0] - normal * math.sin(yaw), c[1] + normal * math.cos(yaw), c[2],
+                              *size, yaw + turn)))
+        # yaw +-pi and a half turn apart
+        pairs.append((box(*c, *size, math.pi), box(*(c + rng.uniform(-0.3, 0.3, 3)), *size,
+                                                      -math.pi)))
+        pairs.append((b1, box(*c, *size, yaw + math.pi)))
+    return pairs
+
+
+class TestRotatedIouAgainstTextbookClipper:
+    def test_bitwise_equal_on_pair_families(self):
+        pairs = iou_pair_families(np.random.default_rng(5), 2_500)
+        assert len(pairs) >= 20_000
+        # Every other pair swaps roles, so each family is clipped both ways.
+        pairs = [(b, a) if i % 2 else (a, b) for i, (a, b) in enumerate(pairs)]
+        got = [rotated_iou_exact(a, b).hex() for a, b in pairs]
+        want = [reference_rotated_iou(a, b).hex() for a, b in pairs]
+        assert got == want
+
+    def test_families_reach_their_edge_cases(self):
+        pairs = iou_pair_families(np.random.default_rng(5), 50)
+        values = [rotated_iou_exact(a, b) for a, b in pairs]
+        identical = values[1::8]
+        touching = values[3::8]
+        assert identical == [1.0] * 50
+        assert touching == [0.0] * 50
 
 
 class TestMcOracle:

@@ -26,7 +26,12 @@ from bevbox import (
     rwiou_loss,
     rwiou_loss_grad,
 )
-from bevbox.gradients import center_term_grad, random_overlapping_pair, rwiou_loss_batch
+from bevbox.gradients import (
+    center_term_grad,
+    random_overlapping_pair,
+    regression_sample_grad_batch,
+    rwiou_loss_batch,
+)
 
 GEOMETRY_COMPONENTS = ("d_x", "d_y", "d_z", "d_l", "d_w", "d_h")
 
@@ -334,6 +339,107 @@ class TestRwiouLossBatch:
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             rwiou_loss_batch(np.ones((1, 8)), np.ones((1, 8)), 1.5)
+
+
+def scalar_rows(pred, target, alpha):
+    """``regression_sample_grad`` row by row, as (values, grads) arrays."""
+    values, grads = [], []
+    for p, t in zip(pred.tolist(), target.tolist()):
+        value, grad = regression_sample_grad(BoxParams8(*p), BoxParams8(*t), alpha)
+        values.append(value)
+        grads.append(grad.as_array())
+    return np.array(values), np.array(grads).reshape(-1, 8)
+
+
+def assert_batch_matches_scalar(pred, target, alpha):
+    values, grads = regression_sample_grad_batch(pred, target, alpha)
+    expected_values, expected_grads = scalar_rows(pred, target, alpha)
+    # Byte comparison, so a zero of the wrong sign counts as a mismatch.
+    assert values.tobytes() == expected_values.tobytes()
+    assert grads.tobytes() == expected_grads.tobytes()
+
+
+# Multiples of 1/8: face coordinates and gaps built from them are exact, so
+# ties and touching faces hold exactly in floating point.
+DYADIC = st.integers(-64, 64).map(lambda k: k / 8)
+DYADIC_SIZE = st.integers(1, 48).map(lambda k: k / 8)
+
+
+@st.composite
+def kink_pair(draw):
+    """A (pred, target, alpha) row pair sitting on one of the loss's kinks."""
+    target = np.array([draw(DYADIC), draw(DYADIC), draw(DYADIC),
+                       draw(DYADIC_SIZE), draw(DYADIC_SIZE), draw(DYADIC_SIZE), 0.0, 0.0])
+    yaw = draw(st.floats(-math.pi, math.pi))
+    target[6:8] = math.sin(yaw), math.cos(yaw)
+    pred = target.copy()
+    alpha = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    kind = draw(st.sampled_from(["equal", "touching", "disjoint", "clamp", "sign0"]))
+    if kind in ("touching", "disjoint"):
+        axis = draw(st.integers(0, 2))
+        side = draw(st.sampled_from([-1.0, 1.0]))
+        pred[3 + axis] = draw(DYADIC_SIZE)
+        gap = 0.0 if kind == "touching" else draw(DYADIC_SIZE)
+        pred[axis] = target[axis] + side * (0.5 * target[3 + axis] + 0.5 * pred[3 + axis] + gap)
+    elif kind == "clamp":
+        # |s_p - s_t| = 2 at alpha = 1 puts the raw weight exactly on 0.
+        alpha = 1.0
+        target[6] = 1.0
+        pred[6] = -1.0
+    elif kind == "sign0":
+        pred[7] = draw(st.floats(-1.5, 1.5))
+    if kind != "equal" and draw(st.booleans()):
+        # Move a second axis by a dyadic step: ties elsewhere stay exact.
+        other = draw(st.integers(0, 2))
+        pred[other] += draw(DYADIC) / 4
+        pred[3 + other] = draw(DYADIC_SIZE)
+    return pred, target, alpha
+
+
+class TestRegressionSampleGradBatch:
+    @pytest.mark.parametrize("alpha,n", [(0.5, 20_000), (0.0, 3_000), (1.0, 3_000)])
+    def test_matches_scalar_bitwise_on_random_pairs(self, alpha, n):
+        # Mostly overlapping pairs with free s/c channels, as in a fit; some
+        # rows end up disjoint along an axis.
+        rng = np.random.default_rng(21)
+        yaw = rng.uniform(-math.pi, math.pi, n)
+        target = np.column_stack([rng.uniform(-5, 5, (n, 3)), rng.uniform(0.6, 5, (n, 3)),
+                                  np.sin(yaw), np.cos(yaw)])
+        pred = target.copy()
+        pred[:, 0:3] += rng.uniform(-0.6, 0.6, (n, 3)) * target[:, 3:6]
+        pred[:, 3:6] *= rng.uniform(0.6, 1.6, (n, 3))
+        pred[:, 6:8] = np.column_stack([np.sin(yaw), np.cos(yaw)]) + rng.normal(0, 0.3, (n, 2))
+        assert_batch_matches_scalar(pred, target, alpha)
+
+    def test_equal_rows_take_the_tie_weights(self):
+        target = np.array([[0.5, -1.0, 0.25, 2.0, 1.5, 1.0, 0.6, 0.8]])
+        values, grads = regression_sample_grad_batch(target, target.copy(), 0.5)
+        assert values.tolist() == [0.0]
+        # The 1/2 face weights cancel the geometry; sign(0) := +1 leaves the
+        # one-sided value alpha on s and c.
+        assert grads[0].tolist() == [0.0] * 6 + [0.5, 0.5]
+        assert_batch_matches_scalar(target, target.copy(), 0.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=kink_pair())
+    def test_matches_scalar_bitwise_on_kinks(self, case):
+        pred, target, alpha = case
+        assert_batch_matches_scalar(pred[None, :], target[None, :], alpha)
+
+    def test_kinks_stacked_in_one_batch(self):
+        # Touching, disjoint, clamped and sign(0) rows side by side.
+        target = np.tile([0.0, 0.0, 0.0, 2.0, 2.0, 2.0, 1.0, 0.0], (5, 1))
+        pred = target.copy()
+        pred[1, 0] = 2.0            # faces touch: gap exactly 0
+        pred[2, 0] = 2.5            # disjoint
+        pred[3, 6] = -1.0           # |ds| = 2, clamps at alpha = 1
+        pred[4, 7] = 0.3            # s_p == s_t: sign(0)
+        assert_batch_matches_scalar(pred, target, 1.0)
+        assert_batch_matches_scalar(pred, target, 0.5)
+
+    def test_alpha_validation(self):
+        with pytest.raises(ValueError):
+            regression_sample_grad_batch(np.ones((1, 8)), np.ones((1, 8)), -0.1)
 
 
 class TestGrad8:

@@ -44,7 +44,7 @@ from bevbox.harness import (
     SATURATED_LOGIT,
     _true_iou_per_gt,
 )
-from helpers import random_scene, scan_readout
+from helpers import random_scene, reference_fit_scene, scan_readout
 
 GRID16 = GridSpec(x_min=-8.0, y_min=-8.0, cell_size=1.0, n_rows=16, n_cols=16)
 GRID32 = GridSpec(x_min=-16.0, y_min=-16.0, cell_size=1.0, n_rows=32, n_cols=32)
@@ -347,6 +347,79 @@ class TestFit:
         assert payload["n_steps"] == 3
         assert payload["assigner"] == {"kind": "dcla", "r": 1}
         assert len(payload["final_iou_per_gt"]) == 4
+
+
+def assert_fit_matches_reference(gts, assigner, regression, n_steps=40, state=None,
+                                 init=InitConfig(kind="noisy", sigma_loc=0.5)):
+    optimizer = OptimizerConfig(n_steps=n_steps)
+    weights = LossWeights()
+    report = fit_scene(GRID16, gts, assigner=assigner, optimizer=optimizer, init=init,
+                       weights=weights, regression=regression, init_seed=7, n_classes=3,
+                       state=state)
+    steps, final = reference_fit_scene(GRID16, gts, assigner, optimizer, init, weights,
+                                       regression, init_seed=7, n_classes=3, state=state)
+    got = [(r.step, r.l_cls, r.l_reg, r.l_iou, r.total, r.mean_true_iou) for r in report.steps]
+    assert [[float(v).hex() for v in row] for row in got] == \
+        [[float(v).hex() for v in row] for row in steps]
+    for name in ("loc", "log_size", "sin_cos", "score_logits", "iou_conf_raw"):
+        assert getattr(report.final_state, name).tobytes() == getattr(final, name).tobytes(), name
+
+
+class TestFitMatchesScalarReference:
+    """The array-native fit step against per-positive scalar losses and a
+    per-cell update: step records and final state bitwise equal."""
+
+    @pytest.mark.parametrize("regression", ["rwiou", "smooth_l1"])
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_noisy_fit(self, regression, r):
+        gts = generate_scene(scene16())
+        assert_fit_matches_reference(gts, AssignerConfig(kind="dcla", r=r), regression)
+
+    @pytest.mark.parametrize("regression", ["rwiou", "smooth_l1"])
+    def test_frozen_and_yaw_frozen_cells(self, regression):
+        # Exact init puts every center cell on its target. Lengths of exactly
+        # 1 keep log-size 0, where even the ulp-scale gradient residue at
+        # equality would move a cell that is not frozen. Of the eight boxes,
+        # two get a moved center (yaw-only freeze) and two a turned yaw.
+        gts = []
+        for i, (x, y, theta) in enumerate([(-5.5, -5.5, 0.3), (-1.5, -5.5, 5.1), (2.5, -5.5, 1.7),
+                                           (5.5, -1.5, 5.9), (-5.5, 2.5, 2.2), (-1.5, 5.5, 4.0),
+                                           (2.5, 2.5, 0.9), (5.5, 5.5, 3.3)]):
+            w = bevbox.harness._snap_size(0.6 + 0.25 * i)
+            h = bevbox.harness._snap_size(0.5 + 0.2 * i)
+            theta = bevbox.harness._snap_yaw(theta)
+            gts.append(GroundTruth(Box3D(x, y, 0.5 * h, 1.0, w, h, theta), class_id=i % 3))
+        assigner = AssignerConfig(kind="center")
+        state = init_state(GRID16, gts, 3, InitConfig(kind="exact"), assigner, 0)
+        cells = [world_to_cell(GRID16, gt.box.x, gt.box.y) for gt in gts]
+        for cell in cells[0:2]:
+            state.loc[cell.row, cell.col, 0] += 0.3
+        for cell in cells[2:4]:
+            state.sin_cos[cell.row, cell.col] += (0.1, -0.1)
+        assert_fit_matches_reference(gts, assigner, regression, n_steps=20, state=state)
+
+
+class TestBlowUp:
+    @pytest.mark.parametrize("step_size,cause", [(1e3, ZeroDivisionError), (1e5, ValueError)])
+    def test_unusable_update_raises_divergence(self, step_size, cause):
+        gts = generate_scene(scene16())
+        with pytest.raises(DivergenceError) as exc_info, np.errstate(over="ignore"):
+            fit_scene(GRID16, gts, optimizer=OptimizerConfig(step_size=step_size, n_steps=20),
+                      n_classes=3)
+        err = exc_info.value
+        assert isinstance(err.__cause__, cause)
+        assert err.step >= 1
+        assert math.isfinite(err.report.total)
+        assert "exceeded" not in str(err)
+        assert f"at step {err.step}" in str(err)
+
+    def test_invalid_initial_state_stays_value_error(self):
+        gts = generate_scene(scene16())
+        state = init_state(GRID16, gts, 3, InitConfig(), AssignerConfig(), 0)
+        state.loc[0, 0, 0] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            fit_scene(GRID16, gts, optimizer=OptimizerConfig(n_steps=3), n_classes=3,
+                      state=state)
 
 
 class TestIouReadout:
