@@ -32,10 +32,9 @@ from .geometry import (
     _footprint,
     _iou_footprints,
     _target_rows,
-    center_distance_term_batch,
     rotated_iou_exact,
 )
-from .gradients import regression_sample_loss, rwiou_loss_batch
+from .gradients import regression_sample_grad_batch, regression_sample_loss
 from .losses import quality_focal
 
 __all__ = [
@@ -238,8 +237,13 @@ class AssignmentResult:
     a positive's owner channel, the true-IoU weight on cross-region
     negatives, 0 elsewhere.  ``candidates[i]`` lists every cell of ground
     truth ``i``'s cross region in row-major order with its selection cost
-    and exact IoU ``rotated_iou_exact(gt.box, pred)``.  Ground truths that
-    end with no positives are listed in ``unassigned``.
+    and exact IoU ``rotated_iou_exact(gt.box, pred)``.  Flattened ground
+    truth by ground truth, the candidates give the slot order:
+    ``regression_values`` ``(n_candidates,)`` and ``regression_grads``
+    ``(n_candidates, 8)`` hold each candidate's regression sample loss and
+    its gradient w.r.t. the prediction channels, and ``positive_slots``
+    holds each positive's slot, in :meth:`positive_index` order.  Ground
+    truths that end with no positives are listed in ``unassigned``.
     """
 
     positives: list[list[CellIndex]]
@@ -247,6 +251,9 @@ class AssignmentResult:
     owner: np.ndarray
     heatmap: np.ndarray
     candidates: list[list[Candidate]]
+    regression_values: np.ndarray
+    regression_grads: np.ndarray
+    positive_slots: np.ndarray
     unassigned: list[int] = field(default_factory=list)
 
     @property
@@ -319,17 +326,6 @@ def selection_cost(gt: GroundTruth, pred_box: BoxParams8, pred_score: float,
     return l_cls + lambda_reg * l_reg
 
 
-def _selection_costs(boxes: np.ndarray, scores: np.ndarray, targets: np.ndarray,
-                     lambda_reg: float, alpha: float, gamma: float = 2.0) -> np.ndarray:
-    """Row-wise :func:`selection_cost`: ``(N, 8)`` boxes and targets, ``(N,)`` scores.
-
-    The same terms in the same order as the scalar function, so each value
-    equals the scalar cost bitwise.
-    """
-    l_reg = rwiou_loss_batch(boxes, targets, alpha) + center_distance_term_batch(boxes, targets)
-    return quality_focal(scores, 1.0, gamma) + lambda_reg * l_reg
-
-
 def dynamic_k_from_ious(ious: Sequence[float], n_candidates: int | None = None) -> int:
     """Dynamic positive count: ``max(floor(sum(ious)), 1)`` capped at the count.
 
@@ -383,8 +379,10 @@ def assign_dcla(grid: GridSpec, gts: Sequence[GroundTruth], preds: PredictionMap
     IoU, pick ``k`` from the summed IoUs, and shortlist the ``k`` cheapest
     candidates (cost ties row-major).  Cross-ground-truth conflicts then
     resolve by lower cost (ties by lower index) with no backfill; see the
-    module docstring.  The scored candidates are kept on the result, so
-    later consumers read costs and IoUs instead of recomputing them.
+    module docstring.  The scored candidates are kept on the result, with
+    the regression rows of the one kernel call that scored them, so later
+    consumers read costs, IoUs, loss values and gradients instead of
+    recomputing them.
 
     The heatmap gives cross-region negatives their IoU weight on the ground
     truth's class channel (max over same-class overlapping regions) and
@@ -395,16 +393,21 @@ def assign_dcla(grid: GridSpec, gts: Sequence[GroundTruth], preds: PredictionMap
         raise ValueError(f"lambda_reg must be positive, got {lambda_reg!r}")
     alpha = _check_alpha(alpha)
 
-    # Every ground truth's region cells as one flat (gt, row, col) list, so
-    # all selection costs come out of a single array expression.
+    # Every ground truth's region cells as one flat (gt, row, col) list, the
+    # candidate order: one kernel call scores them all, and each candidate's
+    # flat position (its slot) indexes the kernel's rows.
     regions = [cross_region(grid, world_to_cell(grid, gt.box.x, gt.box.y), r) for gt in gts]
     gt_of = [i for i, region in enumerate(regions) for _ in region]
-    rows = [cell.row for region in regions for cell in region]
-    cols = [cell.col for region in regions for cell in region]
+    cells = [cell for region in regions for cell in region]
+    rows = [cell.row for cell in cells]
+    cols = [cell.col for cell in cells]
     boxes = preds.boxes[rows, cols]
     scores = preds.scores[rows, cols, [gts[i].class_id for i in gt_of]]
     targets = _target_rows([gt.box for gt in gts])[gt_of]
-    costs = _selection_costs(boxes, scores, targets, lambda_reg, alpha).tolist()
+    # selection_cost row by row, bitwise: the kernel's values are the
+    # regression sample loss.
+    reg_values, reg_grads = regression_sample_grad_batch(boxes, targets, alpha)
+    costs = (quality_focal(scores, 1.0, 2.0) + lambda_reg * reg_values).tolist()
     # rotated_iou_exact(gt.box, pred) on footprints: each ground truth's is
     # built once, and the candidates' straight from the validated row floats.
     gt_feet = [_footprint(*gt.box.as_tuple()) for gt in gts]
@@ -415,25 +418,24 @@ def assign_dcla(grid: GridSpec, gts: Sequence[GroundTruth], preds: PredictionMap
 
     candidates: list[list[Candidate]] = []
     requested_k: list[int] = []
-    shortlists: list[list[CellIndex]] = []
-    cost_at: list[dict[CellIndex, float]] = []
+    shortlists: list[list[int]] = []  # slots of the k cheapest
     start = 0
     for region in regions:
         stop = start + len(region)
         entries = [Candidate(cost, cell, iou)
                    for cost, cell, iou in zip(costs[start:stop], region, ious[start:stop])]
-        start = stop
         k = dynamic_k_from_ious([e.iou for e in entries], len(entries))
         candidates.append(entries)
         requested_k.append(k)
-        shortlists.append([e.cell for e in sorted(entries)[:k]])
-        cost_at.append({e.cell: e.cost for e in entries})
+        ranked = sorted(range(len(entries)), key=entries.__getitem__)
+        shortlists.append([start + j for j in ranked[:k]])
+        start = stop
 
     # Conflict resolution: the cheapest claimant wins each contested cell.
     claims: dict[CellIndex, list[tuple[float, int]]] = {}
     for i, shortlist in enumerate(shortlists):
-        for cell in shortlist:
-            claims.setdefault(cell, []).append((cost_at[i][cell], i))
+        for slot in shortlist:
+            claims.setdefault(cells[slot], []).append((costs[slot], i))
     owner = np.full((grid.n_rows, grid.n_cols), -1, dtype=int)
     winners: dict[CellIndex, int] = {}
     for cell, claimants in claims.items():
@@ -441,11 +443,14 @@ def assign_dcla(grid: GridSpec, gts: Sequence[GroundTruth], preds: PredictionMap
         winners[cell] = winner
         owner[cell.row, cell.col] = winner
 
+    # Regions are row-major, so within a ground truth slot order is row-major.
     positives: list[list[CellIndex]] = []
+    positive_slots: list[int] = []
     unassigned: list[int] = []
     for i, shortlist in enumerate(shortlists):
-        kept = sorted(cell for cell in shortlist if winners[cell] == i)
-        positives.append(kept)
+        kept = sorted(slot for slot in shortlist if winners[cells[slot]] == i)
+        positives.append([cells[slot] for slot in kept])
+        positive_slots.extend(kept)
         if not kept:
             unassigned.append(i)
 
@@ -461,6 +466,8 @@ def assign_dcla(grid: GridSpec, gts: Sequence[GroundTruth], preds: PredictionMap
 
     return AssignmentResult(positives=positives, requested_k=requested_k,
                             owner=owner, heatmap=heatmap, candidates=candidates,
+                            regression_values=reg_values, regression_grads=reg_grads,
+                            positive_slots=np.array(positive_slots, dtype=int),
                             unassigned=unassigned)
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "BoundRegimeReport",
     "GradientBoundAudit",
     "rwiou_loss",
-    "rwiou_loss_batch",
     "rwiou_loss_grad",
     "center_term_grad",
     "regression_sample_loss",
@@ -161,30 +160,6 @@ def rwiou_loss(pred: BoxParams8, target: BoxParams8, alpha: float) -> float:
     w_s, _ = _omega_factor(pred.s - target.s, alpha)
     w_c, _ = _omega_factor(pred.c - target.c, alpha)
     v_weighted = w_s * w_c * v_inter
-    v_union = v_p + v_t - v_weighted
-    return 1.0 - v_weighted / v_union
-
-
-def rwiou_loss_batch(pred: np.ndarray, target: np.ndarray, alpha: float) -> np.ndarray:
-    """Row-wise :func:`rwiou_loss` over ``(N, 8)`` arrays of box channels.
-
-    Same operations in the same order as the scalar function, so each row
-    equals ``rwiou_loss(BoxParams8.from_array(pred[i]), ...)`` bitwise.
-    """
-    alpha = _check_alpha(alpha)
-    half_p = 0.5 * pred[:, 3:6]
-    half_t = 0.5 * target[:, 3:6]
-    lo_p, hi_p = pred[:, 0:3] - half_p, pred[:, 0:3] + half_p
-    lo_t, hi_t = target[:, 0:3] - half_t, target[:, 0:3] + half_t
-    inter = np.maximum(np.minimum(hi_p, hi_t) - np.maximum(lo_p, lo_t), 0.0)
-    ext_p = hi_p - lo_p
-    ext_t = hi_t - lo_t
-    v_inter = inter[:, 0] * inter[:, 1] * inter[:, 2]
-    v_p = ext_p[:, 0] * ext_p[:, 1] * ext_p[:, 2]
-    v_t = ext_t[:, 0] * ext_t[:, 1] * ext_t[:, 2]
-    raw = 1.0 - 0.5 * alpha * np.abs(pred[:, 6:8] - target[:, 6:8])
-    w = np.where(raw > 0.0, raw, 0.0)
-    v_weighted = w[:, 0] * w[:, 1] * v_inter
     v_union = v_p + v_t - v_weighted
     return 1.0 - v_weighted / v_union
 

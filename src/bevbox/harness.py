@@ -202,9 +202,12 @@ class TrainState:
         )
 
     def prediction_map(self) -> PredictionMap:
-        boxes = np.concatenate(
-            [self.loc, np.exp(self.log_size), self.sin_cos], axis=-1
-        )
+        # A blown-up log size overflows to inf, which PredictionMap's
+        # finiteness check reports; numpy's overflow warning would only
+        # repeat it.
+        with np.errstate(over="ignore"):
+            sizes = np.exp(self.log_size)
+        boxes = np.concatenate([self.loc, sizes, self.sin_cos], axis=-1)
         return PredictionMap(
             boxes=boxes,
             scores=_sigmoid(self.score_logits),
@@ -612,9 +615,7 @@ def fit_scene(
     for step in range(optimizer.n_steps + 1):
         l_cls, cls_grads = classification_loss(assignment, preds)
         if regression == "rwiou":
-            scene = regression_loss_scene(
-                assignment, preds, gts, alpha=weights.alpha
-            )
+            scene = regression_loss_scene(assignment, preds, gts)
             l_reg, reg_grads, per_gt = scene.value, scene.box_grads, scene.per_gt
         else:
             l_reg, reg_grads = _smooth_l1_scene(assignment, preds, gts)

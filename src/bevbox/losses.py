@@ -7,7 +7,8 @@ Three terms, mirroring a single-stage BEV detection head:
   count.  ``gamma = 0`` degrades it to a plain weighted cross-entropy.
 * :func:`regression_loss_scene`: the RWIoU + center-distance sample loss
   over positive cells, with exact per-cell gradients, normalized by the
-  total positive count.
+  total positive count.  Values and gradients are the rows the assignment
+  computed when it scored the candidates.
 * :func:`iou_prediction_loss`: smooth-L1 between a per-cell confidence
   channel and the rescaled true IoU ``2 * IoU - 1`` of the cell's predicted
   box against its owner, positives only.  The IoU is the one the assignment
@@ -26,8 +27,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .geometry import _check_alpha, _target_rows
-from .gradients import regression_sample_grad_batch
+from .geometry import _check_alpha
 
 if TYPE_CHECKING:  # pragma: no cover
     from .assignment import AssignmentResult, GroundTruth, PredictionMap
@@ -197,15 +197,25 @@ def classification_loss(assignment: "AssignmentResult", preds: "PredictionMap",
     return float(np.sum(value) * norm), grad * norm
 
 
+def _check_gt_count(assignment: "AssignmentResult", gts: Sequence["GroundTruth"]) -> None:
+    if len(gts) != len(assignment.candidates):
+        raise ValueError(
+            f"assignment covers {len(assignment.candidates)} ground truths, got {len(gts)}"
+        )
+
+
 def regression_loss_scene(assignment: "AssignmentResult", preds: "PredictionMap",
-                          gts: Sequence["GroundTruth"], alpha: float = 0.5) -> RegressionSceneLoss:
+                          gts: Sequence["GroundTruth"]) -> RegressionSceneLoss:
     """Mean per-sample regression loss over every positive cell.
 
     The normalizer is the total positive count N; each positive cell's
     gradient lands in ``box_grads`` scaled by ``1 / N``.  A scene with no
     positives is degenerate: loss 0, zero gradients, ``degenerate=True``.
+    Each positive's value and gradient are read from the assignment's
+    regression rows (computed at its alpha), which must therefore come from
+    this scene's ``gts`` and ``preds``.
     """
-    alpha = _check_alpha(alpha)
+    _check_gt_count(assignment, gts)
     rows, cols = preds.boxes.shape[:2]
     box_grads = np.zeros((rows, cols, 8))
     n_pos = assignment.n_positives
@@ -214,13 +224,12 @@ def regression_loss_scene(assignment: "AssignmentResult", preds: "PredictionMap"
                                    [PerGtRegression(i, 0, 0.0) for i in range(len(gts))],
                                    degenerate=True)
     norm = 1.0 / n_pos
-    rows_i, cols_i, gt_of = assignment.positive_index()
-    targets = _target_rows([gt.box for gt in gts])[gt_of]
-    values, grads = regression_sample_grad_batch(preds.boxes[rows_i, cols_i], targets, alpha)
-    box_grads[rows_i, cols_i] += grads * norm
+    rows_i, cols_i, _ = assignment.positive_index()
+    slots = assignment.positive_slots
+    box_grads[rows_i, cols_i] += assignment.regression_grads[slots] * norm
     # Sums run sequentially in positive order: np.sum adds pairwise (and the
     # builtin sum compensates on newer Pythons), which rounds differently.
-    values = values.tolist()
+    values = assignment.regression_values[slots].tolist()
     total = 0.0
     per_gt = []
     start = 0
@@ -241,23 +250,18 @@ def iou_prediction_loss(assignment: "AssignmentResult", preds: "PredictionMap",
 
     Positives only, averaged over ``max(N, 1)``; the rescaled-IoU target is a
     constant within the step (no gradient flows into the boxes from here).
-    Each positive's IoU is read from its candidate entry on the assignment,
-    which must therefore come from this scene's ``gts`` and ``preds``.
-    Returns the scalar and the gradient map w.r.t. the confidence channel.
+    Each positive's IoU is read from its candidate entry on the assignment
+    (through its slot), which must therefore come from this scene's ``gts``
+    and ``preds``.  Returns the scalar and the gradient map w.r.t. the
+    confidence channel.
     """
-    if len(gts) != len(assignment.candidates):
-        raise ValueError(
-            f"assignment covers {len(assignment.candidates)} ground truths, got {len(gts)}"
-        )
+    _check_gt_count(assignment, gts)
     rows, cols = preds.boxes.shape[:2]
     grads = np.zeros((rows, cols))
     norm = 1.0 / max(assignment.n_positives, 1)
     rows_i, cols_i, _ = assignment.positive_index()
-    ious = []
-    for cells, candidates in zip(assignment.positives, assignment.candidates):
-        iou_at = {c.cell: c.iou for c in candidates}
-        ious.extend(iou_at[cell] for cell in cells)
-    targets = 2.0 * np.array(ious) - 1.0
+    ious = np.array([c.iou for candidates in assignment.candidates for c in candidates])
+    targets = 2.0 * ious[assignment.positive_slots] - 1.0
     values, d = smooth_l1_with_grad(preds.iou_conf[rows_i, cols_i] - targets)
     grads[rows_i, cols_i] += d * norm
     total = 0.0  # sequential, as in regression_loss_scene

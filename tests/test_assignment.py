@@ -6,6 +6,7 @@ scenes pin the individual rules (region shape, dynamic k, cost ranking,
 conflict resolution, heatmap weights) to closed-form expectations.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from bevbox import (
     dynamic_k,
     dynamic_k_from_ious,
     quality_focal,
+    regression_sample_grad,
     regression_sample_loss,
     rotated_iou_exact,
     selection_cost,
@@ -384,14 +386,34 @@ class TestOracleParity:
         for seed in range(30):
             rng = np.random.default_rng(300 + seed)
             grid, gts, preds = random_scene(rng, n_gts=int(rng.integers(1, 7)))
-            for r in (0, 1, 2):
-                result = assign_dcla(grid, gts, preds, r=r)
+            for r, alpha in itertools.product((0, 1, 2), (0.0, 0.5, 1.0)):
+                result = assign_dcla(grid, gts, preds, r=r, alpha=alpha)
                 assert len(result.candidates) == len(gts)
                 for gt, candidates in zip(gts, result.candidates):
                     center = world_to_cell(grid, gt.box.x, gt.box.y)
                     assert [c.cell for c in candidates] == cross_region(grid, center, r)
-                    for cost, cell, iou in candidates:
-                        assert_scalar_scores(gt, preds, cell, cost, iou)
+                assert_scalar_scores(result, gts, preds, alpha)
+
+    def test_positive_slots_index_the_candidates(self):
+        # Cells copy a ground truth near them, so regions keep several
+        # positives and contest the cells where they overlap.
+        max_k = 0
+        for seed in range(30):
+            rng = np.random.default_rng(600 + seed)
+            grid, gts, preds = random_scene(rng, n_gts=int(rng.integers(1, 7)))
+            for gt in gts:
+                center = world_to_cell(grid, gt.box.x, gt.box.y)
+                for cell in cross_region(grid, center, 2):
+                    preds.boxes[cell.row, cell.col] = BoxParams8.from_box(gt.box).as_array()
+            for r in (0, 1, 2):
+                result = assign_dcla(grid, gts, preds, r=r)
+                flat = [(i, c.cell) for i, candidates in enumerate(result.candidates)
+                        for c in candidates]
+                rows, cols, gt_of = result.positive_index()
+                assert [flat[slot] for slot in result.positive_slots.tolist()] == [
+                    (i, CellIndex(row, col)) for row, col, i in zip(rows, cols, gt_of)]
+                max_k = max(max_k, *result.k_per_gt)
+        assert max_k > 1
 
     def test_positives_cover_owner_grid(self):
         rng = np.random.default_rng(99)
@@ -416,12 +438,26 @@ class TestOracleParity:
                 assert 0 <= kept <= req
 
 
-def assert_scalar_scores(gt, preds, cell, cost, iou):
-    """A candidate's cost and IoU equal the public scalar functions bitwise."""
-    pred = BoxParams8.from_array(preds.boxes[cell.row, cell.col])
-    score = float(preds.scores[cell.row, cell.col, gt.class_id])
-    assert cost == selection_cost(gt, pred, score)
-    assert iou == rotated_iou_exact(gt.box, pred.to_box())
+def assert_scalar_scores(result, gts, preds, alpha=0.5):
+    """Every candidate's cost, IoU and regression row equal the scalar functions bitwise.
+
+    The regression rows follow the candidates ground truth by ground truth;
+    rows compare as bytes, so signed zeros count.
+    """
+    slot = 0
+    for gt, candidates in zip(gts, result.candidates):
+        target = BoxParams8.from_box(gt.box)
+        for cost, cell, iou in candidates:
+            pred = BoxParams8.from_array(preds.boxes[cell.row, cell.col])
+            score = float(preds.scores[cell.row, cell.col, gt.class_id])
+            assert cost == selection_cost(gt, pred, score, alpha=alpha)
+            assert iou == rotated_iou_exact(gt.box, pred.to_box())
+            value, grad = regression_sample_grad(pred, target, alpha)
+            assert result.regression_values[slot].tobytes() == np.float64(value).tobytes()
+            assert result.regression_grads[slot].tobytes() == grad.as_array().tobytes()
+            slot += 1
+    assert result.regression_values.shape == (slot,)
+    assert result.regression_grads.shape == (slot, 8)
 
 
 @st.composite
@@ -460,8 +496,7 @@ class TestCandidateEdgeCases:
         preds = PredictionMap(boxes=boxes, scores=np.full((GRID.n_rows, GRID.n_cols, 1), score))
         result = assign_dcla(GRID, [gt], preds, r=2)
         assert len(result.candidates[0]) == 13
-        for cost, cell, iou in result.candidates[0]:
-            assert_scalar_scores(gt, preds, cell, cost, iou)
+        assert_scalar_scores(result, [gt], preds)
 
 
 class TestCenterEquivalence:

@@ -8,9 +8,9 @@ strings pin the 6-decimal formatting contract.
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from bevbox import LossWeights, mc_iou_oracle, total_loss
@@ -239,7 +239,8 @@ class TestFitCommand:
         }
         path = tmp_path / "blowup.json"
         path.write_text(json.dumps(config))
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert main(["fit", str(path), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "fit diverged" in err

@@ -30,7 +30,6 @@ from bevbox.gradients import (
     center_term_grad,
     random_overlapping_pair,
     regression_sample_grad_batch,
-    rwiou_loss_batch,
 )
 
 GEOMETRY_COMPONENTS = ("d_x", "d_y", "d_z", "d_l", "d_w", "d_h")
@@ -316,29 +315,6 @@ class TestProperties:
         target = BoxParams8.from_box(b2)
         value = regression_sample_loss(pred, target, 0.5)
         assert 0.0 <= value < 2.0
-
-
-class TestRwiouLossBatch:
-    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
-    def test_matches_scalar_bitwise(self, alpha):
-        rng = np.random.default_rng(12)
-        n = 10_000
-        yaw = rng.uniform(-math.pi, math.pi, n)
-        target = np.column_stack([rng.uniform(-5, 5, (n, 3)), rng.uniform(0.6, 5, (n, 3)),
-                                  np.sin(yaw), np.cos(yaw)])
-        pred = target.copy()
-        pred[:, 0:3] += rng.uniform(-0.8, 0.8, (n, 3)) * target[:, 3:6]
-        pred[:, 3:6] *= rng.uniform(0.6, 1.6, (n, 3))
-        pred[:, 6:8] = rng.uniform(-1.2, 1.2, (n, 2))
-        pred[:50] = target[:50]  # exact equality
-        pred[50:100, 0] = target[50:100, 0] + 0.5 * (target[50:100, 3] + pred[50:100, 3])
-        scalar = [rwiou_loss(BoxParams8(*p), BoxParams8(*t), alpha)
-                  for p, t in zip(pred.tolist(), target.tolist())]
-        assert rwiou_loss_batch(pred, target, alpha).tolist() == scalar
-
-    def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            rwiou_loss_batch(np.ones((1, 8)), np.ones((1, 8)), 1.5)
 
 
 def scalar_rows(pred, target, alpha):

@@ -9,6 +9,7 @@ the usual pattern of determinism, validation, and closed-form expectations.
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -403,7 +404,9 @@ class TestBlowUp:
     @pytest.mark.parametrize("step_size,cause", [(1e3, ZeroDivisionError), (1e5, ValueError)])
     def test_unusable_update_raises_divergence(self, step_size, cause):
         gts = generate_scene(scene16())
-        with pytest.raises(DivergenceError) as exc_info, np.errstate(over="ignore"):
+        # Any numpy warning escaping on the way to the divergence fails.
+        with pytest.raises(DivergenceError) as exc_info, warnings.catch_warnings():
+            warnings.simplefilter("error")
             fit_scene(GRID16, gts, optimizer=OptimizerConfig(step_size=step_size, n_steps=20),
                       n_classes=3)
         err = exc_info.value

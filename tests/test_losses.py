@@ -147,13 +147,20 @@ class TestSmoothL1:
         assert v <= abs(d) + 1e-12
 
 
+def no_rows():
+    """Empty regression rows and positive slots, for results with no candidates."""
+    return {"regression_values": np.zeros(0), "regression_grads": np.zeros((0, 8)),
+            "positive_slots": np.zeros(0, dtype=int)}
+
+
 def single_positive_assignment(rows, cols, n_classes, cell, class_id,
                                extra_heat=(), gt=None, preds=None):
     """Assignment with one positive cell plus optional negative weights.
 
     Given ``gt`` and ``preds``, the positive's candidate entry carries its
-    cost and IoU from the public scalar functions; otherwise the result has
-    no candidate entries (only the IoU-prediction loss reads them).
+    cost and IoU, and its regression row the value and gradient, from the
+    public scalar functions; otherwise the result has no candidate entries
+    or rows (only the regression and IoU-prediction losses read them).
     """
     owner = np.full((rows, cols), -1, dtype=int)
     owner[cell.row, cell.col] = 0
@@ -162,20 +169,26 @@ def single_positive_assignment(rows, cols, n_classes, cell, class_id,
     for r, c, k, w in extra_heat:
         heatmap[r, c, k] = w
     candidates = [[]]
+    regression_rows = no_rows()
     if gt is not None:
-        cost = selection_cost(gt, preds.params_at(cell),
-                              float(preds.scores[cell.row, cell.col, class_id]))
+        pred = preds.params_at(cell)
+        cost = selection_cost(gt, pred, float(preds.scores[cell.row, cell.col, class_id]))
         iou = rotated_iou_exact(gt.box, preds.box_at(cell))
+        value, grad = regression_sample_grad(pred, BoxParams8.from_box(gt.box), 0.5)
         candidates = [[Candidate(cost, cell, iou)]]
+        regression_rows = {"regression_values": np.array([value]),
+                           "regression_grads": grad.as_array()[None, :],
+                           "positive_slots": np.array([0])}
     return AssignmentResult(positives=[[cell]], requested_k=[1], owner=owner,
-                            heatmap=heatmap, candidates=candidates, unassigned=[])
+                            heatmap=heatmap, candidates=candidates, unassigned=[],
+                            **regression_rows)
 
 
 def no_positive_assignment(rows, cols, n_classes):
     return AssignmentResult(positives=[[]], requested_k=[1],
                             owner=np.full((rows, cols), -1, dtype=int),
                             heatmap=np.zeros((rows, cols, n_classes)),
-                            candidates=[[]], unassigned=[0])
+                            candidates=[[]], unassigned=[0], **no_rows())
 
 
 class TestClassificationLoss:
@@ -223,7 +236,8 @@ class TestClassificationLoss:
             owner=one.owner.copy(),
             heatmap=one.heatmap.copy(),
             candidates=[[], []],
-            unassigned=[])
+            unassigned=[],
+            **no_rows())
         two.heatmap[0, 0, 0] = 1.0
         v1, _ = classification_loss(one, preds)
         v2, _ = classification_loss(two, preds)
@@ -245,7 +259,7 @@ class TestRegressionSceneLoss:
         rng = np.random.default_rng(4)
         grid, gts, preds = random_scene(rng, n_gts=4)
         assignment = assign_dcla(grid, gts, preds, r=1)
-        result = regression_loss_scene(assignment, preds, gts, alpha=0.5)
+        result = regression_loss_scene(assignment, preds, gts)
         n = assignment.n_positives
         total = 0.0
         for i, gt in enumerate(gts):
@@ -260,7 +274,7 @@ class TestRegressionSceneLoss:
         rng = np.random.default_rng(5)
         grid, gts, preds = random_scene(rng, n_gts=3)
         assignment = assign_dcla(grid, gts, preds, r=1)
-        result = regression_loss_scene(assignment, preds, gts, alpha=0.5)
+        result = regression_loss_scene(assignment, preds, gts)
         n = assignment.n_positives
         covered = np.zeros(preds.boxes.shape[:2], dtype=bool)
         for i, gt in enumerate(gts):
@@ -277,7 +291,7 @@ class TestRegressionSceneLoss:
         rng = np.random.default_rng(6)
         grid, gts, preds = random_scene(rng, n_gts=4)
         assignment = assign_dcla(grid, gts, preds, r=1)
-        result = regression_loss_scene(assignment, preds, gts, alpha=0.5)
+        result = regression_loss_scene(assignment, preds, gts)
         assert [p.k for p in result.per_gt] == assignment.k_per_gt
         assert [p.gt_index for p in result.per_gt] == list(range(len(gts)))
         for p in result.per_gt:
@@ -288,18 +302,18 @@ class TestRegressionSceneLoss:
         gts = [GroundTruth(Box3D(1.5, 1.5, 0.0, 1.0, 1.0, 1.0, 0.0), 0)]
         preds = PredictionMap(boxes=np.ones((3, 3, 8)), scores=np.zeros((3, 3, 1)))
         empty = no_positive_assignment(3, 3, 1)
-        result = regression_loss_scene(empty, preds, gts, alpha=0.5)
+        result = regression_loss_scene(empty, preds, gts)
         assert result.value == 0.0
         assert result.degenerate
         assert np.all(result.box_grads == 0.0)
         assert result.per_gt[0].k == 0
 
-    def test_alpha_validation(self):
+    def test_ground_truth_count_must_match(self):
         gts = [GroundTruth(Box3D(1.5, 1.5, 0.0, 1.0, 1.0, 1.0, 0.0), 0)]
         preds = PredictionMap(boxes=np.ones((3, 3, 8)), scores=np.zeros((3, 3, 1)))
-        assignment = single_positive_assignment(3, 3, 1, CellIndex(1, 1), 0)
+        assignment = no_positive_assignment(3, 3, 1)
         with pytest.raises(ValueError):
-            regression_loss_scene(assignment, preds, gts, alpha=-0.2)
+            regression_loss_scene(assignment, preds, gts + gts)
 
 
 class TestIouPredictionLoss:
@@ -348,6 +362,20 @@ class TestIouPredictionLoss:
         expected_value, expected_grad = smooth_l1_with_grad(0.3 - (2.0 * 0.25 - 1.0))
         assert value == float(expected_value)
         assert grads[1, 1] == float(expected_grad)
+
+    def test_regression_reads_the_assignments_rows(self):
+        # the regression loss gathers the stored row through the positive's
+        # slot, not a fresh kernel value
+        gt, preds, assignment = self.build_scene(0.3)
+        row = np.arange(1.0, 9.0)
+        assignment.regression_values = np.array([7.0, 0.125])
+        assignment.regression_grads = np.stack([-row, row])
+        assignment.positive_slots = np.array([1])
+        result = regression_loss_scene(assignment, preds, [gt])
+        assert result.value == 0.125
+        assert result.per_gt[0].mean_loss == 0.125
+        assert np.array_equal(result.box_grads[1, 1], row)
+        assert np.sum(result.box_grads != 0.0) == 8
 
     def test_ground_truth_count_must_match(self):
         gt, preds, assignment = self.build_scene(0.3)
@@ -405,7 +433,7 @@ class TestTotalLoss:
         assignment = assign_dcla(grid, gts, preds, r=1)
         weights = LossWeights()
         l_cls, _ = classification_loss(assignment, preds)
-        reg = regression_loss_scene(assignment, preds, gts, alpha=weights.alpha)
+        reg = regression_loss_scene(assignment, preds, gts)
         l_iou, _ = iou_prediction_loss(assignment, preds, gts)
         report = total_loss(l_cls, reg.value, l_iou, weights,
                             n_positives=assignment.n_positives, per_gt=reg.per_gt)
