@@ -169,6 +169,24 @@ def cross_region(grid: GridSpec, center: CellIndex, r: int) -> list[CellIndex]:
     return cells
 
 
+def _check_cell_values(boxes: np.ndarray, scores: np.ndarray) -> None:
+    """The value checks of :class:`PredictionMap`, in its order, on box rows
+    (last axis of 8) and scores of any leading shape."""
+    if not np.all(np.isfinite(boxes)):
+        raise ValueError("boxes must be finite")
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite")
+    if np.any(scores < 0.0) or np.any(scores > 1.0):
+        raise ValueError("scores must lie in [0, 1]")
+    if np.any(boxes[..., 3:6] <= 0.0):
+        raise ValueError("box sizes must be strictly positive")
+
+
+def _check_iou_conf(iou_conf: np.ndarray) -> None:
+    if not np.all(np.isfinite(iou_conf)):
+        raise ValueError("iou_conf must be finite")
+
+
 @dataclass
 class PredictionMap:
     """Dense per-cell predictions: 8-channel boxes, class scores, confidence.
@@ -176,8 +194,9 @@ class PredictionMap:
     ``boxes`` is ``(rows, cols, 8)``; ``scores`` is ``(rows, cols, n_classes)``
     with values in ``[0, 1]``; ``iou_conf`` is ``(rows, cols)`` in ``[-1, 1]``
     (zeros when omitted).  Box sizes must be strictly positive and every
-    value finite; this is the one place per step where cell values are
-    validated.
+    value finite; construction is where cell values are validated.  A fit
+    keeps one map and rewrites it cell by cell after each update, running
+    the same checks on the values it wrote.
     """
 
     boxes: np.ndarray
@@ -193,14 +212,7 @@ class PredictionMap:
             raise ValueError(
                 f"scores must be (rows, cols, n_classes) matching boxes, got {self.scores.shape}"
             )
-        if not np.all(np.isfinite(self.boxes)):
-            raise ValueError("boxes must be finite")
-        if not np.all(np.isfinite(self.scores)):
-            raise ValueError("scores must be finite")
-        if np.any(self.scores < 0.0) or np.any(self.scores > 1.0):
-            raise ValueError("scores must lie in [0, 1]")
-        if np.any(self.boxes[:, :, 3:6] <= 0.0):
-            raise ValueError("box sizes must be strictly positive")
+        _check_cell_values(self.boxes, self.scores)
         if self.iou_conf is None:
             self.iou_conf = np.zeros(self.boxes.shape[:2])
         else:
@@ -209,8 +221,7 @@ class PredictionMap:
                 raise ValueError(
                     f"iou_conf must be (rows, cols) matching boxes, got {self.iou_conf.shape}"
                 )
-            if not np.all(np.isfinite(self.iou_conf)):
-                raise ValueError("iou_conf must be finite")
+            _check_iou_conf(self.iou_conf)
 
     @property
     def n_classes(self) -> int:

@@ -28,6 +28,8 @@ from .assignment import (
     GridSpec,
     GroundTruth,
     PredictionMap,
+    _check_cell_values,
+    _check_iou_conf,
     assign_center,
     assign_dcla,
     cross_region,
@@ -202,17 +204,38 @@ class TrainState:
         )
 
     def prediction_map(self) -> PredictionMap:
-        # A blown-up log size overflows to inf, which PredictionMap's
-        # finiteness check reports; numpy's overflow warning would only
-        # repeat it.
-        with np.errstate(over="ignore"):
-            sizes = np.exp(self.log_size)
-        boxes = np.concatenate([self.loc, sizes, self.sin_cos], axis=-1)
         return PredictionMap(
-            boxes=boxes,
+            boxes=self._boxes_at(...),
             scores=_sigmoid(self.score_logits),
             iou_conf=np.tanh(self.iou_conf_raw),
         )
+
+    def _boxes_at(self, index) -> np.ndarray:
+        # A blown-up log size overflows to inf, which the finiteness check
+        # reports; numpy's overflow warning would only repeat it.
+        with np.errstate(over="ignore"):
+            sizes = np.exp(self.log_size[index])
+        return np.concatenate([self.loc[index], sizes, self.sin_cos[index]], axis=-1)
+
+    def _refresh(self, preds: PredictionMap, box_cells, conf_cells) -> None:
+        """Bring ``preds``, decoded from this state, up to date after an update
+        that changed the box parameters only at ``box_cells`` and
+        ``iou_conf_raw`` only at ``conf_cells`` (``(rows, cols)`` index
+        arrays); the scores are decoded over the whole map.
+
+        The written values go through :class:`PredictionMap`'s checks, in its
+        order and with its messages, before ``preds`` changes.  Every other
+        value passed them when it was written, so a full decode would raise
+        the same ``ValueError``.
+        """
+        boxes = self._boxes_at(box_cells)
+        scores = _sigmoid(self.score_logits)
+        conf = np.tanh(self.iou_conf_raw[conf_cells])
+        _check_cell_values(boxes, scores)
+        _check_iou_conf(conf)
+        preds.boxes[box_cells] = boxes
+        preds.scores = scores
+        preds.iou_conf[conf_cells] = conf
 
 
 @dataclass(frozen=True)
@@ -285,13 +308,10 @@ class BalanceReport:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign so neither branch exponentiates a large positive value.
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows: 1 / (1 + exp(-x)) for x >= 0 and
+    # exp(x) / (1 + exp(x)) below, each term as in the two-branch form.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def _roundtrip_fixed_point(value: float, roundtrip) -> float:
@@ -594,11 +614,17 @@ def fit_scene(
     is the initialization. Raises :class:`DivergenceError` if the total loss
     exceeds ``DIVERGENCE_THRESHOLD`` or is NaN, or if an update leaves a
     state whose predictions or assignment cannot be built (``ValueError`` or
-    ``ArithmeticError`` from either); an unusable initial state raises
+    ``ArithmeticError`` from either); an unusable initial state, or a step
+    size whose product with ``weights.lambda_iou`` is not finite, raises
     ``ValueError``.
     """
     if regression not in ("rwiou", "smooth_l1"):
         raise ValueError("regression must be 'rwiou' or 'smooth_l1'")
+    # Off the positives the confidence step is step_iou * 0.0, which the
+    # update skips; that is exact only while step_iou is finite.
+    step_iou = optimizer.step_size * weights.lambda_iou
+    if not math.isfinite(step_iou):
+        raise ValueError("step_size * lambda_iou must be finite")
     if n_classes is None:
         n_classes = max((gt.class_id for gt in gts), default=0) + 1
     if state is None:
@@ -661,10 +687,11 @@ def fit_scene(
         # off the optimum. Short of full equality, only the yaw channels get
         # the same treatment per channel.
         rows_i, cols_i, gt_of = assignment.positive_index()
+        pos = (np.array(rows_i, dtype=int), np.array(cols_i, dtype=int))
         target8 = gt_targets[gt_of]
-        live = ~np.all(preds.boxes[rows_i, cols_i] == target8, axis=1)
-        r = np.array(rows_i, dtype=int)[live]
-        c = np.array(cols_i, dtype=int)[live]
+        live = ~np.all(preds.boxes[pos] == target8, axis=1)
+        r = pos[0][live]
+        c = pos[1][live]
         g = reg_grads[r, c]
         step_reg = lr * weights.lambda_reg
         state.loc[r, c] -= step_reg * g[:, 0:3]
@@ -673,13 +700,14 @@ def fit_scene(
         state.sin_cos[r[yaw], c[yaw]] -= step_reg * g[yaw, 6:8]
 
         # Overlap confidence: raw channel moves through the tanh derivative.
-        u = preds.iou_conf
-        state.iou_conf_raw -= lr * weights.lambda_iou * iou_grads * (1.0 - u * u)
+        # Its gradient is 0.0 off the positives, and x - 0.0 == x there.
+        u = preds.iou_conf[pos]
+        state.iou_conf_raw[pos] -= step_iou * iou_grads[pos] * (1.0 - u * u)
 
         # The initial state is user input and its errors stay ValueErrors;
         # an updated state that cannot be evaluated is a blow-up.
         try:
-            preds = state.prediction_map()
+            state._refresh(preds, (r, c), pos)
             assignment = _assign(assigner, grid, gts, preds, weights)
         except (ValueError, ArithmeticError) as exc:
             raise DivergenceError(

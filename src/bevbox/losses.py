@@ -52,6 +52,11 @@ __all__ = [
 # score is kept in the |q - p| factor so an exact match costs exactly zero.
 SCORE_EPS = 1e-6
 
+# Entries per block of the q == 0 focal form.  At 8192 (64 KB per array) its
+# dozen temporaries stay in a core's L2 cache; on a 2 MB-L2 Xeon, blocks of
+# 8192 beat 4096, 16384 and whole 128x128x3 maps.
+FOCAL_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class LossWeights:
@@ -118,24 +123,71 @@ class LossReport:
         }
 
 
+def _focal_arrays(p, q):
+    """``p`` and ``q`` as float arrays of at least one dimension, and whether
+    both were scalars.
+
+    Scalars go through the same array loops as maps: ``**`` squares an array
+    by multiplication but calls ``pow`` on a numpy scalar, and the two round
+    differently on about 0.1% of inputs.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    return np.atleast_1d(p), np.atleast_1d(q), p.ndim == 0 and q.ndim == 0
+
+
+def _focal(p: np.ndarray, q: np.ndarray, gamma: float, with_grad: bool):
+    """The quality focal formula for any ``q``: value, and the derivative
+    w.r.t. ``p`` when ``with_grad`` (else ``None``)."""
+    p_safe = np.clip(p, SCORE_EPS, 1.0 - SCORE_EPS)
+    diff = np.abs(q - p)
+    ce = -(q * np.log(p_safe) + (1.0 - q) * np.log1p(-p_safe))
+    mod = diff ** gamma
+    value = mod * ce
+    if not with_grad:
+        return value, None
+    if gamma > 0.0:
+        d_mod = gamma * diff ** (gamma - 1.0) * np.sign(p - q)
+    else:
+        d_mod = np.zeros_like(p)
+    pass_band = (p >= SCORE_EPS) & (p <= 1.0 - SCORE_EPS)
+    d_ce = -(q / p_safe - (1.0 - q) / (1.0 - p_safe)) * pass_band
+    return value, d_mod * ce + mod * d_ce
+
+
 def quality_focal(p, q, gamma: float = 2.0):
     """Quality focal value ``-|q - p|**gamma * (q log p + (1-q) log(1-p))``.
 
     Vectorized over numpy arrays; accepts scalars.  ``p`` is clamped to
     ``[SCORE_EPS, 1 - SCORE_EPS]`` inside the logs only, so ``p == q`` gives
-    exactly zero even at saturated scores.  The power goes through
-    ``np.float_power`` because ``**`` on arrays squares by multiplication
-    while on scalars it calls ``pow``, and the two round differently on
-    about 0.1% of inputs; this way array and scalar calls agree bitwise.
+    exactly zero even at saturated scores.  Scalar and array calls, and the
+    value :func:`quality_focal_with_grad` returns, agree bitwise.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    p_safe = np.clip(p, SCORE_EPS, 1.0 - SCORE_EPS)
-    ce = -(q * np.log(p_safe) + (1.0 - q) * np.log1p(-p_safe))
-    value = np.float_power(np.abs(q - p), gamma) * ce
-    if value.ndim == 0:
-        return float(value)
+    p, q, scalar = _focal_arrays(p, q)
+    value, _ = _focal(p, q, gamma, with_grad=False)
+    if scalar:
+        return float(value[0])
     return value
+
+
+def _focal_q0(p: np.ndarray, gamma: float):
+    """The formula at q == 0: value and derivative w.r.t. ``p``.
+
+    There ``q * log(p_safe)`` and ``q / p_safe`` are signed zeros that leave
+    their sums unchanged, ``|q - p|`` is ``|p|`` and ``sign(p - q)`` is
+    ``sign(p)``, so this is bitwise the full formula.
+    """
+    p_safe = np.clip(p, SCORE_EPS, 1.0 - SCORE_EPS)
+    diff = np.abs(p)
+    ce = -np.log1p(-p_safe)
+    mod = diff ** gamma
+    if gamma > 0.0:
+        d_mod = gamma * diff ** (gamma - 1.0) * np.sign(p)
+    else:
+        d_mod = np.zeros_like(p)
+    pass_band = (p >= SCORE_EPS) & (p <= 1.0 - SCORE_EPS)
+    d_ce = (1.0 / (1.0 - p_safe)) * pass_band
+    return mod * ce, d_mod * ce + mod * d_ce
 
 
 def quality_focal_with_grad(p, q, gamma: float = 2.0):
@@ -145,20 +197,23 @@ def quality_focal_with_grad(p, q, gamma: float = 2.0):
     the loss definition; the modulating factor keeps the derivative finite
     at saturated scores.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    p_safe = np.clip(p, SCORE_EPS, 1.0 - SCORE_EPS)
-    diff = np.abs(q - p)
-    ce = -(q * np.log(p_safe) + (1.0 - q) * np.log1p(-p_safe))
-    mod = diff ** gamma
-    value = mod * ce
-    if gamma > 0.0:
-        d_mod = gamma * diff ** (gamma - 1.0) * np.sign(p - q)
-    else:
-        d_mod = np.zeros_like(p)
-    pass_band = (p >= SCORE_EPS) & (p <= 1.0 - SCORE_EPS)
-    d_ce = -(q / p_safe - (1.0 - q) / (1.0 - p_safe)) * pass_band
-    return value, d_mod * ce + mod * d_ce
+    p, q, scalar = _focal_arrays(p, q)
+    p, q = np.broadcast_arrays(p, q)
+    flat_p = p.reshape(-1)
+    value = np.empty(flat_p.shape)
+    grad = np.empty(flat_p.shape)
+    # A heatmap is 0 almost everywhere: every entry takes the q == 0 form,
+    # block by block so that its temporaries stay in cache, and the full
+    # formula then overwrites the q != 0 entries.
+    for start in range(0, flat_p.size, FOCAL_BLOCK):
+        block = slice(start, start + FOCAL_BLOCK)
+        value[block], grad[block] = _focal_q0(flat_p[block], gamma)
+    general = np.flatnonzero(q != 0.0)
+    if general.size:
+        value[general], grad[general] = _focal(flat_p[general], q.reshape(-1)[general],
+                                               gamma, with_grad=True)
+    shape = () if scalar else p.shape
+    return value.reshape(shape), grad.reshape(shape)
 
 
 def smooth_l1(d, beta: float = 1.0):
@@ -194,7 +249,8 @@ def classification_loss(assignment: "AssignmentResult", preds: "PredictionMap",
         raise ValueError(f"scores shape {p.shape} does not match heatmap {q.shape}")
     norm = 1.0 / max(assignment.n_positives, 1)
     value, grad = quality_focal_with_grad(p, q, gamma)
-    return float(np.sum(value) * norm), grad * norm
+    grad *= norm
+    return float(np.sum(value) * norm), grad
 
 
 def _check_gt_count(assignment: "AssignmentResult", gts: Sequence["GroundTruth"]) -> None:

@@ -8,8 +8,9 @@ agreement can be checked bitwise.
 
 The rotated-IoU reference is the textbook per-edge Sutherland-Hodgman
 clipper, and the fit reference runs every per-positive loss and update as a
-scalar loop; both keep the arithmetic of the array paths they check, so
-agreement is bitwise too.
+scalar loop, the full quality focal formula on every heatmap entry and a full
+decode of the map after every update; all keep the arithmetic of the array
+paths they check, so agreement is bitwise too.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from bevbox import (
     PredictionMap,
     assign_center,
     assign_dcla,
-    classification_loss,
     init_state,
     quality_focal,
     regression_sample_grad,
@@ -41,6 +41,7 @@ from bevbox import (
     total_loss,
 )
 from bevbox.geometry import CLIP_EPS, BoxParams8
+from bevbox.losses import SCORE_EPS
 
 
 def axis_aligned_iou(b1: Box3D, b2: Box3D) -> float:
@@ -301,6 +302,36 @@ def reference_rotated_iou(b1: Box3D, b2: Box3D) -> float:
     return v_inter / (v1 + v2 - v_inter)
 
 
+def reference_quality_focal_with_grad(p, q, gamma: float = 2.0):
+    """Quality focal value and derivative w.r.t. ``p`` by the full formula on
+    every entry, with no q == 0 short form."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    p_safe = np.clip(p, SCORE_EPS, 1.0 - SCORE_EPS)
+    diff = np.abs(q - p)
+    ce = -(q * np.log(p_safe) + (1.0 - q) * np.log1p(-p_safe))
+    mod = diff ** gamma
+    value = mod * ce
+    if gamma > 0.0:
+        d_mod = gamma * diff ** (gamma - 1.0) * np.sign(p - q)
+    else:
+        d_mod = np.zeros_like(p)
+    pass_band = (p >= SCORE_EPS) & (p <= 1.0 - SCORE_EPS)
+    d_ce = -(q / p_safe - (1.0 - q) / (1.0 - p_safe)) * pass_band
+    return value, d_mod * ce + mod * d_ce
+
+
+def reference_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid split by sign with boolean-mask gathers, so neither
+    branch exponentiates a large positive value."""
+    out = np.empty_like(x, dtype=float)
+    pos = x >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def reference_fit_scene(
     grid: GridSpec,
     gts: list[GroundTruth],
@@ -315,9 +346,11 @@ def reference_fit_scene(
 ):
     """Scalar reference of ``fit_scene``: per-positive losses, per-cell update.
 
-    The regression, smooth-L1 and IoU-prediction losses loop over positives
-    with the scalar kernels, and the update walks the positive cells one by
-    one; assignment, classification loss and the decode are the package's.
+    The classification loss runs :func:`reference_quality_focal_with_grad`
+    over the whole heatmap, the regression, smooth-L1 and IoU-prediction
+    losses loop over positives with the scalar kernels, the update walks the
+    positive cells one by one, and every step decodes the whole map through
+    ``TrainState.prediction_map``; the assignment is the package's.
     Returns ``(steps, state)`` with ``steps`` as ``(step, l_cls, l_reg,
     l_iou, total, mean_true_iou)`` tuples.
     """
@@ -344,7 +377,10 @@ def reference_fit_scene(
     preds = state.prediction_map()
     assignment = assign(preds)
     for step in range(optimizer.n_steps + 1):
-        l_cls, cls_grads = classification_loss(assignment, preds)
+        cls_norm = 1.0 / max(assignment.n_positives, 1)
+        focal, focal_grad = reference_quality_focal_with_grad(preds.scores, assignment.heatmap)
+        l_cls = float(np.sum(focal) * cls_norm)
+        cls_grads = focal_grad * cls_norm
         rows, cols = preds.boxes.shape[:2]
         reg_grads = np.zeros((rows, cols, 8))
         n_pos = assignment.n_positives

@@ -6,6 +6,7 @@ strings pin the 6-decimal formatting contract.
 """
 
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import bevbox
 from bevbox import LossWeights, mc_iou_oracle, total_loss
 from bevbox.cli import main
 from bevbox.harness import DivergenceError
@@ -251,9 +253,14 @@ class TestConsoleScript:
     def test_installed_entry_point(self):
         # The package entry point runs as a real subprocess; the installed
         # `bevbox` script is the same main, checked through pyproject.toml.
+        # The subprocess imports the package under test, wherever pytest
+        # found it.
+        package_root = str(Path(bevbox.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
         result = subprocess.run(
             [sys.executable, "-m", "bevbox", "iou", BOX_A, BOX_A],
             capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0
         assert result.stdout == "exact 1.000000\n"

@@ -45,7 +45,7 @@ from bevbox.harness import (
     SATURATED_LOGIT,
     _true_iou_per_gt,
 )
-from helpers import random_scene, reference_fit_scene, scan_readout
+from helpers import random_scene, reference_fit_scene, reference_sigmoid, scan_readout
 
 GRID16 = GridSpec(x_min=-8.0, y_min=-8.0, cell_size=1.0, n_rows=16, n_cols=16)
 GRID32 = GridSpec(x_min=-16.0, y_min=-16.0, cell_size=1.0, n_rows=32, n_cols=32)
@@ -351,13 +351,13 @@ class TestFit:
 
 
 def assert_fit_matches_reference(gts, assigner, regression, n_steps=40, state=None,
-                                 init=InitConfig(kind="noisy", sigma_loc=0.5)):
+                                 init=InitConfig(kind="noisy", sigma_loc=0.5), grid=GRID16):
     optimizer = OptimizerConfig(n_steps=n_steps)
     weights = LossWeights()
-    report = fit_scene(GRID16, gts, assigner=assigner, optimizer=optimizer, init=init,
+    report = fit_scene(grid, gts, assigner=assigner, optimizer=optimizer, init=init,
                        weights=weights, regression=regression, init_seed=7, n_classes=3,
                        state=state)
-    steps, final = reference_fit_scene(GRID16, gts, assigner, optimizer, init, weights,
+    steps, final = reference_fit_scene(grid, gts, assigner, optimizer, init, weights,
                                        regression, init_seed=7, n_classes=3, state=state)
     got = [(r.step, r.l_cls, r.l_reg, r.l_iou, r.total, r.mean_true_iou) for r in report.steps]
     assert [[float(v).hex() for v in row] for row in got] == \
@@ -367,8 +367,9 @@ def assert_fit_matches_reference(gts, assigner, regression, n_steps=40, state=No
 
 
 class TestFitMatchesScalarReference:
-    """The array-native fit step against per-positive scalar losses and a
-    per-cell update: step records and final state bitwise equal."""
+    """The array-native fit step against per-positive scalar losses, the full
+    focal formula, a per-cell update and a full decode after every update:
+    step records and final state bitwise equal."""
 
     @pytest.mark.parametrize("regression", ["rwiou", "smooth_l1"])
     @pytest.mark.parametrize("r", [0, 1, 2])
@@ -398,6 +399,138 @@ class TestFitMatchesScalarReference:
         for cell in cells[2:4]:
             state.sin_cos[cell.row, cell.col] += (0.1, -0.1)
         assert_fit_matches_reference(gts, assigner, regression, n_steps=20, state=state)
+
+    def test_frozen_cells_keep_fitting_confidence(self):
+        # Every positive is frozen at the exact init, but with the raw
+        # confidence at 0 its tanh gradient is not: the confidence update
+        # and refresh cover all positives, not only the live ones.
+        gts = generate_scene(scene16())
+        assigner = AssignerConfig(kind="center")
+        state = init_state(GRID16, gts, 3, InitConfig(kind="exact"), assigner, 0)
+        state.iou_conf_raw[:] = 0.0
+        assert_fit_matches_reference(gts, assigner, "rwiou", n_steps=10, state=state)
+        report = fit_scene(GRID16, gts, assigner=assigner, optimizer=OptimizerConfig(n_steps=10),
+                           n_classes=3, state=state)
+        assert report.final_state.loc.tobytes() == state.loc.tobytes()
+        assert not np.array_equal(report.final_state.iou_conf_raw, state.iou_conf_raw)
+
+    def test_dense_center_shape(self):
+        # The dense_center benchmark's shape: 128x128, center assignment and
+        # smooth L1, so nearly every heatmap entry takes the q == 0 form and
+        # the map is refreshed at a handful of cells per step.
+        grid = GridSpec(x_min=-64.0, y_min=-64.0, cell_size=1.0, n_rows=128, n_cols=128)
+        gts = generate_scene(SceneConfig(grid=grid, n_objects=6, seed=0))
+        assert_fit_matches_reference(gts, AssignerConfig(kind="center"), "smooth_l1",
+                                     n_steps=30, grid=grid)
+
+
+class TestRowRefresh:
+    """``TrainState._refresh`` against a full decode of the same state."""
+
+    def test_equals_full_decode(self):
+        rng = np.random.default_rng(41)
+        gts = generate_scene(scene16())
+        state = init_state(GRID16, gts, 3, InitConfig(), AssignerConfig(), 0)
+        preds = state.prediction_map()
+        flat = rng.choice(16 * 16, size=40, replace=False)
+        boxes_at = np.divmod(flat[:25], 16)
+        conf_at = np.divmod(flat[15:], 16)
+        state.loc[boxes_at] += rng.normal(0.0, 0.5, (25, 3))
+        state.log_size[boxes_at] += rng.normal(0.0, 0.5, (25, 3))
+        state.sin_cos[boxes_at] += rng.normal(0.0, 0.5, (25, 2))
+        state.iou_conf_raw[conf_at] += rng.normal(0.0, 2.0, 25)
+        state.score_logits += rng.normal(0.0, 3.0, state.score_logits.shape)
+        state._refresh(preds, boxes_at, conf_at)
+        full = state.prediction_map()
+        for name in ("boxes", "scores", "iou_conf"):
+            assert getattr(preds, name).tobytes() == getattr(full, name).tobytes(), name
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("loc", math.nan, "boxes must be finite"),
+        ("log_size", math.inf, "boxes must be finite"),
+        ("log_size", -math.inf, "box sizes must be strictly positive"),
+        ("sin_cos", -math.inf, "boxes must be finite"),
+        ("score_logits", math.nan, "scores must be finite"),
+        ("iou_conf_raw", math.nan, "iou_conf must be finite"),
+    ])
+    def test_rejects_what_a_full_decode_rejects(self, field, value, message):
+        gts = generate_scene(scene16())
+        state = init_state(GRID16, gts, 3, InitConfig(), AssignerConfig(), 0)
+        preds = state.prediction_map()
+        snapshot = [preds.boxes.copy(), preds.scores.copy(), preds.iou_conf.copy()]
+        cells = (np.array([2, 9]), np.array([5, 11]))
+        getattr(state, field)[9, 11] = value
+        with pytest.raises(ValueError) as full:
+            state.prediction_map()
+        assert str(full.value) == message
+        with pytest.raises(ValueError) as refreshed:
+            state._refresh(preds, cells, cells)
+        assert str(refreshed.value) == message
+        # Nothing is written until every check has passed.
+        for before, after in zip(snapshot, [preds.boxes, preds.scores, preds.iou_conf]):
+            assert before.tobytes() == after.tobytes()
+
+    def test_nan_score_logit_is_divergence(self, monkeypatch):
+        real_classification_loss = bevbox.harness.classification_loss
+
+        def nan_gradient(assignment, preds):
+            value, grads = real_classification_loss(assignment, preds)
+            grads[0, 0, 0] = math.nan
+            return value, grads
+
+        monkeypatch.setattr(bevbox.harness, "classification_loss", nan_gradient)
+        gts = generate_scene(scene16())
+        with pytest.raises(DivergenceError) as exc_info:
+            fit_scene(GRID16, gts, optimizer=OptimizerConfig(n_steps=3), n_classes=3)
+        err = exc_info.value
+        assert err.step == 1
+        assert type(err.__cause__) is ValueError
+        assert str(err.__cause__) == "scores must be finite"
+
+    def test_non_finite_confidence_step_rejected(self):
+        # Off the positives the confidence step would be inf * 0.0 = NaN.
+        gts = generate_scene(scene16())
+        with pytest.raises(ValueError, match="lambda_iou must be finite"):
+            fit_scene(GRID16, gts, optimizer=OptimizerConfig(step_size=1e300, n_steps=1),
+                      weights=LossWeights(lambda_iou=1e10), n_classes=3)
+
+
+class TestUfuncsAreElementwiseExact:
+    """The row refresh decodes a few cells at a time, and the focal loss
+    works block by block and runs its full formula on the q != 0 entries
+    alone.  Both rely on these numpy functions giving a value the same bits
+    whether it sits in a whole map, a gathered subset or a 1-element array."""
+
+    @pytest.mark.parametrize("fn,lo,hi", [
+        (np.exp, -30.0, 30.0),
+        (np.tanh, -25.0, 25.0),
+        (np.log, 1e-8, 1e3),
+        (np.log1p, -1.0 + 1e-9, 1e3),
+    ])
+    def test_same_bits_in_any_position(self, fn, lo, hi):
+        rng = np.random.default_rng(51)
+        x = rng.uniform(lo, hi, (200, 170, 3))  # 102k values, map-shaped
+        whole = fn(x)
+        for size in (1, 2, 7, 30, 1000):
+            rows = rng.integers(0, 200, size)
+            cols = rng.integers(0, 170, size)
+            assert fn(x[rows, cols]).tobytes() == whole[rows, cols].tobytes()
+        flat = x.ravel()
+        single = np.array([fn(flat[i:i + 1])[0] for i in range(flat.size)])
+        assert single.tobytes() == whole.ravel().tobytes()
+
+
+class TestSigmoid:
+    def test_matches_two_branch_form_bitwise(self):
+        rng = np.random.default_rng(61)
+        x = np.concatenate([
+            rng.uniform(-100.0, 100.0, 1_000_000),
+            rng.uniform(-800.0, 800.0, 10_000),
+            [0.0, -0.0, 800.0, -800.0, 745.2, -745.2, 5e-324, -5e-324, math.inf, -math.inf],
+        ])
+        assert bevbox.harness._sigmoid(x).tobytes() == reference_sigmoid(x).tobytes()
+        grid = x[:49_152].reshape(128, 128, 3)
+        assert bevbox.harness._sigmoid(grid).tobytes() == reference_sigmoid(grid).tobytes()
 
 
 class TestBlowUp:

@@ -38,7 +38,7 @@ from bevbox import (
     total_loss,
 )
 from bevbox.losses import SCORE_EPS
-from helpers import random_scene
+from helpers import random_scene, reference_quality_focal_with_grad
 
 
 class TestQualityFocal:
@@ -102,6 +102,60 @@ class TestQualityFocal:
         q = rng.uniform(0.0, 1.0, 30)
         value, _ = quality_focal_with_grad(p, q, 2.0)
         assert np.array_equal(value, quality_focal(p, q, 2.0))
+
+    def test_one_formula_for_value_gradient_and_scalars(self):
+        # One implementation: the value returned with the gradient is the
+        # plain value, and Python floats take the array path's bits (a
+        # numpy scalar ** would call pow and differ on ~0.1% of inputs).
+        rng = np.random.default_rng(4)
+        n = 200_000
+        p = rng.uniform(0.0, 1.0, n)
+        q = np.where(rng.uniform(size=n) < 0.5, 0.0, rng.uniform(0.0, 1.0, n))
+        q[rng.uniform(size=n) < 0.1] = 1.0
+        for gamma in (0.0, 1.0, 2.0, 4.0):
+            value, _ = quality_focal_with_grad(p, q, gamma)
+            assert value.tobytes() == quality_focal(p, q, gamma).tobytes()
+        array = quality_focal(p, q, 2.0)
+        scalar = np.array([quality_focal(a, b, 2.0) for a, b in zip(p.tolist(), q.tolist())])
+        assert scalar.tobytes() == array.tobytes()
+        value, grad = quality_focal_with_grad(p[:2000], q[:2000], 2.0)
+        for i, (a, b) in enumerate(zip(p[:2000].tolist(), q[:2000].tolist())):
+            v, g = quality_focal_with_grad(a, b, 2.0)
+            assert v.shape == g.shape == ()
+            assert v.tobytes() == value[i].tobytes() and g.tobytes() == grad[i].tobytes()
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 2.0, 4.0])
+    def test_q_zero_form_matches_full_formula_bitwise(self, gamma):
+        # Compared as bytes, so signed zeros count.  Mostly q == 0 as on a
+        # heatmap, with scores on the clamp edges, saturated and subnormal.
+        rng = np.random.default_rng(5)
+        n = 250_000
+        edges = np.array([0.0, -0.0, SCORE_EPS, 1.0 - SCORE_EPS, 1.0, 5e-324, 1e-310,
+                          0.5 * SCORE_EPS, 1.0 - 0.5 * SCORE_EPS])
+        p = np.where(rng.uniform(size=n) < 0.4, rng.choice(edges, n), rng.uniform(0.0, 1.0, n))
+        q = np.zeros(n)
+        heat = rng.uniform(size=n) < 0.05
+        q[heat] = rng.choice(np.array([1.0, 0.5, SCORE_EPS, 5e-324]), int(heat.sum()))
+        some = rng.uniform(size=n) < 0.05
+        q[some] = rng.uniform(0.0, 1.0, int(some.sum()))
+        # Outside [0, 1] too: the formula is defined there.
+        off = rng.uniform(size=n) < 0.01
+        q[off] = rng.uniform(-0.5, 1.5, int(off.sum()))
+        off = rng.uniform(size=n) < 0.01
+        p[off] = rng.uniform(-0.5, 1.5, int(off.sum()))
+        p, q = p.reshape(-1, 50, 5), q.reshape(-1, 50, 5)
+        value, grad = quality_focal_with_grad(p, q, gamma)
+        ref_value, ref_grad = reference_quality_focal_with_grad(p, q, gamma)
+        assert value.tobytes() == ref_value.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+
+    def test_broadcast_and_scalar_shapes(self):
+        value, grad = quality_focal_with_grad(np.array([0.2, 0.0, 0.9]), 0.0)
+        ref_value, ref_grad = reference_quality_focal_with_grad(np.array([0.2, 0.0, 0.9]), 0.0)
+        assert value.tobytes() == ref_value.tobytes() and grad.tobytes() == ref_grad.tobytes()
+        assert quality_focal_with_grad(0.5, np.array([[0.0, 1.0]]))[1].shape == (1, 2)
+        assert isinstance(quality_focal(0.5, 0.0), float)
+        assert quality_focal(np.array([0.5]), 0.0).shape == (1,)
 
 
 class TestSmoothL1:
