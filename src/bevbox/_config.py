@@ -1,0 +1,54 @@
+"""JSON mappings to configuration dataclasses, with one key check."""
+
+from __future__ import annotations
+
+import dataclasses
+import typing
+
+
+def _require_keys(mapping: dict, required, optional, context: str) -> None:
+    keys = set(mapping)
+    missing = set(required) - keys
+    unknown = keys - set(required) - set(optional)
+    if missing:
+        raise ValueError(f"{context}: missing keys {sorted(missing)}")
+    if unknown:
+        raise ValueError(f"{context}: unknown keys {sorted(unknown)}")
+
+
+def _from_dict(cls, mapping: dict, context: str, required=(),
+               contexts: dict[str, str] | None = None):
+    """Build the dataclass ``cls`` from a JSON mapping.
+
+    The allowed keys are the field names; the fields without a default are
+    required, and so are the names in ``required``.  Absent keys take the
+    dataclass defaults.  Each value is coerced by its field's annotation:
+    ``float``, ``int`` and ``str`` are called on it, and a dataclass or a
+    ``tuple`` of one is built by this function, with the field name as the
+    context unless ``contexts`` names another.  Keys are checked before any
+    value is read, so an outer section reports its errors before the
+    sections nested in it.
+    """
+    fields = dataclasses.fields(cls)
+    no_default = {
+        f.name for f in fields
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    }
+    _require_keys(mapping, no_default | set(required), {f.name for f in fields}, context)
+    types = typing.get_type_hints(cls)
+    values = {}
+    # Tuples of sections are built first, then the other fields in order:
+    # with errors in both, the one inside a size class is the one reported.
+    for f in sorted(fields, key=lambda f: typing.get_origin(types[f.name]) is not tuple):
+        if f.name not in mapping:
+            continue
+        kind, value = types[f.name], mapping[f.name]
+        nested = (contexts or {}).get(f.name, f.name)
+        if dataclasses.is_dataclass(kind):
+            values[f.name] = _from_dict(kind, value, nested)
+        elif typing.get_origin(kind) is tuple:
+            element = typing.get_args(kind)[0]
+            values[f.name] = tuple(_from_dict(element, v, nested) for v in value)
+        else:
+            values[f.name] = kind(value)
+    return cls(**values)

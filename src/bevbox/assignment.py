@@ -25,6 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from ._config import _from_dict
 from .geometry import (
     Box3D,
     BoxParams8,
@@ -115,8 +116,7 @@ class GridSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GridSpec":
-        return cls(float(d["x_min"]), float(d["y_min"]), float(d["cell_size"]),
-                   int(d["n_rows"]), int(d["n_cols"]))
+        return _from_dict(cls, d, "grid")
 
 
 @dataclass(frozen=True)

@@ -193,15 +193,32 @@ def _axis_bounds(box: Box3D | BoxParams8):
     )
 
 
-def aabb_intersection_volume(b1: Box3D | BoxParams8, b2: Box3D | BoxParams8) -> float:
-    """Axis-aligned intersection volume; rotations are ignored entirely."""
+def _face_volume(bounds) -> float:
+    """Volume from the face differences of an :func:`_axis_bounds` triple."""
+    (x_lo, x_hi), (y_lo, y_hi), (z_lo, z_hi) = bounds
+    return (x_hi - x_lo) * (y_hi - y_lo) * (z_hi - z_lo)
+
+
+def _overlap_volume(bounds1, bounds2) -> float:
+    """Overlap volume of two :func:`_axis_bounds` triples; 0.0 once an axis
+    has no positive overlap."""
     v = 1.0
-    for (lo1, hi1), (lo2, hi2) in zip(_axis_bounds(b1), _axis_bounds(b2)):
+    for (lo1, hi1), (lo2, hi2) in zip(bounds1, bounds2):
         width = min(hi1, hi2) - max(lo1, lo2)
         if width <= 0.0:
             return 0.0
         v *= width
     return v
+
+
+def aabb_intersection_volume(b1: Box3D | BoxParams8, b2: Box3D | BoxParams8) -> float:
+    """Axis-aligned intersection volume; rotations are ignored entirely."""
+    return _overlap_volume(_axis_bounds(b1), _axis_bounds(b2))
+
+
+def _channel_factor(delta: float, alpha: float) -> float:
+    """Weight ``max(1 - alpha * |delta| / 2, 0)`` of one sine or cosine channel."""
+    return max(1.0 - 0.5 * alpha * abs(delta), 0.0)
 
 
 def rotation_weight(theta1: float, theta2: float, alpha: float) -> float:
@@ -212,9 +229,21 @@ def rotation_weight(theta1: float, theta2: float, alpha: float) -> float:
     the weighting off (``omega == 1`` exactly).
     """
     alpha = _check_alpha(alpha)
-    w_s = 1.0 - 0.5 * alpha * abs(math.sin(theta2) - math.sin(theta1))
-    w_c = 1.0 - 0.5 * alpha * abs(math.cos(theta2) - math.cos(theta1))
-    return w_s * w_c
+    return (_channel_factor(math.sin(theta2) - math.sin(theta1), alpha)
+            * _channel_factor(math.cos(theta2) - math.cos(theta1), alpha))
+
+
+def _rwiou_volumes(bounds1, bounds2, d_s: float, d_c: float,
+                   alpha: float) -> tuple[float, float]:
+    """``(v_weighted, v_union)`` of the RWIoU of two :func:`_axis_bounds` triples.
+
+    ``d_s`` and ``d_c`` are the differences of the two boxes' sine and
+    cosine channels.  The volumes come from the same face coordinates as the
+    intersection so that identical boxes cancel exactly in the union.
+    """
+    omega = _channel_factor(d_s, alpha) * _channel_factor(d_c, alpha)
+    v_weighted = omega * _overlap_volume(bounds1, bounds2)
+    return v_weighted, _face_volume(bounds1) + _face_volume(bounds2) - v_weighted
 
 
 def rwiou(b1: Box3D, b2: Box3D, alpha: float) -> float:
@@ -227,22 +256,11 @@ def rwiou(b1: Box3D, b2: Box3D, alpha: float) -> float:
     IoU.
     """
     alpha = _check_alpha(alpha)
-    bounds1 = _axis_bounds(b1)
-    bounds2 = _axis_bounds(b2)
-    v_inter = 1.0
-    for (lo1, hi1), (lo2, hi2) in zip(bounds1, bounds2):
-        width = min(hi1, hi2) - max(lo1, lo2)
-        if width <= 0.0:
-            v_inter = 0.0
-            break
-        v_inter *= width
-    # Volumes from the same face coordinates as the intersection so that
-    # identical boxes cancel exactly in the union.
-    v1 = math.prod(hi - lo for lo, hi in bounds1)
-    v2 = math.prod(hi - lo for lo, hi in bounds2)
-    omega = rotation_weight(b1.theta, b2.theta, alpha)
-    v_weighted = omega * v_inter
-    v_union = v1 + v2 - v_weighted
+    v_weighted, v_union = _rwiou_volumes(
+        _axis_bounds(b1), _axis_bounds(b2),
+        math.sin(b1.theta) - math.sin(b2.theta),
+        math.cos(b1.theta) - math.cos(b2.theta), alpha,
+    )
     if v_weighted <= 0.0:
         return 0.0
     return v_weighted / v_union

@@ -31,7 +31,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Box3D, BoxParams8, _check_alpha, center_distance_term
+from .geometry import (
+    Box3D,
+    BoxParams8,
+    _axis_bounds,
+    _channel_factor,
+    _check_alpha,
+    _face_volume,
+    _rwiou_volumes,
+    aabb_intersection_volume,
+    center_distance_term,
+)
 
 __all__ = [
     "Grad8",
@@ -91,49 +101,38 @@ def _omega_factor(delta: float, alpha: float) -> tuple[float, float]:
     The derivative is w.r.t. the prediction channel, with ``sign(0) := +1``
     and zero once the clamp is active.
     """
-    raw = 1.0 - 0.5 * alpha * abs(delta)
-    if raw <= 0.0:
+    w = _channel_factor(delta, alpha)
+    if w == 0.0:
         return 0.0, 0.0
     sign = 1.0 if delta >= 0.0 else -1.0
-    return raw, -0.5 * alpha * sign
+    return w, -0.5 * alpha * sign
 
 
-def _interval_terms(c_p: float, e_p: float, c_t: float, e_t: float):
+def _face_weights(lo_p: float, hi_p: float, lo_t: float, hi_t: float):
+    """Weights ``(w_lo, w_hi)`` of the prediction's faces in the overlap bounds.
+
+    The overlap runs from ``max(lo_p, lo_t)`` to ``min(hi_p, hi_t)``; a
+    prediction face weighs 1 when it alone is the bound, 0 when the target's
+    face is, and 1/2 at an exact tie.  The enclosing bounds ``min(lo)`` and
+    ``max(hi)`` weigh the faces by the complements.
+    """
+    w_lo = 1.0 if lo_p > lo_t else 0.0 if lo_p < lo_t else 0.5
+    w_hi = 1.0 if hi_p < hi_t else 0.0 if hi_p > hi_t else 0.5
+    return w_lo, w_hi
+
+
+def _interval_terms(lo_p: float, hi_p: float, lo_t: float, hi_t: float):
     """Per-axis overlap width and its derivatives w.r.t. pred center and size.
 
-    Returns ``(width, d_center, d_size, pred_width)`` where ``width`` is the
-    clamped overlap of the two face intervals and ``pred_width`` is the
-    prediction's own face difference (used for its volume so that identical
-    boxes cancel exactly).
+    Takes the prediction's and the target's faces on one axis and returns
+    ``(width, d_center, d_size)``, where ``width`` is the clamped overlap of
+    the two face intervals.
     """
-    lo_p = c_p - 0.5 * e_p
-    hi_p = c_p + 0.5 * e_p
-    lo_t = c_t - 0.5 * e_t
-    hi_t = c_t + 0.5 * e_t
-    # Weight of the prediction edge inside each bound: 1 when strictly
-    # active, 0 when inactive, 1/2 at an exact tie.
-    if lo_p > lo_t:
-        s_lo, w_lo = lo_p, 1.0
-    elif lo_p < lo_t:
-        s_lo, w_lo = lo_t, 0.0
-    else:
-        s_lo, w_lo = lo_p, 0.5
-    if hi_p < hi_t:
-        s_hi, w_hi = hi_p, 1.0
-    elif hi_p > hi_t:
-        s_hi, w_hi = hi_t, 0.0
-    else:
-        s_hi, w_hi = hi_p, 0.5
-    gap = s_hi - s_lo
+    gap = min(hi_p, hi_t) - max(lo_p, lo_t)
     if gap >= 0.0:
-        width = gap
-        d_center = w_hi - w_lo
-        d_size = 0.5 * (w_hi + w_lo)
-    else:
-        width = 0.0
-        d_center = 0.0
-        d_size = 0.0
-    return width, d_center, d_size, hi_p - lo_p
+        w_lo, w_hi = _face_weights(lo_p, hi_p, lo_t, hi_t)
+        return gap, w_hi - w_lo, 0.5 * (w_hi + w_lo)
+    return 0.0, 0.0, 0.0
 
 
 def rwiou_loss(pred: BoxParams8, target: BoxParams8, alpha: float) -> float:
@@ -144,23 +143,10 @@ def rwiou_loss(pred: BoxParams8, target: BoxParams8, alpha: float) -> float:
     footprints give the maximal loss 1.
     """
     alpha = _check_alpha(alpha)
-    v_inter = 1.0
-    v_p = 1.0
-    v_t = 1.0
-    for c_p, e_p, c_t, e_t in (
-        (pred.x, pred.l, target.x, target.l),
-        (pred.y, pred.w, target.y, target.w),
-        (pred.z, pred.h, target.z, target.h),
-    ):
-        lo_p, hi_p = c_p - 0.5 * e_p, c_p + 0.5 * e_p
-        lo_t, hi_t = c_t - 0.5 * e_t, c_t + 0.5 * e_t
-        v_inter *= max(min(hi_p, hi_t) - max(lo_p, lo_t), 0.0)
-        v_p *= hi_p - lo_p
-        v_t *= hi_t - lo_t
-    w_s, _ = _omega_factor(pred.s - target.s, alpha)
-    w_c, _ = _omega_factor(pred.c - target.c, alpha)
-    v_weighted = w_s * w_c * v_inter
-    v_union = v_p + v_t - v_weighted
+    v_weighted, v_union = _rwiou_volumes(
+        _axis_bounds(pred), _axis_bounds(target),
+        pred.s - target.s, pred.c - target.c, alpha,
+    )
     return 1.0 - v_weighted / v_union
 
 
@@ -175,23 +161,16 @@ def rwiou_loss_grad(pred: BoxParams8, target: BoxParams8, alpha: float) -> Grad8
     alpha = _check_alpha(alpha)
     axes = []
     v_inter = 1.0
-    v_p = 1.0
-    v_t = 1.0
-    for c_p, e_p, c_t, e_t in (
-        (pred.x, pred.l, target.x, target.l),
-        (pred.y, pred.w, target.y, target.w),
-        (pred.z, pred.h, target.z, target.h),
-    ):
-        width, d_center, d_size, pred_width = _interval_terms(c_p, e_p, c_t, e_t)
-        axes.append((width, d_center, d_size, pred_width))
+    bounds_p, bounds_t = _axis_bounds(pred), _axis_bounds(target)
+    for (lo_p, hi_p), (lo_t, hi_t) in zip(bounds_p, bounds_t):
+        width, d_center, d_size = _interval_terms(lo_p, hi_p, lo_t, hi_t)
+        axes.append((width, d_center, d_size, hi_p - lo_p))
         v_inter *= width
-        v_p *= pred_width
-        v_t *= (c_t + 0.5 * e_t) - (c_t - 0.5 * e_t)
     w_s, dw_s = _omega_factor(pred.s - target.s, alpha)
     w_c, dw_c = _omega_factor(pred.c - target.c, alpha)
     omega = w_s * w_c
     v_weighted = omega * v_inter
-    v_union = v_p + v_t - v_weighted
+    v_union = _face_volume(bounds_p) + _face_volume(bounds_t) - v_weighted
     inv_u2 = 1.0 / (v_union * v_union)
     common = (v_union + v_weighted) * inv_u2
 
@@ -225,29 +204,10 @@ def center_term_grad(pred: BoxParams8, target: BoxParams8) -> tuple[float, Grad8
     d2 = deltas[0] ** 2 + deltas[1] ** 2 + deltas[2] ** 2
     extents = []
     g2 = 0.0
-    for c_p, e_p, c_t, e_t in (
-        (pred.x, pred.l, target.x, target.l),
-        (pred.y, pred.w, target.y, target.w),
-        (pred.z, pred.h, target.z, target.h),
-    ):
-        lo_p, hi_p = c_p - 0.5 * e_p, c_p + 0.5 * e_p
-        lo_t, hi_t = c_t - 0.5 * e_t, c_t + 0.5 * e_t
-        # Enclosing bound: prediction edge weight 1 when strictly outside the
-        # target's, 1/2 at an exact tie.
-        if hi_p > hi_t:
-            w_hi = 1.0
-        elif hi_p < hi_t:
-            w_hi = 0.0
-        else:
-            w_hi = 0.5
-        if lo_p < lo_t:
-            w_lo = 1.0
-        elif lo_p > lo_t:
-            w_lo = 0.0
-        else:
-            w_lo = 0.5
+    for (lo_p, hi_p), (lo_t, hi_t) in zip(_axis_bounds(pred), _axis_bounds(target)):
+        w_lo, w_hi = _face_weights(lo_p, hi_p, lo_t, hi_t)
         extent = max(hi_p, hi_t) - min(lo_p, lo_t)
-        extents.append((extent, w_hi, w_lo))
+        extents.append((extent, 1.0 - w_hi, 1.0 - w_lo))
         g2 += extent * extent
     term = d2 / g2
     inv_g2 = 1.0 / g2
@@ -410,13 +370,7 @@ def _perturbed_params(rng: np.random.Generator, target: BoxParams8) -> BoxParams
 
 def _margin_ok(pred: BoxParams8, target: BoxParams8, alpha: float, margin: float) -> bool:
     """True when every clamp argument sits at least ``margin`` from its breakpoint."""
-    for c_p, e_p, c_t, e_t in (
-        (pred.x, pred.l, target.x, target.l),
-        (pred.y, pred.w, target.y, target.w),
-        (pred.z, pred.h, target.z, target.h),
-    ):
-        lo_p, hi_p = c_p - 0.5 * e_p, c_p + 0.5 * e_p
-        lo_t, hi_t = c_t - 0.5 * e_t, c_t + 0.5 * e_t
+    for (lo_p, hi_p), (lo_t, hi_t) in zip(_axis_bounds(pred), _axis_bounds(target)):
         if abs(lo_p - lo_t) < margin or abs(hi_p - hi_t) < margin:
             return False
         if min(hi_p, hi_t) - max(lo_p, lo_t) < margin:
@@ -440,15 +394,7 @@ def random_overlapping_pair(rng: np.random.Generator, alpha: float = 0.5,
     while True:
         target = _random_box_params(rng)
         pred = _perturbed_params(rng, target)
-        overlap = all(
-            min(c_p + 0.5 * e_p, c_t + 0.5 * e_t) - max(c_p - 0.5 * e_p, c_t - 0.5 * e_t) > 0.0
-            for c_p, e_p, c_t, e_t in (
-                (pred.x, pred.l, target.x, target.l),
-                (pred.y, pred.w, target.y, target.w),
-                (pred.z, pred.h, target.z, target.h),
-            )
-        )
-        if not overlap:
+        if aabb_intersection_volume(pred, target) <= 0.0:
             continue
         if margin > 0.0 and not _margin_ok(pred, target, alpha, margin):
             continue
@@ -612,9 +558,8 @@ def _left_overlap_pair(rng: np.random.Generator) -> tuple[BoxParams8, BoxParams8
         z_p = target.z + float(rng.uniform(-0.3, 0.3)) * target.h
         yaw = math.atan2(target.s, target.c) + float(rng.normal(0.0, 0.6))
         pred = BoxParams8(x_p, y_p, z_p, l_p, w_p, h_p, math.sin(yaw), math.cos(yaw))
-        if min(pred.y + 0.5 * w_p, target.y + 0.5 * target.w) - max(pred.y - 0.5 * w_p, target.y - 0.5 * target.w) <= 0:
-            continue
-        if min(pred.z + 0.5 * h_p, target.z + 0.5 * target.h) - max(pred.z - 0.5 * h_p, target.z - 0.5 * target.h) <= 0:
+        # The x faces overlap by construction; this checks y and z.
+        if aabb_intersection_volume(pred, target) <= 0.0:
             continue
         return pred, target
 

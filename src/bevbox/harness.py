@@ -17,11 +17,12 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
+from ._config import _from_dict, _require_keys
 from .assignment import (
     AssignmentResult,
     CellIndex,
@@ -789,101 +790,8 @@ def balance_experiment(
     )
 
 
-def _require_keys(
-    mapping: dict, required: set[str], optional: set[str], context: str
-) -> None:
-    keys = set(mapping)
-    missing = required - keys
-    unknown = keys - required - optional
-    if missing:
-        raise ValueError(f"{context}: missing keys {sorted(missing)}")
-    if unknown:
-        raise ValueError(f"{context}: unknown keys {sorted(unknown)}")
-
-
-def _grid_from_dict(d: dict) -> GridSpec:
-    _require_keys(
-        d, {"x_min", "y_min", "cell_size", "n_rows", "n_cols"}, set(), "grid"
-    )
-    return GridSpec(
-        x_min=float(d["x_min"]),
-        y_min=float(d["y_min"]),
-        cell_size=float(d["cell_size"]),
-        n_rows=int(d["n_rows"]),
-        n_cols=int(d["n_cols"]),
-    )
-
-
-def _size_class_from_dict(d: dict) -> SizeClass:
-    _require_keys(
-        d, {"name", "length", "width", "height"}, {"spread"}, "size class"
-    )
-    return SizeClass(
-        name=str(d["name"]),
-        length=float(d["length"]),
-        width=float(d["width"]),
-        height=float(d["height"]),
-        spread=float(d.get("spread", 0.1)),
-    )
-
-
 def _scene_config_from_dict(d: dict) -> SceneConfig:
-    _require_keys(
-        d,
-        {"grid", "n_objects", "seed"},
-        {"size_classes", "min_clearance", "max_attempts"},
-        "scene",
-    )
-    size_classes = DEFAULT_SIZE_CLASSES
-    if "size_classes" in d:
-        size_classes = tuple(
-            _size_class_from_dict(sc) for sc in d["size_classes"]
-        )
-    return SceneConfig(
-        grid=_grid_from_dict(d["grid"]),
-        n_objects=int(d["n_objects"]),
-        seed=int(d["seed"]),
-        size_classes=size_classes,
-        min_clearance=float(d.get("min_clearance", 0.5)),
-        max_attempts=int(d.get("max_attempts", 10_000)),
-    )
-
-
-def _assigner_from_dict(d: dict) -> AssignerConfig:
-    _require_keys(d, {"kind"}, {"r"}, "assigner")
-    return AssignerConfig(kind=str(d["kind"]), r=int(d.get("r", 1)))
-
-
-def _init_from_dict(d: dict) -> InitConfig:
-    _require_keys(
-        d, {"kind"}, {"sigma_loc", "sigma_yaw", "sigma_log_size"}, "init"
-    )
-    return InitConfig(
-        kind=str(d["kind"]),
-        sigma_loc=float(d.get("sigma_loc", 0.3)),
-        sigma_yaw=float(d.get("sigma_yaw", 0.2)),
-        sigma_log_size=float(d.get("sigma_log_size", 0.1)),
-    )
-
-
-def _optimizer_from_dict(d: dict) -> OptimizerConfig:
-    _require_keys(d, set(), {"step_size", "n_steps"}, "optimizer")
-    return OptimizerConfig(
-        step_size=float(d.get("step_size", 0.05)),
-        n_steps=int(d.get("n_steps", 500)),
-    )
-
-
-def _weights_from_dict(d: dict) -> LossWeights:
-    _require_keys(
-        d, set(), {"lambda_cls", "lambda_reg", "lambda_iou", "alpha"}, "weights"
-    )
-    return LossWeights(
-        lambda_cls=float(d.get("lambda_cls", 1.0)),
-        lambda_reg=float(d.get("lambda_reg", 3.0)),
-        lambda_iou=float(d.get("lambda_iou", 1.0)),
-        alpha=float(d.get("alpha", 0.5)),
-    )
+    return _from_dict(SceneConfig, d, "scene", contexts={"size_classes": "size class"})
 
 
 def run_fit_config(config: dict, out_dir: Path | str | None = None) -> dict:
@@ -902,21 +810,14 @@ def run_fit_config(config: dict, out_dir: Path | str | None = None) -> dict:
         "config",
     )
     scene = _scene_config_from_dict(config["scene"])
-    assigner = (
-        _assigner_from_dict(config["assigner"])
-        if "assigner" in config
-        else AssignerConfig()
-    )
-    optimizer = (
-        _optimizer_from_dict(config["optimizer"])
-        if "optimizer" in config
-        else OptimizerConfig()
-    )
-    init = _init_from_dict(config["init"]) if "init" in config else InitConfig()
-    weights = (
-        _weights_from_dict(config["weights"])
-        if "weights" in config
-        else LossWeights()
+    assigner, optimizer, init, weights = (
+        _from_dict(cls, config[key], key, required) if key in config else cls()
+        for key, cls, required in (
+            ("assigner", AssignerConfig, {"kind"}),
+            ("optimizer", OptimizerConfig, ()),
+            ("init", InitConfig, {"kind"}),
+            ("weights", LossWeights, ()),
+        )
     )
     regression = str(config.get("regression", "rwiou"))
     seeds = [int(s) for s in config.get("seeds", [scene.seed])]
@@ -992,7 +893,7 @@ def load_scene(
     _require_keys(
         scene, {"grid", "ground_truths"}, {"predictions", "n_classes"}, "scene file"
     )
-    grid = _grid_from_dict(scene["grid"])
+    grid = GridSpec.from_json_dict(scene["grid"])
     gts = []
     for entry in scene["ground_truths"]:
         _require_keys(entry, {"box", "class_id"}, set(), "ground truth")
@@ -1005,20 +906,10 @@ def load_scene(
     )
 
     pred_spec = scene.get("predictions", {"kind": "exact"})
-    _require_keys(
-        pred_spec,
-        {"kind"},
-        {
-            "seed",
-            "sigma_loc",
-            "sigma_yaw",
-            "sigma_log_size",
-            "boxes",
-            "scores",
-            "iou_conf",
-        },
-        "predictions",
-    )
+    # The seed and an explicit map's arrays sit beside InitConfig's fields.
+    init_keys = {f.name for f in fields(InitConfig)}
+    _require_keys(pred_spec, {"kind"},
+                  init_keys | {"seed", "boxes", "scores", "iou_conf"}, "predictions")
     kind = str(pred_spec["kind"])
     if kind == "explicit":
         boxes = np.asarray(pred_spec["boxes"], dtype=float)
@@ -1031,11 +922,8 @@ def load_scene(
         return grid, gts, PredictionMap(boxes=boxes, scores=scores, iou_conf=iou_conf)
     if kind not in ("exact", "noisy"):
         raise ValueError("predictions kind must be 'exact', 'noisy', or 'explicit'")
-    init = InitConfig(
-        kind=kind,
-        sigma_loc=float(pred_spec.get("sigma_loc", 0.3)),
-        sigma_yaw=float(pred_spec.get("sigma_yaw", 0.2)),
-        sigma_log_size=float(pred_spec.get("sigma_log_size", 0.1)),
+    init = _from_dict(
+        InitConfig, {k: v for k, v in pred_spec.items() if k in init_keys}, "predictions"
     )
     state = init_state(
         grid,

@@ -62,6 +62,19 @@ class TestGridSpec:
     def test_json_roundtrip(self):
         assert GridSpec.from_json_dict(GRID.to_json_dict()) == GRID
 
+    def test_json_missing_key_rejected(self):
+        d = GRID.to_json_dict()
+        del d["n_cols"]
+        with pytest.raises(ValueError) as info:
+            GridSpec.from_json_dict(d)
+        assert str(info.value) == "grid: missing keys ['n_cols']"
+
+    def test_json_unknown_key_rejected(self):
+        d = dict(GRID.to_json_dict(), z_min=0.0)
+        with pytest.raises(ValueError) as info:
+            GridSpec.from_json_dict(d)
+        assert str(info.value) == "grid: unknown keys ['z_min']"
+
     def test_validation(self):
         with pytest.raises(ValueError):
             GridSpec(0, 0, 0.0, 10, 10)

@@ -23,6 +23,7 @@ from bevbox import (
     gradient_check,
     regression_sample_grad,
     regression_sample_loss,
+    rwiou,
     rwiou_loss,
     rwiou_loss_grad,
 )
@@ -177,6 +178,45 @@ class TestRotationWeightClamp:
         assert 0.0 < rwiou_loss(pred, UNIT_CUBE, 1.0) < 1.0
         grad = rwiou_loss_grad(pred, UNIT_CUBE, 1.0)
         assert grad.d_s != 0.0
+
+
+def pair_families(rng, n):
+    """``n`` overlapping, ``n`` disjoint and ``n`` identical ``Box3D`` pairs."""
+    lo = np.array([-5, -5, -2, 0.6, 0.6, 0.6, -math.pi])
+    hi = np.array([5, 5, 2, 5, 5, 5, math.pi])
+    first = rng.uniform(lo, hi, size=(3 * n, 7))
+    shift = rng.uniform(-0.5, 0.5, size=(3 * n, 3)) * first[:, 3:6]
+    second = first.copy()
+    second[:, 0:3] += shift
+    second[:, 3:6] *= rng.uniform(0.6, 1.6, size=(3 * n, 3))
+    second[:, 6] += rng.normal(0.0, 0.6, size=3 * n)
+    # Disjoint: the second box clears the first along x.
+    apart = slice(n, 2 * n)
+    second[apart, 0] = (first[apart, 0] + 0.5 * (first[apart, 3] + second[apart, 3])
+                        + rng.uniform(1e-3, 3.0, size=n))
+    second[2 * n:] = first[2 * n:]
+    for a, b in zip(first.tolist(), second.tolist()):
+        yield Box3D(*a), Box3D(*b)
+
+
+class TestLossMatchesGeometry:
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_rwiou_loss_is_one_minus_rwiou_bitwise(self, alpha):
+        rng = np.random.default_rng(31)
+        differ = [
+            (b1, b2) for b1, b2 in pair_families(rng, 4_000)
+            if rwiou_loss(BoxParams8.from_box(b1), BoxParams8.from_box(b2), alpha)
+            != 1.0 - rwiou(b1, b2, alpha)
+        ]
+        assert differ == []
+
+    def test_disjoint_with_overflowing_faces(self):
+        # The x and y overlaps multiply to inf; z is disjoint, so the overlap
+        # volume is 0 and never inf * 0.
+        b1 = Box3D(0.0, 0.0, 0.0, 1e200, 1e200, 1.0, 0.0)
+        b2 = Box3D(0.0, 0.0, 10.0, 1e200, 1e200, 1.0, 0.0)
+        assert rwiou(b1, b2, 0.5) == 0.0
+        assert rwiou_loss(BoxParams8.from_box(b1), BoxParams8.from_box(b2), 0.5) == 1.0
 
 
 class TestCenterTerm:
