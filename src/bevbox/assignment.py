@@ -346,7 +346,12 @@ def dynamic_k_from_ious(ious: Sequence[float], n_candidates: int | None = None) 
     """
     if n_candidates is None:
         n_candidates = len(ious)
-    k = max(math.floor(sum(ious)), 1)
+    # Added in order: from Python 3.12 the builtin sum compensates, and ten
+    # 0.2s would give 2.0 (k = 2) instead of 1.9999999999999998 (k = 1).
+    total = 0.0
+    for iou in ious:
+        total += iou
+    k = max(math.floor(total), 1)
     if n_candidates > 0:
         k = min(k, n_candidates)
     return k

@@ -598,59 +598,38 @@ def gradient_bound_audit(n_samples: int = 10_000, seed: int = 0,
     n_samples = int(n_samples)
     rng = np.random.default_rng(seed)
 
-    channel = BoundRegimeReport(
-        regime="sin_cos_channel", bound=alpha, max_observed=0.0,
-        n_violations=0, n_samples=n_samples,
-        note="|d_s| and |d_c| against the constant bound alpha",
-    )
-    for _ in range(n_samples):
-        pred, target = random_overlapping_pair(rng, alpha=alpha)
-        g = rwiou_loss_grad(pred, target, alpha)
-        observed = max(abs(g.d_s), abs(g.d_c))
-        channel.max_observed = max(channel.max_observed, observed)
-        if observed > alpha + BOUND_SLACK:
-            channel.n_violations += 1
-            if len(channel.violations) < 5:
-                channel.violations.append(
-                    {"observed": observed, "bound": alpha,
-                     "pred": list(pred.as_array()), "target": list(target.as_array())}
-                )
+    def regime(name, bound, note, draw, measure) -> BoundRegimeReport:
+        # measure(g, target) gives the observed magnitude, its per-sample
+        # bound, and the unit in which max_observed reports it.
+        report = BoundRegimeReport(regime=name, bound=bound, max_observed=0.0,
+                                   n_violations=0, n_samples=n_samples, note=note)
+        for _ in range(n_samples):
+            pred, target = draw()
+            observed, limit, unit = measure(rwiou_loss_grad(pred, target, alpha), target)
+            report.max_observed = max(report.max_observed, observed / unit)
+            if observed > limit + BOUND_SLACK:
+                report.n_violations += 1
+                if len(report.violations) < 5:
+                    report.violations.append(
+                        {"observed": observed, "bound": limit,
+                         "pred": list(pred.as_array()), "target": list(target.as_array())}
+                    )
+        return report
 
-    center = BoundRegimeReport(
-        regime="center_overlap", bound=1.0, max_observed=0.0,
-        n_violations=0, n_samples=n_samples,
-        note="|d_x| as a fraction of the per-sample bound 2 / l_t",
-    )
-    for _ in range(n_samples):
-        pred, target = _left_overlap_pair(rng)
-        g = rwiou_loss_grad(pred, target, alpha)
-        bound = 2.0 / target.l
-        center.max_observed = max(center.max_observed, abs(g.d_x) / bound)
-        if abs(g.d_x) > bound + BOUND_SLACK:
-            center.n_violations += 1
-            if len(center.violations) < 5:
-                center.violations.append(
-                    {"observed": abs(g.d_x), "bound": bound,
-                     "pred": list(pred.as_array()), "target": list(target.as_array())}
-                )
-
-    scale = BoundRegimeReport(
-        regime="scale_center_aligned", bound=1.0, max_observed=0.0,
-        n_violations=0, n_samples=n_samples,
-        note="|d_l| as a fraction of the per-sample bound 1 / l_t",
-    )
-    for _ in range(n_samples):
-        pred, target = _center_aligned_pair(rng)
-        g = rwiou_loss_grad(pred, target, alpha)
-        bound = 1.0 / target.l
-        scale.max_observed = max(scale.max_observed, abs(g.d_l) / bound)
-        if abs(g.d_l) > bound + BOUND_SLACK:
-            scale.n_violations += 1
-            if len(scale.violations) < 5:
-                scale.violations.append(
-                    {"observed": abs(g.d_l), "bound": bound,
-                     "pred": list(pred.as_array()), "target": list(target.as_array())}
-                )
-
+    # One generator feeds the three regimes, so their order fixes every draw.
+    regimes = [
+        regime("sin_cos_channel", alpha,
+               "|d_s| and |d_c| against the constant bound alpha",
+               lambda: random_overlapping_pair(rng, alpha=alpha),
+               lambda g, t: (max(abs(g.d_s), abs(g.d_c)), alpha, 1.0)),
+        regime("center_overlap", 1.0,
+               "|d_x| as a fraction of the per-sample bound 2 / l_t",
+               lambda: _left_overlap_pair(rng),
+               lambda g, t: (abs(g.d_x), 2.0 / t.l, 2.0 / t.l)),
+        regime("scale_center_aligned", 1.0,
+               "|d_l| as a fraction of the per-sample bound 1 / l_t",
+               lambda: _center_aligned_pair(rng),
+               lambda g, t: (abs(g.d_l), 1.0 / t.l, 1.0 / t.l)),
+    ]
     return GradientBoundAudit(alpha=alpha, seed=seed, n_samples=n_samples,
-                              regimes=[channel, center, scale])
+                              regimes=regimes)

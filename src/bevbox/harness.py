@@ -31,7 +31,6 @@ from .assignment import (
     PredictionMap,
     _check_cell_values,
     _check_iou_conf,
-    assign_center,
     assign_dcla,
     cross_region,
     world_to_cell,
@@ -530,42 +529,20 @@ def init_state(
     )
 
 
-def _assign(
-    assigner: AssignerConfig,
-    grid: GridSpec,
-    gts: list[GroundTruth],
-    preds: PredictionMap,
-    weights: LossWeights,
-) -> AssignmentResult:
-    if assigner.kind == "center":
-        return assign_center(
-            grid, gts, preds, lambda_reg=weights.lambda_reg, alpha=weights.alpha
-        )
-    return assign_dcla(
-        grid,
-        gts,
-        preds,
-        r=assigner.r,
-        lambda_reg=weights.lambda_reg,
-        alpha=weights.alpha,
-    )
-
-
 def _smooth_l1_scene(
     assignment: AssignmentResult,
     preds: PredictionMap,
-    gts: list[GroundTruth],
+    gt_params: np.ndarray,
 ) -> tuple[float, np.ndarray]:
     """Per-channel smooth-L1 regression baseline on raw residuals.
 
-    Residuals per positive cell: center offsets, log-size ratios, and yaw
+    Residuals per positive cell against its ground truth's ``gt_params`` row
+    (:func:`_gt_param_rows`): center offsets, log-size ratios, and yaw
     sine/cosine differences. Channel losses are summed per cell and averaged
     over the positive count, the usual box-regression normalization.
     Gradients come back in box-parameter space (per-size, not per-log-size),
-    matching the shape contract of the main regression loss.
+    as ``(N, 8)`` rows in positive order like the main regression loss.
     """
-    rows, cols = preds.boxes.shape[:2]
-    grads = np.zeros((rows, cols, 8))
     n = max(assignment.n_positives, 1)
     rows_i, cols_i, gt_of = assignment.positive_index()
     raw = preds.boxes[rows_i, cols_i]
@@ -574,15 +551,14 @@ def _smooth_l1_scene(
     pred[:, 3:6] = np.array(
         [math.log(v) for v in raw[:, 3:6].ravel().tolist()]
     ).reshape(-1, 3)
-    values, d_res = smooth_l1_with_grad(pred - _gt_param_rows(gts)[gt_of])
+    values, d_res = smooth_l1_with_grad(pred - gt_params[gt_of])
     total = 0.0
     for cell_sum in np.sum(values, axis=1).tolist():
         total += cell_sum / n
     d = d_res / n
     # The log-size residual differentiates through 1/size.
     d[:, 3:6] /= raw[:, 3:6]
-    grads[rows_i, cols_i] += d
-    return total, grads
+    return total, d
 
 
 def _true_iou_per_gt(assignment: AssignmentResult) -> list[float]:
@@ -634,20 +610,22 @@ def fit_scene(
         state = state.copy()
 
     gt_targets = _target_rows([gt.box for gt in gts])
+    gt_params = _gt_param_rows(gts)
     started = time.perf_counter()
     steps: list[StepRecord] = []
     preds = state.prediction_map()
-    assignment = _assign(assigner, grid, gts, preds, weights)
+    assignment = assign_dcla(grid, gts, preds, r=assigner.effective_r,
+                             lambda_reg=weights.lambda_reg, alpha=weights.alpha)
 
     for step in range(optimizer.n_steps + 1):
         l_cls, cls_grads = classification_loss(assignment, preds)
         if regression == "rwiou":
             scene = regression_loss_scene(assignment, preds, gts)
-            l_reg, reg_grads, per_gt = scene.value, scene.box_grads, scene.per_gt
+            l_reg, reg_rows, per_gt = scene.value, scene.box_grads, scene.per_gt
         else:
-            l_reg, reg_grads = _smooth_l1_scene(assignment, preds, gts)
+            l_reg, reg_rows = _smooth_l1_scene(assignment, preds, gt_params)
             per_gt = ()
-        l_iou, iou_grads = iou_prediction_loss(assignment, preds, gts)
+        l_iou, iou_rows = iou_prediction_loss(assignment, preds, gts)
         report = total_loss(
             l_cls,
             l_reg,
@@ -679,7 +657,7 @@ def fit_scene(
         p = preds.scores
         state.score_logits -= lr * weights.lambda_cls * cls_grads * p * (1.0 - p)
 
-        # Regression: per-positive-cell box gradients chained onto the raw
+        # Regression: per-positive box gradient rows chained onto the raw
         # parameterization. A cell whose eight box channels already match the
         # target bitwise is frozen outright: the loss there sits at a kinked
         # minimum where the one-sided conventions leave a nonzero yaw
@@ -693,7 +671,7 @@ def fit_scene(
         live = ~np.all(preds.boxes[pos] == target8, axis=1)
         r = pos[0][live]
         c = pos[1][live]
-        g = reg_grads[r, c]
+        g = reg_rows[live]
         step_reg = lr * weights.lambda_reg
         state.loc[r, c] -= step_reg * g[:, 0:3]
         state.log_size[r, c] -= step_reg * g[:, 3:6] * np.exp(state.log_size[r, c])
@@ -703,13 +681,14 @@ def fit_scene(
         # Overlap confidence: raw channel moves through the tanh derivative.
         # Its gradient is 0.0 off the positives, and x - 0.0 == x there.
         u = preds.iou_conf[pos]
-        state.iou_conf_raw[pos] -= step_iou * iou_grads[pos] * (1.0 - u * u)
+        state.iou_conf_raw[pos] -= step_iou * iou_rows * (1.0 - u * u)
 
         # The initial state is user input and its errors stay ValueErrors;
         # an updated state that cannot be evaluated is a blow-up.
         try:
             state._refresh(preds, (r, c), pos)
-            assignment = _assign(assigner, grid, gts, preds, weights)
+            assignment = assign_dcla(grid, gts, preds, r=assigner.effective_r,
+                                     lambda_reg=weights.lambda_reg, alpha=weights.alpha)
         except (ValueError, ArithmeticError) as exc:
             raise DivergenceError(
                 step + 1, report,
@@ -820,6 +799,8 @@ def run_fit_config(config: dict, out_dir: Path | str | None = None) -> dict:
         )
     )
     regression = str(config.get("regression", "rwiou"))
+    if regression not in ("rwiou", "smooth_l1"):
+        raise ValueError("regression must be 'rwiou' or 'smooth_l1'")
     seeds = [int(s) for s in config.get("seeds", [scene.seed])]
     if not seeds:
         raise ValueError("config: seeds must be non-empty")
@@ -912,6 +893,7 @@ def load_scene(
                   init_keys | {"seed", "boxes", "scores", "iou_conf"}, "predictions")
     kind = str(pred_spec["kind"])
     if kind == "explicit":
+        _require_keys(pred_spec, {"boxes", "scores"}, set(pred_spec), "predictions")
         boxes = np.asarray(pred_spec["boxes"], dtype=float)
         scores = np.asarray(pred_spec["scores"], dtype=float)
         iou_conf = (

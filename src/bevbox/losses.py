@@ -85,11 +85,12 @@ class PerGtRegression:
 
 @dataclass
 class RegressionSceneLoss:
-    """Scene regression loss with its gradient map.
+    """Scene regression loss with its per-positive gradient rows.
 
-    ``box_grads`` holds the per-cell parameter gradient already scaled by
-    ``1 / max(N, 1)``; non-positive cells stay zero.  ``degenerate`` flags a
-    scene with no positives, where the loss is defined as 0.
+    ``box_grads`` has shape ``(N, 8)``: row ``j`` is the parameter gradient
+    of the ``j``-th positive in ``AssignmentResult.positive_index()`` order,
+    already scaled by ``1 / N``.  ``degenerate`` flags a scene with no
+    positives, where the loss is defined as 0 and ``box_grads`` has no rows.
     """
 
     value: float
@@ -264,25 +265,18 @@ def regression_loss_scene(assignment: "AssignmentResult", preds: "PredictionMap"
                           gts: Sequence["GroundTruth"]) -> RegressionSceneLoss:
     """Mean per-sample regression loss over every positive cell.
 
-    The normalizer is the total positive count N; each positive cell's
-    gradient lands in ``box_grads`` scaled by ``1 / N``.  A scene with no
-    positives is degenerate: loss 0, zero gradients, ``degenerate=True``.
-    Each positive's value and gradient are read from the assignment's
-    regression rows (computed at its alpha), which must therefore come from
-    this scene's ``gts`` and ``preds``.
+    The normalizer is the total positive count N; ``box_grads`` holds each
+    positive's gradient row scaled by ``1 / N``, in positive order.  A scene
+    with no positives is degenerate: loss 0, no gradient rows,
+    ``degenerate=True``.  Each positive's value and gradient are read from
+    the assignment's regression rows (computed at its alpha), which must
+    therefore come from this scene's ``gts`` and ``preds``.
     """
     _check_gt_count(assignment, gts)
-    rows, cols = preds.boxes.shape[:2]
-    box_grads = np.zeros((rows, cols, 8))
     n_pos = assignment.n_positives
-    if n_pos == 0:
-        return RegressionSceneLoss(0.0, box_grads,
-                                   [PerGtRegression(i, 0, 0.0) for i in range(len(gts))],
-                                   degenerate=True)
-    norm = 1.0 / n_pos
-    rows_i, cols_i, _ = assignment.positive_index()
+    norm = 1.0 / max(n_pos, 1)
     slots = assignment.positive_slots
-    box_grads[rows_i, cols_i] += assignment.regression_grads[slots] * norm
+    box_grads = assignment.regression_grads[slots] * norm
     # Sums run sequentially in positive order: np.sum adds pairwise (and the
     # builtin sum compensates on newer Pythons), which rounds differently.
     values = assignment.regression_values[slots].tolist()
@@ -297,7 +291,7 @@ def regression_loss_scene(assignment: "AssignmentResult", preds: "PredictionMap"
         mean = gt_sum / len(cells) if cells else 0.0
         per_gt.append(PerGtRegression(i, len(cells), mean))
         total += gt_sum
-    return RegressionSceneLoss(total * norm, box_grads, per_gt)
+    return RegressionSceneLoss(total * norm, box_grads, per_gt, degenerate=n_pos == 0)
 
 
 def iou_prediction_loss(assignment: "AssignmentResult", preds: "PredictionMap",
@@ -308,22 +302,19 @@ def iou_prediction_loss(assignment: "AssignmentResult", preds: "PredictionMap",
     constant within the step (no gradient flows into the boxes from here).
     Each positive's IoU is read from its candidate entry on the assignment
     (through its slot), which must therefore come from this scene's ``gts``
-    and ``preds``.  Returns the scalar and the gradient map w.r.t. the
-    confidence channel.
+    and ``preds``.  Returns the scalar and the ``(N,)`` gradient rows w.r.t.
+    the confidence channel, one per positive in positive order.
     """
     _check_gt_count(assignment, gts)
-    rows, cols = preds.boxes.shape[:2]
-    grads = np.zeros((rows, cols))
     norm = 1.0 / max(assignment.n_positives, 1)
     rows_i, cols_i, _ = assignment.positive_index()
     ious = np.array([c.iou for candidates in assignment.candidates for c in candidates])
     targets = 2.0 * ious[assignment.positive_slots] - 1.0
     values, d = smooth_l1_with_grad(preds.iou_conf[rows_i, cols_i] - targets)
-    grads[rows_i, cols_i] += d * norm
     total = 0.0  # sequential, as in regression_loss_scene
     for value in values.tolist():
         total += value
-    return total * norm, grads
+    return total * norm, d * norm
 
 
 def total_loss(l_cls: float, l_reg: float, l_iou: float, weights: LossWeights,

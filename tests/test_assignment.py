@@ -149,6 +149,9 @@ class TestDynamicK:
         assert dynamic_k_from_ious([0.7, 0.6, 0.3, 0.1]) == 1
         assert dynamic_k_from_ious([0.9, 0.8, 0.9]) == 2
         assert dynamic_k_from_ious([0.2] * 5) == 1
+        # Summed in order ten 0.2s give 1.9999999999999998, so k is 1; a
+        # compensated sum (the builtin from Python 3.12) would give 2.0.
+        assert dynamic_k_from_ious([0.2] * 10) == 1
         assert dynamic_k_from_ious([1.0] * 5 + [0.5], n_candidates=3) == 3
         assert dynamic_k_from_ious([0.9] * 4) == 3
 

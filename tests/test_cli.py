@@ -166,6 +166,20 @@ class TestAssignCommand:
         assert main(["assign", str(path)]) == 2
         assert "unknown keys" in capsys.readouterr().err
 
+    def test_explicit_predictions_need_their_arrays(self, tmp_path, capsys):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({
+            "grid": {"x_min": -8.0, "y_min": -8.0, "cell_size": 1.0,
+                     "n_rows": 16, "n_cols": 16},
+            "ground_truths": [
+                {"box": [1.5, 2.5, 0.0, 4.2, 1.9, 1.6, 0.4], "class_id": 0}],
+            "predictions": {"kind": "explicit",
+                            "scores": [[[0.5]] * 16] * 16},
+        }))
+        assert main(["assign", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: scene: predictions: missing keys ['boxes']\n" in err
+
 
 @pytest.fixture
 def fit_config_file(tmp_path):

@@ -682,6 +682,13 @@ class TestRunFitConfig:
         with pytest.raises(ValueError, match="missing keys.*scene"):
             run_fit_config({"seeds": [0]})
 
+    def test_bad_regression_rejected_before_output(self, tmp_path):
+        config = dict(BASE_CONFIG, regression="l2",
+                      output={"dir": str(tmp_path / "runs")})
+        with pytest.raises(ValueError, match="regression must be"):
+            run_fit_config(config)
+        assert not (tmp_path / "runs").exists()
+
     def test_empty_seed_list_rejected(self):
         config = dict(BASE_CONFIG)
         config["seeds"] = []
