@@ -150,22 +150,18 @@ def cross_region(grid: GridSpec, center: CellIndex, r: int) -> list[CellIndex]:
     """In-bounds cells within Manhattan distance ``r`` of ``center``, row-major.
 
     The full cross holds ``2*r*r + 2*r + 1`` cells; near the border the
-    out-of-bounds part is dropped.
+    out-of-bounds part is dropped.  Only in-bounds rows and columns are
+    visited, so the cost does not grow with ``r`` past the grid's size.
     """
     if r < 0:
         raise ValueError(f"cross radius must be non-negative, got {r!r}")
     if not (0 <= center.row < grid.n_rows and 0 <= center.col < grid.n_cols):
         raise ValueError(f"center cell {center} is outside the {grid.n_rows}x{grid.n_cols} grid")
     cells = []
-    for dr in range(-r, r + 1):
-        row = center.row + dr
-        if row < 0 or row >= grid.n_rows:
-            continue
-        span = r - abs(dr)
-        for dc in range(-span, span + 1):
-            col = center.col + dc
-            if 0 <= col < grid.n_cols:
-                cells.append(CellIndex(row, col))
+    for row in range(max(center.row - r, 0), min(center.row + r, grid.n_rows - 1) + 1):
+        span = r - abs(row - center.row)
+        for col in range(max(center.col - span, 0), min(center.col + span, grid.n_cols - 1) + 1):
+            cells.append(CellIndex(row, col))
     return cells
 
 
@@ -370,7 +366,13 @@ def dynamic_k(gt: GroundTruth, candidate_boxes: Sequence[Box3D | BoxParams8]) ->
     return dynamic_k_from_ious(ious)
 
 
-def _validate_scene(grid: GridSpec, gts: Sequence[GroundTruth], preds: PredictionMap) -> None:
+def _validate_scene(grid: GridSpec, gts: Sequence[GroundTruth], preds: PredictionMap,
+                    lambda_reg: float, alpha: float) -> float:
+    """:func:`assign_dcla`'s input checks; returns the checked ``alpha``.
+
+    Nothing checked here changes while a fit rewrites its prediction map in
+    place, so a fit runs them once.
+    """
     if not preds.matches_grid(grid):
         raise ValueError(
             f"prediction map shape {preds.boxes.shape[:2]} does not match "
@@ -384,6 +386,121 @@ def _validate_scene(grid: GridSpec, gts: Sequence[GroundTruth], preds: Predictio
             )
         if not grid.contains(gt.box.x, gt.box.y):
             raise ValueError(f"gt {i} center ({gt.box.x}, {gt.box.y}) is off-grid")
+    if lambda_reg <= 0.0:
+        raise ValueError(f"lambda_reg must be positive, got {lambda_reg!r}")
+    return _check_alpha(alpha)
+
+
+class _ScenePlan:
+    """The part of one scene's assignment that the predictions do not change.
+
+    Built from ``(grid, gts, r)``: every ground truth's cross region, the
+    flat candidate order (each candidate's position in it is its slot) with
+    its gather indices, the regression target rows and the ground-truth
+    footprints.  It also keeps, per slot, the bits of the box row it last
+    scored and that row's exact IoU: :meth:`score` re-runs the clipper only
+    for slots whose box bits changed.  Bits, not floats, because
+    ``-0.0 == 0.0`` yet ``atan2`` tells them apart.  A plan serves one scene
+    and one fit; ``iou_runs`` counts the IoUs it has computed.
+    """
+
+    def __init__(self, grid: GridSpec, gts: Sequence[GroundTruth], r: int) -> None:
+        self.grid = grid
+        self.gts = list(gts)
+        self.regions = [cross_region(grid, world_to_cell(grid, gt.box.x, gt.box.y), r)
+                        for gt in self.gts]
+        self.gt_of = [i for i, region in enumerate(self.regions) for _ in region]
+        self.cells = [cell for region in self.regions for cell in region]
+        self.rows = np.array([cell.row for cell in self.cells], dtype=np.intp)
+        self.cols = np.array([cell.col for cell in self.cells], dtype=np.intp)
+        self.class_ids = np.array([self.gts[i].class_id for i in self.gt_of], dtype=np.intp)
+        self.targets = _target_rows([gt.box for gt in self.gts])[self.gt_of]
+        self.gt_feet = [_footprint(*gt.box.as_tuple()) for gt in self.gts]
+        self._bits: np.ndarray | None = None
+        self._ious = [0.0] * len(self.cells)
+        self.iou_runs = 0
+
+    def _exact_ious(self, boxes: np.ndarray) -> list[float]:
+        """``rotated_iou_exact(gt.box, pred)`` per slot, from footprints of
+        the validated row floats; only rows whose bits changed are clipped."""
+        bits = boxes.view(np.uint64)
+        if self._bits is None:
+            changed = np.arange(len(boxes))
+        else:
+            changed = np.flatnonzero(np.any(bits != self._bits, axis=1))
+        for slot, (x, y, z, l, w, h, s, c) in zip(changed.tolist(), boxes[changed].tolist()):
+            self._ious[slot] = _iou_footprints(
+                self.gt_feet[self.gt_of[slot]],
+                _footprint(x, y, z, l, w, h, math.atan2(s, c)),
+            )
+        self._bits = bits
+        self.iou_runs += len(changed)
+        return self._ious
+
+    def score(self, preds: PredictionMap, lambda_reg: float, alpha: float) -> AssignmentResult:
+        """The assignment of :func:`assign_dcla` for ``preds``, whose inputs
+        :func:`_validate_scene` has checked (``alpha`` is its return)."""
+        gts, regions, cells = self.gts, self.regions, self.cells
+        boxes = preds.boxes[self.rows, self.cols]
+        scores = preds.scores[self.rows, self.cols, self.class_ids]
+        # selection_cost row by row, bitwise: the kernel's values are the
+        # regression sample loss.
+        reg_values, reg_grads = regression_sample_grad_batch(boxes, self.targets, alpha)
+        costs = (quality_focal(scores, 1.0, 2.0) + lambda_reg * reg_values).tolist()
+        ious = self._exact_ious(boxes)
+
+        candidates: list[list[Candidate]] = []
+        requested_k: list[int] = []
+        shortlists: list[list[int]] = []  # slots of the k cheapest
+        start = 0
+        for region in regions:
+            stop = start + len(region)
+            entries = [Candidate(cost, cell, iou)
+                       for cost, cell, iou in zip(costs[start:stop], region, ious[start:stop])]
+            k = dynamic_k_from_ious([e.iou for e in entries], len(entries))
+            candidates.append(entries)
+            requested_k.append(k)
+            ranked = sorted(range(len(entries)), key=entries.__getitem__)
+            shortlists.append([start + j for j in ranked[:k]])
+            start = stop
+
+        # Conflict resolution: the cheapest claimant wins each contested cell.
+        claims: dict[CellIndex, list[tuple[float, int]]] = {}
+        for i, shortlist in enumerate(shortlists):
+            for slot in shortlist:
+                claims.setdefault(cells[slot], []).append((costs[slot], i))
+        owner = np.full((self.grid.n_rows, self.grid.n_cols), -1, dtype=int)
+        winners: dict[CellIndex, int] = {}
+        for cell, claimants in claims.items():
+            _, winner = min(claimants)
+            winners[cell] = winner
+            owner[cell.row, cell.col] = winner
+
+        # Regions are row-major, so within a ground truth slot order is row-major.
+        positives: list[list[CellIndex]] = []
+        positive_slots: list[int] = []
+        unassigned: list[int] = []
+        for i, shortlist in enumerate(shortlists):
+            kept = sorted(slot for slot in shortlist if winners[cells[slot]] == i)
+            positives.append([cells[slot] for slot in kept])
+            positive_slots.extend(kept)
+            if not kept:
+                unassigned.append(i)
+
+        heatmap = np.zeros((self.grid.n_rows, self.grid.n_cols, preds.n_classes))
+        for gt, entries in zip(gts, candidates):
+            for _, cell, iou in entries:
+                if iou > heatmap[cell.row, cell.col, gt.class_id]:
+                    heatmap[cell.row, cell.col, gt.class_id] = iou
+        for i, kept_cells in enumerate(positives):
+            for cell in kept_cells:
+                heatmap[cell.row, cell.col, gts[i].class_id] = 1.0
+
+        return AssignmentResult(positives=positives, requested_k=requested_k,
+                                owner=owner, heatmap=heatmap, candidates=candidates,
+                                regression_values=reg_values, regression_grads=reg_grads,
+                                positive_slots=np.array(positive_slots, dtype=int),
+                                unassigned=unassigned)
 
 
 def assign_dcla(grid: GridSpec, gts: Sequence[GroundTruth], preds: PredictionMap,
@@ -404,87 +521,8 @@ def assign_dcla(grid: GridSpec, gts: Sequence[GroundTruth], preds: PredictionMap
     truth's class channel (max over same-class overlapping regions) and
     forces exactly 1.0 on each positive's owner channel.
     """
-    _validate_scene(grid, gts, preds)
-    if lambda_reg <= 0.0:
-        raise ValueError(f"lambda_reg must be positive, got {lambda_reg!r}")
-    alpha = _check_alpha(alpha)
-
-    # Every ground truth's region cells as one flat (gt, row, col) list, the
-    # candidate order: one kernel call scores them all, and each candidate's
-    # flat position (its slot) indexes the kernel's rows.
-    regions = [cross_region(grid, world_to_cell(grid, gt.box.x, gt.box.y), r) for gt in gts]
-    gt_of = [i for i, region in enumerate(regions) for _ in region]
-    cells = [cell for region in regions for cell in region]
-    rows = [cell.row for cell in cells]
-    cols = [cell.col for cell in cells]
-    boxes = preds.boxes[rows, cols]
-    scores = preds.scores[rows, cols, [gts[i].class_id for i in gt_of]]
-    targets = _target_rows([gt.box for gt in gts])[gt_of]
-    # selection_cost row by row, bitwise: the kernel's values are the
-    # regression sample loss.
-    reg_values, reg_grads = regression_sample_grad_batch(boxes, targets, alpha)
-    costs = (quality_focal(scores, 1.0, 2.0) + lambda_reg * reg_values).tolist()
-    # rotated_iou_exact(gt.box, pred) on footprints: each ground truth's is
-    # built once, and the candidates' straight from the validated row floats.
-    gt_feet = [_footprint(*gt.box.as_tuple()) for gt in gts]
-    ious = [
-        _iou_footprints(gt_feet[i], _footprint(x, y, z, l, w, h, math.atan2(s, c)))
-        for i, (x, y, z, l, w, h, s, c) in zip(gt_of, boxes.tolist())
-    ]
-
-    candidates: list[list[Candidate]] = []
-    requested_k: list[int] = []
-    shortlists: list[list[int]] = []  # slots of the k cheapest
-    start = 0
-    for region in regions:
-        stop = start + len(region)
-        entries = [Candidate(cost, cell, iou)
-                   for cost, cell, iou in zip(costs[start:stop], region, ious[start:stop])]
-        k = dynamic_k_from_ious([e.iou for e in entries], len(entries))
-        candidates.append(entries)
-        requested_k.append(k)
-        ranked = sorted(range(len(entries)), key=entries.__getitem__)
-        shortlists.append([start + j for j in ranked[:k]])
-        start = stop
-
-    # Conflict resolution: the cheapest claimant wins each contested cell.
-    claims: dict[CellIndex, list[tuple[float, int]]] = {}
-    for i, shortlist in enumerate(shortlists):
-        for slot in shortlist:
-            claims.setdefault(cells[slot], []).append((costs[slot], i))
-    owner = np.full((grid.n_rows, grid.n_cols), -1, dtype=int)
-    winners: dict[CellIndex, int] = {}
-    for cell, claimants in claims.items():
-        _, winner = min(claimants)
-        winners[cell] = winner
-        owner[cell.row, cell.col] = winner
-
-    # Regions are row-major, so within a ground truth slot order is row-major.
-    positives: list[list[CellIndex]] = []
-    positive_slots: list[int] = []
-    unassigned: list[int] = []
-    for i, shortlist in enumerate(shortlists):
-        kept = sorted(slot for slot in shortlist if winners[cells[slot]] == i)
-        positives.append([cells[slot] for slot in kept])
-        positive_slots.extend(kept)
-        if not kept:
-            unassigned.append(i)
-
-    n_classes = preds.n_classes
-    heatmap = np.zeros((grid.n_rows, grid.n_cols, n_classes))
-    for gt, entries in zip(gts, candidates):
-        for _, cell, iou in entries:
-            if iou > heatmap[cell.row, cell.col, gt.class_id]:
-                heatmap[cell.row, cell.col, gt.class_id] = iou
-    for i, cells in enumerate(positives):
-        for cell in cells:
-            heatmap[cell.row, cell.col, gts[i].class_id] = 1.0
-
-    return AssignmentResult(positives=positives, requested_k=requested_k,
-                            owner=owner, heatmap=heatmap, candidates=candidates,
-                            regression_values=reg_values, regression_grads=reg_grads,
-                            positive_slots=np.array(positive_slots, dtype=int),
-                            unassigned=unassigned)
+    alpha = _validate_scene(grid, gts, preds, lambda_reg, alpha)
+    return _ScenePlan(grid, gts, r).score(preds, lambda_reg, alpha)
 
 
 def assign_center(grid: GridSpec, gts: Sequence[GroundTruth], preds: PredictionMap,

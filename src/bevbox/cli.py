@@ -17,7 +17,7 @@ from pathlib import Path
 from .assignment import assign_dcla
 from .geometry import Box3D, mc_iou_oracle, rotated_iou_exact, rwiou
 from .gradients import gradient_bound_audit, gradient_check
-from .harness import DivergenceError, load_scene, run_fit_config
+from .harness import DivergenceError, PlacementError, load_scene, run_fit_config
 
 _BOX_FIELDS = ("x", "y", "z", "l", "w", "h", "yaw")
 
@@ -121,7 +121,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     config = _load_json(args.config, "config")
     try:
         aggregate = run_fit_config(config, out_dir=args.out)
-    except ValueError as exc:
+    except (ValueError, PlacementError) as exc:
         raise CliError(f"config: {exc}") from None
     except DivergenceError as exc:
         print(f"fit diverged: {exc}", file=sys.stderr)

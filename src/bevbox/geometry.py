@@ -146,6 +146,14 @@ class BoxParams8:
         x, y, z, l, w, h, s, c = (float(v) for v in values)
         return cls(x, y, z, l, w, h, s, c)
 
+    @classmethod
+    def _unchecked(cls, values: list[float]) -> "BoxParams8":
+        """A box from eight Python floats the caller knows to be finite with
+        positive sizes, built without :meth:`__post_init__`'s checks."""
+        box = object.__new__(cls)
+        box.__dict__.update(zip(_FIELDS8, values))
+        return box
+
     def to_box(self) -> Box3D:
         """Decode to a concrete box; yaw is ``atan2(s, c)``."""
         return Box3D(self.x, self.y, self.z, self.l, self.w, self.h,

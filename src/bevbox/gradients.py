@@ -324,8 +324,10 @@ def finite_difference_grad(pred: BoxParams8, target: BoxParams8, alpha: float,
     """Central finite differences of ``loss_fn(pred, target, alpha)``.
 
     The step is relative to each parameter's magnitude with a floor of the
-    relative step itself, far smaller than any valid size, so perturbed sizes
-    stay positive.
+    relative step itself, far smaller than any size the checks draw, so
+    perturbed sizes stay positive.  Each perturbed box differs from the
+    checked ``pred`` in one channel, so only that channel is checked; a step
+    that leaves the valid range raises ``ValueError``.
     """
     values = pred.as_array()
     grad = np.empty(8)
@@ -335,8 +337,11 @@ def finite_difference_grad(pred: BoxParams8, target: BoxParams8, alpha: float,
         lo = values.copy()
         hi[i] += h
         lo[i] -= h
-        f_hi = loss_fn(BoxParams8.from_array(hi), target, alpha)
-        f_lo = loss_fn(BoxParams8.from_array(lo), target, alpha)
+        if not (math.isfinite(hi[i]) and math.isfinite(lo[i])) or (3 <= i < 6 and lo[i] <= 0.0):
+            raise ValueError(f"finite-difference step {h!r} takes {name} = {values[i]!r} "
+                             f"out of range")
+        f_hi = loss_fn(BoxParams8._unchecked(hi.tolist()), target, alpha)
+        f_lo = loss_fn(BoxParams8._unchecked(lo.tolist()), target, alpha)
         grad[i] = (f_hi - f_lo) / (hi[i] - lo[i])
     return grad
 

@@ -31,7 +31,8 @@ from .assignment import (
     PredictionMap,
     _check_cell_values,
     _check_iou_conf,
-    assign_dcla,
+    _ScenePlan,
+    _validate_scene,
     cross_region,
     world_to_cell,
 )
@@ -614,13 +615,17 @@ def fit_scene(
     started = time.perf_counter()
     steps: list[StepRecord] = []
     preds = state.prediction_map()
-    assignment = assign_dcla(grid, gts, preds, r=assigner.effective_r,
-                             lambda_reg=weights.lambda_reg, alpha=weights.alpha)
+    # The map is rewritten in place and keeps its shape, so the scene is
+    # checked once; one plan scores it every step and re-runs the exact IoU
+    # only for the candidates whose box moved.
+    alpha = _validate_scene(grid, gts, preds, weights.lambda_reg, weights.alpha)
+    plan = _ScenePlan(grid, gts, assigner.effective_r)
+    assignment = plan.score(preds, weights.lambda_reg, alpha)
 
     for step in range(optimizer.n_steps + 1):
         l_cls, cls_grads = classification_loss(assignment, preds)
         if regression == "rwiou":
-            scene = regression_loss_scene(assignment, preds, gts)
+            scene = regression_loss_scene(assignment, gts)
             l_reg, reg_rows, per_gt = scene.value, scene.box_grads, scene.per_gt
         else:
             l_reg, reg_rows = _smooth_l1_scene(assignment, preds, gt_params)
@@ -687,8 +692,7 @@ def fit_scene(
         # an updated state that cannot be evaluated is a blow-up.
         try:
             state._refresh(preds, (r, c), pos)
-            assignment = assign_dcla(grid, gts, preds, r=assigner.effective_r,
-                                     lambda_reg=weights.lambda_reg, alpha=weights.alpha)
+            assignment = plan.score(preds, weights.lambda_reg, alpha)
         except (ValueError, ArithmeticError) as exc:
             raise DivergenceError(
                 step + 1, report,

@@ -261,7 +261,7 @@ def _check_gt_count(assignment: "AssignmentResult", gts: Sequence["GroundTruth"]
         )
 
 
-def regression_loss_scene(assignment: "AssignmentResult", preds: "PredictionMap",
+def regression_loss_scene(assignment: "AssignmentResult",
                           gts: Sequence["GroundTruth"]) -> RegressionSceneLoss:
     """Mean per-sample regression loss over every positive cell.
 
@@ -270,7 +270,7 @@ def regression_loss_scene(assignment: "AssignmentResult", preds: "PredictionMap"
     with no positives is degenerate: loss 0, no gradient rows,
     ``degenerate=True``.  Each positive's value and gradient are read from
     the assignment's regression rows (computed at its alpha), which must
-    therefore come from this scene's ``gts`` and ``preds``.
+    therefore come from this scene's ``gts`` and predictions.
     """
     _check_gt_count(assignment, gts)
     n_pos = assignment.n_positives

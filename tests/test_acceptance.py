@@ -279,8 +279,8 @@ def test_criterion_08_loss_normalization_and_recomposition():
 
     l_cls1, _ = classification_loss(a1, preds1)
     l_cls2, _ = classification_loss(a2, preds2)
-    reg1 = regression_loss_scene(a1, preds1, gts1)
-    reg2 = regression_loss_scene(a2, preds2, gts2)
+    reg1 = regression_loss_scene(a1, gts1)
+    reg2 = regression_loss_scene(a2, gts2)
     l_iou1, _ = iou_prediction_loss(a1, preds1, gts1)
     l_iou2, _ = iou_prediction_loss(a2, preds2, gts2)
     assert l_cls2 == pytest.approx(l_cls1, abs=1e-12)

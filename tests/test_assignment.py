@@ -6,8 +6,11 @@ scenes pin the individual rules (region shape, dynamic k, cost ranking,
 conflict resolution, heatmap weights) to closed-form expectations.
 """
 
+import dataclasses
 import itertools
 import math
+import struct
+import time
 
 import numpy as np
 import pytest
@@ -33,6 +36,9 @@ from bevbox import (
     selection_cost,
     world_to_cell,
 )
+from bevbox.assignment import _ScenePlan, _validate_scene
+import bevbox.harness
+from bevbox.harness import AssignerConfig, OptimizerConfig, fit_scene
 from helpers import brute_force_assign, random_scene
 
 GRID = GridSpec(x_min=0.0, y_min=0.0, cell_size=1.0, n_rows=10, n_cols=10)
@@ -128,6 +134,15 @@ class TestCrossRegion:
             cross_region(GRID, CellIndex(5, 5), -1)
         with pytest.raises(ValueError):
             cross_region(GRID, CellIndex(10, 5), 1)
+
+    def test_huge_radius_visits_only_the_grid(self):
+        grid = GridSpec(x_min=0.0, y_min=0.0, cell_size=1.0, n_rows=32, n_cols=32)
+        for center in (CellIndex(16, 16), CellIndex(0, 31)):
+            started = time.perf_counter()
+            cells = cross_region(grid, center, 10**9)
+            assert time.perf_counter() - started < 1.0
+            assert cells == cross_region(grid, center, 64)
+            assert len(cells) == 32 * 32
 
     @settings(max_examples=50, deadline=None)
     @given(row=st.integers(0, 9), col=st.integers(0, 9), r=st.integers(0, 4))
@@ -559,3 +574,99 @@ class TestDeterminism:
         assert entry["k"] == len(entry["positives"]) == 5
         assert all(len(pair) == 3 for pair in payload["owner"])
         assert all(len(item) == 4 for item in payload["heatmap"])
+
+
+def _bits(value):
+    """``value`` with every float replaced by its bytes, so that equality is
+    bitwise (``-0.0 != 0.0``) through lists, tuples and arrays."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, (list, tuple)):
+        return type(value), [_bits(v) for v in value]
+    return value
+
+
+def assert_bitwise_equal(a, b):
+    for f in dataclasses.fields(a):
+        assert _bits(getattr(a, f.name)) == _bits(getattr(b, f.name)), f.name
+
+
+def plan_scores(plan, preds, r, lambda_reg=3.0, alpha=0.5):
+    """One planned scoring, checked against a fresh assignment; returns how
+    many exact IoUs it ran."""
+    before = plan.iou_runs
+    alpha = _validate_scene(plan.grid, plan.gts, preds, lambda_reg, alpha)
+    planned = plan.score(preds, lambda_reg, alpha)
+    assert_bitwise_equal(planned, assign_dcla(plan.grid, plan.gts, preds, r=r,
+                                              lambda_reg=lambda_reg, alpha=alpha))
+    return plan.iou_runs - before
+
+
+class TestScenePlanMemo:
+    """A plan re-runs the exact IoU only for candidate slots whose box bits
+    changed since its last scoring, and scores like a fresh assignment."""
+
+    def crowded(self, seed, r):
+        rng = np.random.default_rng(seed)
+        grid, gts, preds = random_scene(rng, n_rows=5, n_cols=6, n_gts=5)
+        plan = _ScenePlan(grid, gts, r)
+        assert len(set(plan.cells)) < len(plan.cells)  # regions overlap
+        return plan, preds
+
+    def test_one_moved_cell_reruns_exactly_its_slots(self):
+        plan, preds = self.crowded(1, 2)
+        assert plan_scores(plan, preds, 2) == len(plan.cells)
+        assert plan_scores(plan, preds, 2) == 0
+        shared = max(set(plan.cells), key=plan.cells.count)
+        n_slots = plan.cells.count(shared)
+        assert n_slots >= 2
+        preds.boxes[shared.row, shared.col, 0] += 0.25
+        assert plan_scores(plan, preds, 2) == n_slots
+        # Scores and confidences are not the memo's key.
+        preds.scores[shared.row, shared.col] *= 0.5
+        preds.iou_conf[shared.row, shared.col] = 0.75
+        assert plan_scores(plan, preds, 2) == 0
+
+    def test_signed_zero_flip_is_rescored(self):
+        plan, preds = self.crowded(2, 1)
+        cell = plan.cells[0]
+        # Yaw pi: sin 0.0, cos -1.0. With sin -0.0 atan2 gives -pi instead.
+        preds.boxes[cell.row, cell.col, 6:8] = (0.0, -1.0)
+        plan_scores(plan, preds, 1)
+        for flipped in (-0.0, 0.0):
+            preds.boxes[cell.row, cell.col, 6] = flipped
+            assert plan_scores(plan, preds, 1) == plan.cells.count(cell)
+
+    def test_plan_is_not_shared_between_scenes(self):
+        plan_a, preds_a = self.crowded(3, 1)
+        plan_b, preds_b = self.crowded(3, 1)
+        plan_scores(plan_a, preds_a, 1)
+        assert plan_b.iou_runs == 0
+        assert plan_scores(plan_b, preds_b, 1) == len(plan_b.cells)
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_fit_states_score_like_a_fresh_assignment(self, r, monkeypatch):
+        scored = []
+
+        class CheckedPlan(_ScenePlan):
+            def score(self, preds, lambda_reg, alpha):
+                planned = super().score(preds, lambda_reg, alpha)
+                fresh = assign_dcla(self.grid, self.gts, preds, r=r,
+                                    lambda_reg=lambda_reg, alpha=alpha)
+                assert_bitwise_equal(planned, fresh)
+                scored.append(len(self.cells))
+                return planned
+
+        monkeypatch.setattr(bevbox.harness, "_ScenePlan", CheckedPlan)
+        rng = np.random.default_rng(40 + r)
+        overlapping = 0
+        for _ in range(3):
+            grid, gts, _ = random_scene(rng, n_rows=6, n_cols=7, n_gts=5)
+            cells = _ScenePlan(grid, gts, r).cells
+            overlapping += len(set(cells)) < len(cells)
+            fit_scene(grid, gts, assigner=AssignerConfig(kind="dcla", r=r),
+                      optimizer=OptimizerConfig(step_size=0.05, n_steps=30), n_classes=3)
+        assert len(scored) == 3 * 31
+        assert overlapping >= 1

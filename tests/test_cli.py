@@ -228,6 +228,22 @@ class TestFitCommand:
         assert main(["fit", "/nonexistent/fit.json"]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_unplaceable_scene_is_a_config_error(self, tmp_path, capsys):
+        config = {
+            "scene": {
+                "grid": {"x_min": 0.0, "y_min": 0.0, "cell_size": 1.0,
+                         "n_rows": 3, "n_cols": 3},
+                "n_objects": 20,
+                "seed": 0,
+                "max_attempts": 50,
+            },
+        }
+        path = tmp_path / "crowded.json"
+        path.write_text(json.dumps(config))
+        assert main(["fit", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: could not place object ")
+
     def test_divergence_exit_code(self, fit_config_file, tmp_path, capsys,
                                   monkeypatch):
         report = total_loss(5000.0, 0.0, 0.0, LossWeights(), n_positives=1)

@@ -277,6 +277,30 @@ class TestFiniteDifferenceAgreement:
             numeric = finite_difference_grad(pred, target, 0.5)
             assert np.allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
 
+    def test_perturbations_equal_validated_boxes(self):
+        rng = np.random.default_rng(18)
+        pred, target = random_overlapping_pair(rng, alpha=0.5)
+        built = []
+
+        def record(p, t, a):
+            built.append(p)
+            return rwiou_loss(p, t, a)
+
+        finite_difference_grad(pred, target, 0.5, loss_fn=record)
+        assert len(built) == 16
+        for p in built:
+            checked = BoxParams8.from_array(p.as_array())
+            assert checked == p
+            assert all(type(getattr(p, name)) is float for name in "xyzlwhsc")
+
+    @pytest.mark.parametrize("channel", [3, 4, 5])
+    def test_step_past_a_tiny_size_raises(self, channel):
+        values = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0]
+        target = BoxParams8(*values)
+        values[channel] = 1e-7
+        with pytest.raises(ValueError):
+            finite_difference_grad(BoxParams8(*values), target, 0.5)
+
     def test_report_is_deterministic(self):
         a = gradient_check(n_samples=50, seed=3)
         b = gradient_check(n_samples=50, seed=3)

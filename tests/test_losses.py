@@ -313,7 +313,7 @@ class TestRegressionSceneLoss:
         rng = np.random.default_rng(4)
         grid, gts, preds = random_scene(rng, n_gts=4)
         assignment = assign_dcla(grid, gts, preds, r=1)
-        result = regression_loss_scene(assignment, preds, gts)
+        result = regression_loss_scene(assignment, gts)
         n = assignment.n_positives
         total = 0.0
         for i, gt in enumerate(gts):
@@ -329,7 +329,7 @@ class TestRegressionSceneLoss:
         rng = np.random.default_rng(5)
         grid, gts, preds = random_scene(rng, n_gts=3)
         assignment = assign_dcla(grid, gts, preds, r=1)
-        result = regression_loss_scene(assignment, preds, gts)
+        result = regression_loss_scene(assignment, gts)
         n = assignment.n_positives
         assert result.box_grads.shape == (n, 8)
         rows, cols, gt_of = assignment.positive_index()
@@ -342,7 +342,7 @@ class TestRegressionSceneLoss:
         rng = np.random.default_rng(6)
         grid, gts, preds = random_scene(rng, n_gts=4)
         assignment = assign_dcla(grid, gts, preds, r=1)
-        result = regression_loss_scene(assignment, preds, gts)
+        result = regression_loss_scene(assignment, gts)
         assert [p.k for p in result.per_gt] == assignment.k_per_gt
         assert [p.gt_index for p in result.per_gt] == list(range(len(gts)))
         for p in result.per_gt:
@@ -351,9 +351,8 @@ class TestRegressionSceneLoss:
 
     def test_degenerate_scene(self):
         gts = [GroundTruth(Box3D(1.5, 1.5, 0.0, 1.0, 1.0, 1.0, 0.0), 0)]
-        preds = PredictionMap(boxes=np.ones((3, 3, 8)), scores=np.zeros((3, 3, 1)))
         empty = no_positive_assignment(3, 3, 1)
-        result = regression_loss_scene(empty, preds, gts)
+        result = regression_loss_scene(empty, gts)
         assert result.value == 0.0
         assert result.degenerate
         assert result.box_grads.shape == (0, 8)
@@ -361,10 +360,9 @@ class TestRegressionSceneLoss:
 
     def test_ground_truth_count_must_match(self):
         gts = [GroundTruth(Box3D(1.5, 1.5, 0.0, 1.0, 1.0, 1.0, 0.0), 0)]
-        preds = PredictionMap(boxes=np.ones((3, 3, 8)), scores=np.zeros((3, 3, 1)))
         assignment = no_positive_assignment(3, 3, 1)
         with pytest.raises(ValueError):
-            regression_loss_scene(assignment, preds, gts + gts)
+            regression_loss_scene(assignment, gts + gts)
 
 
 class TestIouPredictionLoss:
@@ -423,7 +421,7 @@ class TestIouPredictionLoss:
         assignment.regression_values = np.array([7.0, 0.125])
         assignment.regression_grads = np.stack([-row, row])
         assignment.positive_slots = np.array([1])
-        result = regression_loss_scene(assignment, preds, [gt])
+        result = regression_loss_scene(assignment, [gt])
         assert result.value == 0.125
         assert result.per_gt[0].mean_loss == 0.125
         assert result.box_grads.shape == (1, 8)
@@ -485,7 +483,7 @@ class TestTotalLoss:
         assignment = assign_dcla(grid, gts, preds, r=1)
         weights = LossWeights()
         l_cls, _ = classification_loss(assignment, preds)
-        reg = regression_loss_scene(assignment, preds, gts)
+        reg = regression_loss_scene(assignment, gts)
         l_iou, _ = iou_prediction_loss(assignment, preds, gts)
         report = total_loss(l_cls, reg.value, l_iou, weights,
                             n_positives=assignment.n_positives, per_gt=reg.per_gt)
