@@ -7,6 +7,8 @@ import typing
 
 
 def _require_keys(mapping: dict, required, optional, context: str) -> None:
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{context}: expected an object, got {type(mapping).__name__}")
     keys = set(mapping)
     missing = set(required) - keys
     unknown = keys - set(required) - set(optional)
@@ -16,6 +18,24 @@ def _require_keys(mapping: dict, required, optional, context: str) -> None:
         raise ValueError(f"{context}: unknown keys {sorted(unknown)}")
 
 
+def _require_list(value, context: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{context}: expected a list, got {type(value).__name__}")
+    return value
+
+
+def _scalar(kind, value, context: str):
+    """``kind(value)`` for ``kind`` ``float``, ``int`` or ``str``, where a
+    number with a fractional part for an ``int`` and a value ``kind``
+    cannot take (``null``, a list or an object) raise ``ValueError``."""
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{context}: expected an integer, got {value!r}")
+    try:
+        return kind(value)
+    except (TypeError, OverflowError):
+        raise ValueError(f"{context}: expected {kind.__name__}, got {type(value).__name__}") from None
+
+
 def _from_dict(cls, mapping: dict, context: str, required=(),
                contexts: dict[str, str] | None = None):
     """Build the dataclass ``cls`` from a JSON mapping.
@@ -23,11 +43,11 @@ def _from_dict(cls, mapping: dict, context: str, required=(),
     The allowed keys are the field names; the fields without a default are
     required, and so are the names in ``required``.  Absent keys take the
     dataclass defaults.  Each value is coerced by its field's annotation:
-    ``float``, ``int`` and ``str`` are called on it, and a dataclass or a
-    ``tuple`` of one is built by this function, with the field name as the
-    context unless ``contexts`` names another.  Keys are checked before any
-    value is read, so an outer section reports its errors before the
-    sections nested in it.
+    ``float``, ``int`` and ``str`` go through :func:`_scalar`, and a
+    dataclass or a ``tuple`` of one (a list in the mapping) is built by this
+    function, with the field name as the context unless ``contexts`` names
+    another.  Keys are checked before any value is read, so an outer section
+    reports its errors before the sections nested in it.
     """
     fields = dataclasses.fields(cls)
     no_default = {
@@ -48,7 +68,8 @@ def _from_dict(cls, mapping: dict, context: str, required=(),
             values[f.name] = _from_dict(kind, value, nested)
         elif typing.get_origin(kind) is tuple:
             element = typing.get_args(kind)[0]
-            values[f.name] = tuple(_from_dict(element, v, nested) for v in value)
+            values[f.name] = tuple(_from_dict(element, v, nested)
+                                   for v in _require_list(value, f"{context}: {f.name}"))
         else:
-            values[f.name] = kind(value)
+            values[f.name] = _scalar(kind, value, f"{context}: {f.name}")
     return cls(**values)

@@ -13,14 +13,15 @@ not backfill with replacement cells, so a ground truth that lost every
 shortlisted cell ends up with zero positives and is flagged in
 ``AssignmentResult.unassigned``.
 
-All ordering is deterministic: candidate lists are row-major, cost ties
-break row-major, and identical inputs reproduce bit-identical results.
+All ordering is deterministic: candidates are in slot order (ground truth
+by ground truth, each region row-major), cost ties break row-major, and
+identical inputs reproduce bit-identical results.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -39,7 +40,6 @@ from .gradients import regression_sample_grad_batch, regression_sample_loss
 from .losses import quality_focal
 
 __all__ = [
-    "Candidate",
     "CellIndex",
     "GridSpec",
     "GroundTruth",
@@ -60,18 +60,6 @@ class CellIndex(NamedTuple):
 
     row: int
     col: int
-
-
-class Candidate(NamedTuple):
-    """A scored cross-region cell of one ground truth.
-
-    Tuples order by ``(cost, cell)``: the assignment's ranking, with cost
-    ties broken row-major.
-    """
-
-    cost: float
-    cell: CellIndex
-    iou: float
 
 
 @dataclass(frozen=True)
@@ -235,55 +223,66 @@ class PredictionMap:
 
 @dataclass
 class AssignmentResult:
-    """Positives, ownership, and heatmap weights for one scene.
+    """One scene's assignment as a flat candidate table.
 
-    ``positives[i]`` lists ground truth ``i``'s cells in row-major order
-    (post conflict resolution); ``requested_k[i]`` is the dynamic k before
-    conflicts.  ``owner`` is ``(rows, cols)`` with the owning ground-truth
-    index or -1.  ``heatmap`` is ``(rows, cols, n_classes)``: exactly 1.0 on
-    a positive's owner channel, the true-IoU weight on cross-region
-    negatives, 0 elsewhere.  ``candidates[i]`` lists every cell of ground
-    truth ``i``'s cross region in row-major order with its selection cost
-    and exact IoU ``rotated_iou_exact(gt.box, pred)``.  Flattened ground
-    truth by ground truth, the candidates give the slot order:
-    ``regression_values`` ``(n_candidates,)`` and ``regression_grads``
-    ``(n_candidates, 8)`` hold each candidate's regression sample loss and
-    its gradient w.r.t. the prediction channels, and ``positive_slots``
-    holds each positive's slot, in :meth:`positive_index` order.  Ground
-    truths that end with no positives are listed in ``unassigned``.
+    Every cell of every ground truth's cross region is a candidate; ground
+    truth by ground truth, each region row-major, their positions are the
+    slots.  Per slot: ``cand_rows``, ``cand_cols`` and ``cand_gt`` (its
+    cell and ground truth), ``costs`` (selection cost), ``ious`` (exact IoU
+    ``rotated_iou_exact(gt.box, pred)``), ``regression_values`` and
+    ``(n, 8)`` ``regression_grads`` (regression sample loss and its
+    gradient w.r.t. the prediction channels).  ``positive_slots`` holds
+    the positives' slots in increasing order (post conflict resolution),
+    so ground truth by ground truth and each row-major; every per-ground-
+    truth view of the positives derives from it.  ``best_slots[i]`` is
+    ground truth ``i``'s cheapest slot (cost ties row-major).
+    ``requested_k[i]`` is the dynamic k before conflicts.  ``owner`` is
+    ``(rows, cols)`` with the owning ground-truth index or -1.  ``heatmap``
+    is ``(rows, cols, n_classes)``: exactly 1.0 on a positive's owner
+    channel, the true-IoU weight on cross-region negatives, 0 elsewhere.
     """
 
-    positives: list[list[CellIndex]]
     requested_k: list[int]
     owner: np.ndarray
     heatmap: np.ndarray
-    candidates: list[list[Candidate]]
+    cand_rows: np.ndarray
+    cand_cols: np.ndarray
+    cand_gt: np.ndarray
+    costs: np.ndarray
+    ious: np.ndarray
     regression_values: np.ndarray
     regression_grads: np.ndarray
     positive_slots: np.ndarray
-    unassigned: list[int] = field(default_factory=list)
+    best_slots: np.ndarray
 
     @property
     def n_positives(self) -> int:
-        return sum(len(cells) for cells in self.positives)
+        return len(self.positive_slots)
 
     @property
     def k_per_gt(self) -> list[int]:
-        return [len(cells) for cells in self.positives]
+        return np.bincount(self.cand_gt[self.positive_slots],
+                           minlength=len(self.requested_k)).tolist()
 
-    def positive_index(self) -> tuple[list[int], list[int], list[int]]:
-        """Flat ``(rows, cols, gt)`` index lists of every positive.
+    @property
+    def unassigned(self) -> list[int]:
+        """Ground truths that ended with no positives."""
+        return [i for i, k in enumerate(self.k_per_gt) if k == 0]
 
-        Ground truth by ground truth, each in its ``positives`` order: the
-        gather and scatter index of the per-positive array computations.
-        """
-        rows, cols, gt_of = [], [], []
-        for i, cells in enumerate(self.positives):
-            for cell in cells:
-                rows.append(cell.row)
-                cols.append(cell.col)
-                gt_of.append(i)
-        return rows, cols, gt_of
+    @property
+    def positives(self) -> list[list[CellIndex]]:
+        """Each ground truth's positive cells, row-major."""
+        cells: list[list[CellIndex]] = [[] for _ in self.requested_k]
+        for row, col, i in zip(*(index.tolist() for index in self.positive_index())):
+            cells[i].append(CellIndex(row, col))
+        return cells
+
+    def positive_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat ``(rows, cols, gt)`` index arrays of every positive, in
+        ``positive_slots`` order: the gather and scatter index of the
+        per-positive array computations."""
+        slots = self.positive_slots
+        return self.cand_rows[slots], self.cand_cols[slots], self.cand_gt[slots]
 
     def to_json_dict(self) -> dict:
         rows, cols = self.owner.shape
@@ -394,9 +393,10 @@ def _validate_scene(grid: GridSpec, gts: Sequence[GroundTruth], preds: Predictio
 class _ScenePlan:
     """The part of one scene's assignment that the predictions do not change.
 
-    Built from ``(grid, gts, r)``: every ground truth's cross region, the
-    flat candidate order (each candidate's position in it is its slot) with
-    its gather indices, the regression target rows and the ground-truth
+    Built from ``(grid, gts, r)``: every ground truth's cross region as the
+    flat slot order with its gather indices (region ``i`` holds slots
+    ``starts[i]:starts[i + 1]``, and ``offsets`` is each slot's position in
+    its region), the regression target rows and the ground-truth
     footprints.  It also keeps, per slot, the bits of the box row it last
     scored and that row's exact IoU: :meth:`score` re-runs the clipper only
     for slots whose box bits changed.  Bits, not floats, because
@@ -407,17 +407,19 @@ class _ScenePlan:
     def __init__(self, grid: GridSpec, gts: Sequence[GroundTruth], r: int) -> None:
         self.grid = grid
         self.gts = list(gts)
-        self.regions = [cross_region(grid, world_to_cell(grid, gt.box.x, gt.box.y), r)
-                        for gt in self.gts]
-        self.gt_of = [i for i, region in enumerate(self.regions) for _ in region]
-        self.cells = [cell for region in self.regions for cell in region]
-        self.rows = np.array([cell.row for cell in self.cells], dtype=np.intp)
-        self.cols = np.array([cell.col for cell in self.cells], dtype=np.intp)
-        self.class_ids = np.array([self.gts[i].class_id for i in self.gt_of], dtype=np.intp)
+        regions = [cross_region(grid, world_to_cell(grid, gt.box.x, gt.box.y), r)
+                   for gt in self.gts]
+        sizes = [len(region) for region in regions]
+        self.starts = np.cumsum([0] + sizes)
+        self.gt_of = np.repeat(np.arange(len(sizes)), sizes)
+        self.offsets = np.arange(len(self.gt_of)) - self.starts[self.gt_of]
+        self.rows = np.array([cell.row for region in regions for cell in region], dtype=np.intp)
+        self.cols = np.array([cell.col for region in regions for cell in region], dtype=np.intp)
+        self.class_ids = np.array([gt.class_id for gt in self.gts], dtype=np.intp)[self.gt_of]
         self.targets = _target_rows([gt.box for gt in self.gts])[self.gt_of]
         self.gt_feet = [_footprint(*gt.box.as_tuple()) for gt in self.gts]
         self._bits: np.ndarray | None = None
-        self._ious = [0.0] * len(self.cells)
+        self._ious = [0.0] * len(self.gt_of)
         self.iou_runs = 0
 
     def _exact_ious(self, boxes: np.ndarray) -> list[float]:
@@ -428,11 +430,10 @@ class _ScenePlan:
             changed = np.arange(len(boxes))
         else:
             changed = np.flatnonzero(np.any(bits != self._bits, axis=1))
-        for slot, (x, y, z, l, w, h, s, c) in zip(changed.tolist(), boxes[changed].tolist()):
+        for slot, i, (x, y, z, l, w, h, s, c) in zip(
+                changed.tolist(), self.gt_of[changed].tolist(), boxes[changed].tolist()):
             self._ious[slot] = _iou_footprints(
-                self.gt_feet[self.gt_of[slot]],
-                _footprint(x, y, z, l, w, h, math.atan2(s, c)),
-            )
+                self.gt_feet[i], _footprint(x, y, z, l, w, h, math.atan2(s, c)))
         self._bits = bits
         self.iou_runs += len(changed)
         return self._ious
@@ -440,67 +441,48 @@ class _ScenePlan:
     def score(self, preds: PredictionMap, lambda_reg: float, alpha: float) -> AssignmentResult:
         """The assignment of :func:`assign_dcla` for ``preds``, whose inputs
         :func:`_validate_scene` has checked (``alpha`` is its return)."""
-        gts, regions, cells = self.gts, self.regions, self.cells
-        boxes = preds.boxes[self.rows, self.cols]
-        scores = preds.scores[self.rows, self.cols, self.class_ids]
+        gt_of, starts, rows, cols = self.gt_of, self.starts, self.rows, self.cols
+        boxes = preds.boxes[rows, cols]
+        scores = preds.scores[rows, cols, self.class_ids]
         # selection_cost row by row, bitwise: the kernel's values are the
-        # regression sample loss.
-        reg_values, reg_grads = regression_sample_grad_batch(boxes, self.targets, alpha)
-        costs = (quality_focal(scores, 1.0, 2.0) + lambda_reg * reg_values).tolist()
-        ious = self._exact_ious(boxes)
+        # regression sample loss.  An overflow inside it shows as a
+        # non-finite cost, rejected below.
+        with np.errstate(all="ignore"):
+            reg_values, reg_grads = regression_sample_grad_batch(boxes, self.targets, alpha)
+            costs = quality_focal(scores, 1.0, 2.0) + lambda_reg * reg_values
+        iou_list = self._exact_ious(boxes)
+        # Sorts order NaN keys unlike comparisons; no cost reaches them.
+        if not np.all(np.isfinite(costs)):
+            raise ValueError("candidate costs must be finite")
+        requested_k = [dynamic_k_from_ious(iou_list[a:b])
+                       for a, b in zip(starts[:-1].tolist(), starts[1:].tolist())]
 
-        candidates: list[list[Candidate]] = []
-        requested_k: list[int] = []
-        shortlists: list[list[int]] = []  # slots of the k cheapest
-        start = 0
-        for region in regions:
-            stop = start + len(region)
-            entries = [Candidate(cost, cell, iou)
-                       for cost, cell, iou in zip(costs[start:stop], region, ious[start:stop])]
-            k = dynamic_k_from_ious([e.iou for e in entries], len(entries))
-            candidates.append(entries)
-            requested_k.append(k)
-            ranked = sorted(range(len(entries)), key=entries.__getitem__)
-            shortlists.append([start + j for j in ranked[:k]])
-            start = stop
+        # Rank within each region by cost; the stable sort breaks cost ties
+        # in slot order, row-major.  The k cheapest are shortlisted.
+        order = np.lexsort((costs, gt_of))
+        rank = np.empty_like(order)
+        rank[order] = self.offsets
+        shortlist = np.flatnonzero(rank < np.array(requested_k, dtype=np.intp)[gt_of])
 
-        # Conflict resolution: the cheapest claimant wins each contested cell.
-        claims: dict[CellIndex, list[tuple[float, int]]] = {}
-        for i, shortlist in enumerate(shortlists):
-            for slot in shortlist:
-                claims.setdefault(cells[slot], []).append((costs[slot], i))
+        # Conflict resolution: per cell, the first claimant by (cost, gt) wins.
+        cells = rows[shortlist] * self.grid.n_cols + cols[shortlist]
+        by_cell = np.lexsort((gt_of[shortlist], costs[shortlist], cells))
+        _, first = np.unique(cells[by_cell], return_index=True)
+        positive_slots = np.sort(shortlist[by_cell[first]])
+        pos_rows, pos_cols = rows[positive_slots], cols[positive_slots]
         owner = np.full((self.grid.n_rows, self.grid.n_cols), -1, dtype=int)
-        winners: dict[CellIndex, int] = {}
-        for cell, claimants in claims.items():
-            _, winner = min(claimants)
-            winners[cell] = winner
-            owner[cell.row, cell.col] = winner
-
-        # Regions are row-major, so within a ground truth slot order is row-major.
-        positives: list[list[CellIndex]] = []
-        positive_slots: list[int] = []
-        unassigned: list[int] = []
-        for i, shortlist in enumerate(shortlists):
-            kept = sorted(slot for slot in shortlist if winners[cells[slot]] == i)
-            positives.append([cells[slot] for slot in kept])
-            positive_slots.extend(kept)
-            if not kept:
-                unassigned.append(i)
+        owner[pos_rows, pos_cols] = gt_of[positive_slots]
 
         heatmap = np.zeros((self.grid.n_rows, self.grid.n_cols, preds.n_classes))
-        for gt, entries in zip(gts, candidates):
-            for _, cell, iou in entries:
-                if iou > heatmap[cell.row, cell.col, gt.class_id]:
-                    heatmap[cell.row, cell.col, gt.class_id] = iou
-        for i, kept_cells in enumerate(positives):
-            for cell in kept_cells:
-                heatmap[cell.row, cell.col, gts[i].class_id] = 1.0
+        ious = np.array(iou_list)
+        np.maximum.at(heatmap, (rows, cols, self.class_ids), ious)
+        heatmap[pos_rows, pos_cols, self.class_ids[positive_slots]] = 1.0
 
-        return AssignmentResult(positives=positives, requested_k=requested_k,
-                                owner=owner, heatmap=heatmap, candidates=candidates,
+        return AssignmentResult(requested_k=requested_k, owner=owner, heatmap=heatmap,
+                                cand_rows=rows, cand_cols=cols, cand_gt=gt_of,
+                                costs=costs, ious=ious,
                                 regression_values=reg_values, regression_grads=reg_grads,
-                                positive_slots=np.array(positive_slots, dtype=int),
-                                unassigned=unassigned)
+                                positive_slots=positive_slots, best_slots=order[starts[:-1]])
 
 
 def assign_dcla(grid: GridSpec, gts: Sequence[GroundTruth], preds: PredictionMap,
@@ -512,10 +494,11 @@ def assign_dcla(grid: GridSpec, gts: Sequence[GroundTruth], preds: PredictionMap
     IoU, pick ``k`` from the summed IoUs, and shortlist the ``k`` cheapest
     candidates (cost ties row-major).  Cross-ground-truth conflicts then
     resolve by lower cost (ties by lower index) with no backfill; see the
-    module docstring.  The scored candidates are kept on the result, with
+    module docstring.  The result is the table of scored candidates, with
     the regression rows of the one kernel call that scored them, so later
     consumers read costs, IoUs, loss values and gradients instead of
-    recomputing them.
+    recomputing them.  A candidate cost that is not finite raises
+    ``ValueError``.
 
     The heatmap gives cross-region negatives their IoU weight on the ground
     truth's class channel (max over same-class overlapping regions) and

@@ -327,21 +327,22 @@ def finite_difference_grad(pred: BoxParams8, target: BoxParams8, alpha: float,
     relative step itself, far smaller than any size the checks draw, so
     perturbed sizes stay positive.  Each perturbed box differs from the
     checked ``pred`` in one channel, so only that channel is checked; a step
-    that leaves the valid range raises ``ValueError``.
+    that leaves the valid range (an overflow included: the steps are taken
+    in Python floats, which overflow to inf silently) raises ``ValueError``.
     """
-    values = pred.as_array()
+    values = pred.as_array().tolist()
     grad = np.empty(8)
     for i, name in enumerate(_PARAM_NAMES):
         h = rel_step * max(1.0, abs(values[i]))
-        hi = values.copy()
-        lo = values.copy()
+        hi = list(values)
+        lo = list(values)
         hi[i] += h
         lo[i] -= h
         if not (math.isfinite(hi[i]) and math.isfinite(lo[i])) or (3 <= i < 6 and lo[i] <= 0.0):
             raise ValueError(f"finite-difference step {h!r} takes {name} = {values[i]!r} "
                              f"out of range")
-        f_hi = loss_fn(BoxParams8._unchecked(hi.tolist()), target, alpha)
-        f_lo = loss_fn(BoxParams8._unchecked(lo.tolist()), target, alpha)
+        f_hi = loss_fn(BoxParams8._unchecked(hi), target, alpha)
+        f_lo = loss_fn(BoxParams8._unchecked(lo), target, alpha)
         grad[i] = (f_hi - f_lo) / (hi[i] - lo[i])
     return grad
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._config import _from_dict, _require_keys
+from ._config import _from_dict, _require_keys, _require_list, _scalar
 from .assignment import (
     AssignmentResult,
     CellIndex,
@@ -567,9 +567,9 @@ def _true_iou_per_gt(assignment: AssignmentResult) -> list[float]:
 
     The readout cell is the lowest selection cost over the cross region
     (ties broken row-major), the assignment's own ranking, so the IoU is
-    read off the assignment's candidates.
+    read off the assignment's table at ``best_slots``.
     """
-    return [min(candidates).iou for candidates in assignment.candidates]
+    return assignment.ious[assignment.best_slots].tolist()
 
 
 def fit_scene(
@@ -625,12 +625,12 @@ def fit_scene(
     for step in range(optimizer.n_steps + 1):
         l_cls, cls_grads = classification_loss(assignment, preds)
         if regression == "rwiou":
-            scene = regression_loss_scene(assignment, gts)
+            scene = regression_loss_scene(assignment)
             l_reg, reg_rows, per_gt = scene.value, scene.box_grads, scene.per_gt
         else:
             l_reg, reg_rows = _smooth_l1_scene(assignment, preds, gt_params)
             per_gt = ()
-        l_iou, iou_rows = iou_prediction_loss(assignment, preds, gts)
+        l_iou, iou_rows = iou_prediction_loss(assignment, preds)
         report = total_loss(
             l_cls,
             l_reg,
@@ -671,7 +671,7 @@ def fit_scene(
         # off the optimum. Short of full equality, only the yaw channels get
         # the same treatment per channel.
         rows_i, cols_i, gt_of = assignment.positive_index()
-        pos = (np.array(rows_i, dtype=int), np.array(cols_i, dtype=int))
+        pos = (rows_i, cols_i)
         target8 = gt_targets[gt_of]
         live = ~np.all(preds.boxes[pos] == target8, axis=1)
         r = pos[0][live]
@@ -719,10 +719,8 @@ def _mean_k_by_class(
     assignment: AssignmentResult, gts: list[GroundTruth]
 ) -> dict[str, float]:
     counts: dict[int, list[int]] = {}
-    for gt_index, gt in enumerate(gts):
-        counts.setdefault(gt.class_id, []).append(
-            len(assignment.positives[gt_index])
-        )
+    for gt, k in zip(gts, assignment.k_per_gt):
+        counts.setdefault(gt.class_id, []).append(k)
     return {
         f"class_{c}": float(np.mean(ks)) for c, ks in sorted(counts.items())
     }
@@ -805,7 +803,8 @@ def run_fit_config(config: dict, out_dir: Path | str | None = None) -> dict:
     regression = str(config.get("regression", "rwiou"))
     if regression not in ("rwiou", "smooth_l1"):
         raise ValueError("regression must be 'rwiou' or 'smooth_l1'")
-    seeds = [int(s) for s in config.get("seeds", [scene.seed])]
+    seeds = [_scalar(int, s, "config: seeds")
+             for s in _require_list(config.get("seeds", [scene.seed]), "config: seeds")]
     if not seeds:
         raise ValueError("config: seeds must be non-empty")
 
@@ -816,6 +815,8 @@ def run_fit_config(config: dict, out_dir: Path | str | None = None) -> dict:
     if out_dir is not None:
         directory = Path(out_dir)
     elif "dir" in output:
+        if not isinstance(output["dir"], str):
+            raise ValueError(f"output: dir: expected str, got {type(output['dir']).__name__}")
         directory = Path(output["dir"])
     if directory is not None:
         directory.mkdir(parents=True, exist_ok=True)
@@ -880,14 +881,17 @@ def load_scene(
     )
     grid = GridSpec.from_json_dict(scene["grid"])
     gts = []
-    for entry in scene["ground_truths"]:
+    for entry in _require_list(scene["ground_truths"], "scene file: ground_truths"):
         _require_keys(entry, {"box", "class_id"}, set(), "ground truth")
-        values = [float(v) for v in entry["box"]]
+        values = [_scalar(float, v, "ground truth: box")
+                  for v in _require_list(entry["box"], "ground truth: box")]
         if len(values) != 7:
             raise ValueError("ground truth box must have 7 values: x,y,z,l,w,h,yaw")
-        gts.append(GroundTruth(box=Box3D(*values), class_id=int(entry["class_id"])))
-    n_classes = int(
-        scene.get("n_classes", max((gt.class_id for gt in gts), default=0) + 1)
+        class_id = _scalar(int, entry["class_id"], "ground truth: class_id")
+        gts.append(GroundTruth(box=Box3D(*values), class_id=class_id))
+    n_classes = _scalar(
+        int, scene.get("n_classes", max((gt.class_id for gt in gts), default=0) + 1),
+        "scene file: n_classes",
     )
 
     pred_spec = scene.get("predictions", {"kind": "exact"})
@@ -917,6 +921,6 @@ def load_scene(
         n_classes,
         init,
         AssignerConfig(kind="dcla", r=r),
-        int(pred_spec.get("seed", 0)),
+        _scalar(int, pred_spec.get("seed", 0), "predictions: seed"),
     )
     return grid, gts, state.prediction_map()

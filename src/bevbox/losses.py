@@ -30,7 +30,7 @@ import numpy as np
 from .geometry import _check_alpha
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .assignment import AssignmentResult, GroundTruth, PredictionMap
+    from .assignment import AssignmentResult, PredictionMap
 
 __all__ = [
     "SCORE_EPS",
@@ -254,25 +254,15 @@ def classification_loss(assignment: "AssignmentResult", preds: "PredictionMap",
     return float(np.sum(value) * norm), grad
 
 
-def _check_gt_count(assignment: "AssignmentResult", gts: Sequence["GroundTruth"]) -> None:
-    if len(gts) != len(assignment.candidates):
-        raise ValueError(
-            f"assignment covers {len(assignment.candidates)} ground truths, got {len(gts)}"
-        )
-
-
-def regression_loss_scene(assignment: "AssignmentResult",
-                          gts: Sequence["GroundTruth"]) -> RegressionSceneLoss:
+def regression_loss_scene(assignment: "AssignmentResult") -> RegressionSceneLoss:
     """Mean per-sample regression loss over every positive cell.
 
     The normalizer is the total positive count N; ``box_grads`` holds each
     positive's gradient row scaled by ``1 / N``, in positive order.  A scene
     with no positives is degenerate: loss 0, no gradient rows,
     ``degenerate=True``.  Each positive's value and gradient are read from
-    the assignment's regression rows (computed at its alpha), which must
-    therefore come from this scene's ``gts`` and predictions.
+    the assignment's regression rows (computed at its alpha).
     """
-    _check_gt_count(assignment, gts)
     n_pos = assignment.n_positives
     norm = 1.0 / max(n_pos, 1)
     slots = assignment.positive_slots
@@ -283,33 +273,30 @@ def regression_loss_scene(assignment: "AssignmentResult",
     total = 0.0
     per_gt = []
     start = 0
-    for i, cells in enumerate(assignment.positives):
+    for i, k in enumerate(assignment.k_per_gt):
         gt_sum = 0.0
-        for value in values[start:start + len(cells)]:
+        for value in values[start:start + k]:
             gt_sum += value
-        start += len(cells)
-        mean = gt_sum / len(cells) if cells else 0.0
-        per_gt.append(PerGtRegression(i, len(cells), mean))
+        start += k
+        per_gt.append(PerGtRegression(i, k, gt_sum / k if k else 0.0))
         total += gt_sum
     return RegressionSceneLoss(total * norm, box_grads, per_gt, degenerate=n_pos == 0)
 
 
-def iou_prediction_loss(assignment: "AssignmentResult", preds: "PredictionMap",
-                        gts: Sequence["GroundTruth"]) -> tuple[float, np.ndarray]:
+def iou_prediction_loss(assignment: "AssignmentResult",
+                        preds: "PredictionMap") -> tuple[float, np.ndarray]:
     """Smooth-L1 between the confidence channel and ``2 * IoU - 1``.
 
     Positives only, averaged over ``max(N, 1)``; the rescaled-IoU target is a
     constant within the step (no gradient flows into the boxes from here).
-    Each positive's IoU is read from its candidate entry on the assignment
-    (through its slot), which must therefore come from this scene's ``gts``
-    and ``preds``.  Returns the scalar and the ``(N,)`` gradient rows w.r.t.
-    the confidence channel, one per positive in positive order.
+    Each positive's IoU is the one the assignment stored for its slot, so
+    the assignment must come from ``preds``.  Returns the scalar and the
+    ``(N,)`` gradient rows w.r.t. the confidence channel, one per positive
+    in positive order.
     """
-    _check_gt_count(assignment, gts)
     norm = 1.0 / max(assignment.n_positives, 1)
     rows_i, cols_i, _ = assignment.positive_index()
-    ious = np.array([c.iou for candidates in assignment.candidates for c in candidates])
-    targets = 2.0 * ious[assignment.positive_slots] - 1.0
+    targets = 2.0 * assignment.ious[assignment.positive_slots] - 1.0
     values, d = smooth_l1_with_grad(preds.iou_conf[rows_i, cols_i] - targets)
     total = 0.0  # sequential, as in regression_loss_scene
     for value in values.tolist():

@@ -413,19 +413,24 @@ def reference_fit_scene(
                     d[4] /= raw.w
                     d[5] /= raw.h
                     reg_grads[cell.row, cell.col] += d
+        # (gt, cost, row, col, iou) of every slot of the assignment's table.
+        table = list(zip(assignment.cand_gt.tolist(), assignment.costs.tolist(),
+                         assignment.cand_rows.tolist(), assignment.cand_cols.tolist(),
+                         assignment.ious.tolist()))
+        iou_at = {(i, row, col): iou for i, _, row, col, iou in table}
         iou_grads = np.zeros((rows, cols))
         norm = 1.0 / max(n_pos, 1)
         l_iou = 0.0
-        for cells, candidates in zip(assignment.positives, assignment.candidates):
-            iou_at = {c.cell: c.iou for c in candidates}
+        for i, cells in enumerate(assignment.positives):
             for cell in cells:
                 u = float(preds.iou_conf[cell.row, cell.col])
-                value, grad = smooth_l1_with_grad(u - (2.0 * iou_at[cell] - 1.0))
+                value, grad = smooth_l1_with_grad(u - (2.0 * iou_at[i, cell.row, cell.col] - 1.0))
                 l_iou += float(value)
                 iou_grads[cell.row, cell.col] += float(grad) * norm
         l_iou *= norm
         report = total_loss(l_cls, l_reg, l_iou, weights=weights, n_positives=n_pos)
-        readout = [min(candidates).iou for candidates in assignment.candidates]
+        readout = [min(entry[1:] for entry in table if entry[0] == i)[3]
+                   for i in range(len(gts))]
         steps.append((step, l_cls, l_reg, l_iou, report.total,
                       float(np.mean(readout)) if gts else 0.0))
         if step == optimizer.n_steps:

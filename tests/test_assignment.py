@@ -38,8 +38,8 @@ from bevbox import (
 )
 from bevbox.assignment import _ScenePlan, _validate_scene
 import bevbox.harness
-from bevbox.harness import AssignerConfig, OptimizerConfig, fit_scene
-from helpers import brute_force_assign, random_scene
+from bevbox.harness import AssignerConfig, OptimizerConfig, _true_iou_per_gt, fit_scene
+from helpers import brute_force_assign, random_scene, scan_readout
 
 GRID = GridSpec(x_min=0.0, y_min=0.0, cell_size=1.0, n_rows=10, n_cols=10)
 
@@ -388,6 +388,15 @@ class TestAssignHandBuilt:
                        rotated_iou_exact(gt1.box, shared))
         assert result.heatmap[2, 3, 0] == expected
 
+    def test_non_finite_cost_raises(self):
+        # x = 1e160 squares to inf in the center term's numerator and
+        # denominator alike, so that cell's cost is NaN.
+        gt = GroundTruth(Box3D(5.5, 5.5, 0.0, 2.0, 1.5, 1.0, 0.3), 0)
+        preds = uniform_map(GRID, gt.box)
+        preds.boxes[5, 6, 0] = 1e160
+        with pytest.raises(ValueError, match="candidate costs must be finite"):
+            assign_dcla(GRID, [gt], preds, r=1)
+
     def test_border_center_caps_k(self):
         gt = GroundTruth(Box3D(0.5, 0.5, 0.0, 2.0, 1.5, 1.0, 0.2), 0)
         preds = uniform_map(GRID, gt.box, n_classes=1, score=0.7)
@@ -419,10 +428,9 @@ class TestOracleParity:
             grid, gts, preds = random_scene(rng, n_gts=int(rng.integers(1, 7)))
             for r, alpha in itertools.product((0, 1, 2), (0.0, 0.5, 1.0)):
                 result = assign_dcla(grid, gts, preds, r=r, alpha=alpha)
-                assert len(result.candidates) == len(gts)
-                for gt, candidates in zip(gts, result.candidates):
-                    center = world_to_cell(grid, gt.box.x, gt.box.y)
-                    assert [c.cell for c in candidates] == cross_region(grid, center, r)
+                assert table_cells(result) == [
+                    (i, cell) for i, gt in enumerate(gts)
+                    for cell in cross_region(grid, world_to_cell(grid, gt.box.x, gt.box.y), r)]
                 assert_scalar_scores(result, gts, preds, alpha)
 
     def test_positive_slots_index_the_candidates(self):
@@ -432,19 +440,47 @@ class TestOracleParity:
         for seed in range(30):
             rng = np.random.default_rng(600 + seed)
             grid, gts, preds = random_scene(rng, n_gts=int(rng.integers(1, 7)))
-            for gt in gts:
-                center = world_to_cell(grid, gt.box.x, gt.box.y)
-                for cell in cross_region(grid, center, 2):
-                    preds.boxes[cell.row, cell.col] = BoxParams8.from_box(gt.box).as_array()
+            copy_boxes_into_regions(grid, gts, preds, 2)
             for r in (0, 1, 2):
                 result = assign_dcla(grid, gts, preds, r=r)
-                flat = [(i, c.cell) for i, candidates in enumerate(result.candidates)
-                        for c in candidates]
+                slots = result.positive_slots.tolist()
+                assert slots == sorted(set(slots))
+                cells = table_cells(result)
+                assert result.positives == [[cells[slot][1] for slot in slots if cells[slot][0] == i]
+                                            for i in range(len(gts))]
                 rows, cols, gt_of = result.positive_index()
-                assert [flat[slot] for slot in result.positive_slots.tolist()] == [
-                    (i, CellIndex(row, col)) for row, col, i in zip(rows, cols, gt_of)]
+                assert result.owner[rows, cols].tolist() == gt_of.tolist()
+                assert np.sum(result.owner >= 0) == result.n_positives == len(slots)
                 max_k = max(max_k, *result.k_per_gt)
         assert max_k > 1
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_matches_brute_force_with_ties(self, r):
+        # Overlapping regions whose cells hold their ground truth's box under
+        # one uniform score: equal costs within a region and contested cells
+        # are common, and a repeated ground truth ties every contest.
+        contested = tied = 0
+        for seed in range(20):
+            rng = np.random.default_rng(900 + seed)
+            grid, gts, preds = random_scene(rng, n_rows=5, n_cols=6, n_gts=4)
+            gts.append(gts[seed % 4])
+            preds.scores[:] = 0.5
+            copy_boxes_into_regions(grid, gts, preds, r)
+            result = assign_dcla(grid, gts, preds, r=r)
+            positives, requested_k, owner, heatmap, unassigned = (
+                brute_force_assign(grid, gts, preds, r))
+            assert result.positives == positives
+            assert result.requested_k == requested_k
+            assert np.array_equal(result.owner, owner)
+            assert np.array_equal(result.heatmap, heatmap)
+            assert result.unassigned == unassigned
+            assert _true_iou_per_gt(result) == scan_readout(grid, gts, preds, r)
+            contested += sum(result.requested_k) > result.n_positives
+            cheapest = [min(result.costs[result.cand_gt == i]) for i in range(len(gts))]
+            tied += sum(np.sum(result.costs[result.cand_gt == i] == c) > 1
+                        for i, c in enumerate(cheapest))
+        assert contested >= 10
+        assert r == 0 or tied >= 10
 
     def test_positives_cover_owner_grid(self):
         rng = np.random.default_rng(99)
@@ -469,26 +505,37 @@ class TestOracleParity:
                 assert 0 <= kept <= req
 
 
-def assert_scalar_scores(result, gts, preds, alpha=0.5):
-    """Every candidate's cost, IoU and regression row equal the scalar functions bitwise.
+def table_cells(result):
+    """``(gt, cell)`` of every slot of the candidate table."""
+    return [(i, CellIndex(row, col)) for row, col, i in zip(
+        result.cand_rows.tolist(), result.cand_cols.tolist(), result.cand_gt.tolist())]
 
-    The regression rows follow the candidates ground truth by ground truth;
-    rows compare as bytes, so signed zeros count.
-    """
-    slot = 0
-    for gt, candidates in zip(gts, result.candidates):
-        target = BoxParams8.from_box(gt.box)
-        for cost, cell, iou in candidates:
-            pred = BoxParams8.from_array(preds.boxes[cell.row, cell.col])
-            score = float(preds.scores[cell.row, cell.col, gt.class_id])
-            assert cost == selection_cost(gt, pred, score, alpha=alpha)
-            assert iou == rotated_iou_exact(gt.box, pred.to_box())
-            value, grad = regression_sample_grad(pred, target, alpha)
-            assert result.regression_values[slot].tobytes() == np.float64(value).tobytes()
-            assert result.regression_grads[slot].tobytes() == grad.as_array().tobytes()
-            slot += 1
-    assert result.regression_values.shape == (slot,)
-    assert result.regression_grads.shape == (slot, 8)
+
+def copy_boxes_into_regions(grid, gts, preds, r):
+    """Every cell of each ground truth's cross region gets that ground
+    truth's box, later ground truths overwriting earlier ones."""
+    for gt in gts:
+        center = world_to_cell(grid, gt.box.x, gt.box.y)
+        for cell in cross_region(grid, center, r):
+            preds.boxes[cell.row, cell.col] = BoxParams8.from_box(gt.box).as_array()
+
+
+def assert_scalar_scores(result, gts, preds, alpha=0.5):
+    """Every slot's cost, IoU and regression row equal the scalar functions
+    bitwise; rows compare as bytes, so signed zeros count."""
+    cells = table_cells(result)
+    for slot, (i, cell) in enumerate(cells):
+        gt = gts[i]
+        pred = BoxParams8.from_array(preds.boxes[cell.row, cell.col])
+        score = float(preds.scores[cell.row, cell.col, gt.class_id])
+        assert result.costs[slot] == selection_cost(gt, pred, score, alpha=alpha)
+        assert result.ious[slot] == rotated_iou_exact(gt.box, pred.to_box())
+        value, grad = regression_sample_grad(pred, BoxParams8.from_box(gt.box), alpha)
+        assert result.regression_values[slot].tobytes() == np.float64(value).tobytes()
+        assert result.regression_grads[slot].tobytes() == grad.as_array().tobytes()
+    for column in (result.costs, result.ious, result.regression_values):
+        assert column.shape == (len(cells),)
+    assert result.regression_grads.shape == (len(cells), 8)
 
 
 @st.composite
@@ -526,7 +573,7 @@ class TestCandidateEdgeCases:
         boxes = np.tile(np.array(pred), (GRID.n_rows, GRID.n_cols, 1))
         preds = PredictionMap(boxes=boxes, scores=np.full((GRID.n_rows, GRID.n_cols, 1), score))
         result = assign_dcla(GRID, [gt], preds, r=2)
-        assert len(result.candidates[0]) == 13
+        assert len(result.cand_gt) == 13
         assert_scalar_scores(result, [gt], preds)
 
 
@@ -593,6 +640,11 @@ def assert_bitwise_equal(a, b):
         assert _bits(getattr(a, f.name)) == _bits(getattr(b, f.name)), f.name
 
 
+def plan_cells(plan):
+    """The cell of every slot of a plan."""
+    return [CellIndex(row, col) for row, col in zip(plan.rows.tolist(), plan.cols.tolist())]
+
+
 def plan_scores(plan, preds, r, lambda_reg=3.0, alpha=0.5):
     """One planned scoring, checked against a fresh assignment; returns how
     many exact IoUs it ran."""
@@ -612,15 +664,15 @@ class TestScenePlanMemo:
         rng = np.random.default_rng(seed)
         grid, gts, preds = random_scene(rng, n_rows=5, n_cols=6, n_gts=5)
         plan = _ScenePlan(grid, gts, r)
-        assert len(set(plan.cells)) < len(plan.cells)  # regions overlap
+        assert len(set(plan_cells(plan))) < len(plan_cells(plan))  # regions overlap
         return plan, preds
 
     def test_one_moved_cell_reruns_exactly_its_slots(self):
         plan, preds = self.crowded(1, 2)
-        assert plan_scores(plan, preds, 2) == len(plan.cells)
+        assert plan_scores(plan, preds, 2) == len(plan_cells(plan))
         assert plan_scores(plan, preds, 2) == 0
-        shared = max(set(plan.cells), key=plan.cells.count)
-        n_slots = plan.cells.count(shared)
+        shared = max(set(plan_cells(plan)), key=plan_cells(plan).count)
+        n_slots = plan_cells(plan).count(shared)
         assert n_slots >= 2
         preds.boxes[shared.row, shared.col, 0] += 0.25
         assert plan_scores(plan, preds, 2) == n_slots
@@ -631,20 +683,20 @@ class TestScenePlanMemo:
 
     def test_signed_zero_flip_is_rescored(self):
         plan, preds = self.crowded(2, 1)
-        cell = plan.cells[0]
+        cell = plan_cells(plan)[0]
         # Yaw pi: sin 0.0, cos -1.0. With sin -0.0 atan2 gives -pi instead.
         preds.boxes[cell.row, cell.col, 6:8] = (0.0, -1.0)
         plan_scores(plan, preds, 1)
         for flipped in (-0.0, 0.0):
             preds.boxes[cell.row, cell.col, 6] = flipped
-            assert plan_scores(plan, preds, 1) == plan.cells.count(cell)
+            assert plan_scores(plan, preds, 1) == plan_cells(plan).count(cell)
 
     def test_plan_is_not_shared_between_scenes(self):
         plan_a, preds_a = self.crowded(3, 1)
         plan_b, preds_b = self.crowded(3, 1)
         plan_scores(plan_a, preds_a, 1)
         assert plan_b.iou_runs == 0
-        assert plan_scores(plan_b, preds_b, 1) == len(plan_b.cells)
+        assert plan_scores(plan_b, preds_b, 1) == len(plan_cells(plan_b))
 
     @pytest.mark.parametrize("r", [0, 1, 2])
     def test_fit_states_score_like_a_fresh_assignment(self, r, monkeypatch):
@@ -656,7 +708,7 @@ class TestScenePlanMemo:
                 fresh = assign_dcla(self.grid, self.gts, preds, r=r,
                                     lambda_reg=lambda_reg, alpha=alpha)
                 assert_bitwise_equal(planned, fresh)
-                scored.append(len(self.cells))
+                scored.append(len(plan_cells(self)))
                 return planned
 
         monkeypatch.setattr(bevbox.harness, "_ScenePlan", CheckedPlan)
@@ -664,7 +716,7 @@ class TestScenePlanMemo:
         overlapping = 0
         for _ in range(3):
             grid, gts, _ = random_scene(rng, n_rows=6, n_cols=7, n_gts=5)
-            cells = _ScenePlan(grid, gts, r).cells
+            cells = plan_cells(_ScenePlan(grid, gts, r))
             overlapping += len(set(cells)) < len(cells)
             fit_scene(grid, gts, assigner=AssignerConfig(kind="dcla", r=r),
                       optimizer=OptimizerConfig(step_size=0.05, n_steps=30), n_classes=3)

@@ -181,6 +181,64 @@ class TestAssignCommand:
         assert "error: scene: predictions: missing keys ['boxes']\n" in err
 
 
+SCENE_FILE = {
+    "grid": {"x_min": -8.0, "y_min": -8.0, "cell_size": 1.0, "n_rows": 16, "n_cols": 16},
+    "ground_truths": [{"box": [1.5, 2.5, 0.0, 4.2, 1.9, 1.6, 0.4], "class_id": 0}],
+}
+FIT_CONFIG = {
+    "scene": {"grid": SCENE_FILE["grid"], "n_objects": 2, "seed": 0},
+    "assigner": {"kind": "dcla", "r": 1},
+    "optimizer": {"n_steps": 2},
+    "seeds": [0],
+}
+
+# (command, key path into SCENE_FILE or FIT_CONFIG, malformed value)
+MALFORMED = [
+    ("assign", ("ground_truths",), 5),
+    ("assign", ("ground_truths",), [5]),
+    ("assign", ("ground_truths", 0, "box"), 5),
+    ("assign", ("ground_truths", 0, "box"), [None] * 7),
+    ("assign", ("ground_truths", 0, "class_id"), 1.7),
+    ("assign", ("grid",), None),
+    ("fit", ("seeds",), 5),
+    ("fit", ("seeds",), [0.5]),
+    ("fit", ("scene",), None),
+    ("fit", ("scene", "n_objects"), 2.5),
+    ("fit", ("scene", "size_classes"), 3),
+    ("fit", ("output",), 3),
+    ("fit", ("assigner",), None),
+    ("fit", ("assigner", "r"), 1.5),
+]
+
+
+class TestMalformedJson:
+    @pytest.mark.parametrize("command,path,value", MALFORMED,
+                             ids=[f"{c}-{'.'.join(map(str, p))}-{v!r}" for c, p, v in MALFORMED])
+    def test_is_an_input_error(self, tmp_path, capsys, command, path, value):
+        data = json.loads(json.dumps(SCENE_FILE if command == "assign" else FIT_CONFIG))
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        file = tmp_path / "input.json"
+        file.write_text(json.dumps(data))
+        assert main([command, str(file)]) == 2
+        label = "scene" if command == "assign" else "config"
+        assert capsys.readouterr().err.startswith(f"error: {label}: ")
+
+    def test_non_finite_costs_are_a_scene_error(self, tmp_path, capsys):
+        # Sizes of 1e308 overflow the volumes: every candidate cost is NaN.
+        scene = json.loads(json.dumps(SCENE_FILE))
+        scene["ground_truths"][0]["box"][3:6] = [1e308] * 3
+        scene["predictions"] = {"kind": "noisy", "seed": 3}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(scene))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["assign", str(path)]) == 2
+        assert capsys.readouterr().err == "error: scene: candidate costs must be finite\n"
+
+
 @pytest.fixture
 def fit_config_file(tmp_path):
     config = {

@@ -293,11 +293,12 @@ class TestFiniteDifferenceAgreement:
             assert checked == p
             assert all(type(getattr(p, name)) is float for name in "xyzlwhsc")
 
-    @pytest.mark.parametrize("channel", [3, 4, 5])
+    @pytest.mark.parametrize("channel", [3, 4, 5, 0])
     def test_step_past_a_tiny_size_raises(self, channel):
+        # Channel 0 sits at the largest float, where the step overflows.
         values = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0]
         target = BoxParams8(*values)
-        values[channel] = 1e-7
+        values[channel] = 1.7976931348623157e308 if channel == 0 else 1e-7
         with pytest.raises(ValueError):
             finite_difference_grad(BoxParams8(*values), target, 0.5)
 

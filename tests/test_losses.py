@@ -17,7 +17,6 @@ from bevbox import (
     AssignmentResult,
     Box3D,
     BoxParams8,
-    Candidate,
     CellIndex,
     GroundTruth,
     LossReport,
@@ -201,20 +200,28 @@ class TestSmoothL1:
         assert v <= abs(d) + 1e-12
 
 
-def no_rows():
-    """Empty regression rows and positive slots, for results with no candidates."""
-    return {"regression_values": np.zeros(0), "regression_grads": np.zeros((0, 8)),
-            "positive_slots": np.zeros(0, dtype=int)}
+def candidate_table(cells, gt_of, positive_slots, best_slots, **values):
+    """The table fields of a hand-built result: one slot per ``(cell, gt)``,
+    with the per-slot arrays in ``values`` and zeros for the rest."""
+    n = len(cells)
+    table = {"costs": np.zeros(n), "ious": np.zeros(n),
+             "regression_values": np.zeros(n), "regression_grads": np.zeros((n, 8))}
+    table.update({name: np.array(v, dtype=float) for name, v in values.items()})
+    return dict(table, cand_rows=np.array([c.row for c in cells], dtype=np.intp),
+                cand_cols=np.array([c.col for c in cells], dtype=np.intp),
+                cand_gt=np.array(gt_of, dtype=np.intp),
+                positive_slots=np.array(positive_slots, dtype=np.intp),
+                best_slots=np.array(best_slots, dtype=np.intp))
 
 
 def single_positive_assignment(rows, cols, n_classes, cell, class_id,
                                extra_heat=(), gt=None, preds=None):
     """Assignment with one positive cell plus optional negative weights.
 
-    Given ``gt`` and ``preds``, the positive's candidate entry carries its
-    cost and IoU, and its regression row the value and gradient, from the
-    public scalar functions; otherwise the result has no candidate entries
-    or rows (only the regression and IoU-prediction losses read them).
+    Given ``gt`` and ``preds``, the positive's slot carries its cost, IoU,
+    regression value and gradient from the public scalar functions;
+    otherwise those are zeros (only the regression and IoU-prediction
+    losses read them).
     """
     owner = np.full((rows, cols), -1, dtype=int)
     owner[cell.row, cell.col] = 0
@@ -222,27 +229,22 @@ def single_positive_assignment(rows, cols, n_classes, cell, class_id,
     heatmap[cell.row, cell.col, class_id] = 1.0
     for r, c, k, w in extra_heat:
         heatmap[r, c, k] = w
-    candidates = [[]]
-    regression_rows = no_rows()
+    values = {}
     if gt is not None:
         pred = preds.params_at(cell)
-        cost = selection_cost(gt, pred, float(preds.scores[cell.row, cell.col, class_id]))
-        iou = rotated_iou_exact(gt.box, preds.box_at(cell))
         value, grad = regression_sample_grad(pred, BoxParams8.from_box(gt.box), 0.5)
-        candidates = [[Candidate(cost, cell, iou)]]
-        regression_rows = {"regression_values": np.array([value]),
-                           "regression_grads": grad.as_array()[None, :],
-                           "positive_slots": np.array([0])}
-    return AssignmentResult(positives=[[cell]], requested_k=[1], owner=owner,
-                            heatmap=heatmap, candidates=candidates, unassigned=[],
-                            **regression_rows)
+        values = {
+            "costs": [selection_cost(gt, pred, float(preds.scores[cell.row, cell.col, class_id]))],
+            "ious": [rotated_iou_exact(gt.box, preds.box_at(cell))],
+            "regression_values": [value], "regression_grads": grad.as_array()[None, :]}
+    return AssignmentResult(requested_k=[1], owner=owner, heatmap=heatmap,
+                            **candidate_table([cell], [0], [0], [0], **values))
 
 
 def no_positive_assignment(rows, cols, n_classes):
-    return AssignmentResult(positives=[[]], requested_k=[1],
-                            owner=np.full((rows, cols), -1, dtype=int),
+    return AssignmentResult(requested_k=[1], owner=np.full((rows, cols), -1, dtype=int),
                             heatmap=np.zeros((rows, cols, n_classes)),
-                            candidates=[[]], unassigned=[0], **no_rows())
+                            **candidate_table([CellIndex(0, 0)], [0], [], [0]))
 
 
 class TestClassificationLoss:
@@ -285,13 +287,10 @@ class TestClassificationLoss:
         preds = PredictionMap(boxes=np.ones((3, 3, 8)), scores=scores)
         one = single_positive_assignment(3, 3, 1, CellIndex(1, 1), 0)
         two = AssignmentResult(
-            positives=[[CellIndex(1, 1)], [CellIndex(0, 0)]],
             requested_k=[1, 1],
             owner=one.owner.copy(),
             heatmap=one.heatmap.copy(),
-            candidates=[[], []],
-            unassigned=[],
-            **no_rows())
+            **candidate_table([CellIndex(1, 1), CellIndex(0, 0)], [0, 1], [0, 1], [0, 1]))
         two.heatmap[0, 0, 0] = 1.0
         v1, _ = classification_loss(one, preds)
         v2, _ = classification_loss(two, preds)
@@ -313,7 +312,7 @@ class TestRegressionSceneLoss:
         rng = np.random.default_rng(4)
         grid, gts, preds = random_scene(rng, n_gts=4)
         assignment = assign_dcla(grid, gts, preds, r=1)
-        result = regression_loss_scene(assignment, gts)
+        result = regression_loss_scene(assignment)
         n = assignment.n_positives
         total = 0.0
         for i, gt in enumerate(gts):
@@ -329,7 +328,7 @@ class TestRegressionSceneLoss:
         rng = np.random.default_rng(5)
         grid, gts, preds = random_scene(rng, n_gts=3)
         assignment = assign_dcla(grid, gts, preds, r=1)
-        result = regression_loss_scene(assignment, gts)
+        result = regression_loss_scene(assignment)
         n = assignment.n_positives
         assert result.box_grads.shape == (n, 8)
         rows, cols, gt_of = assignment.positive_index()
@@ -342,7 +341,7 @@ class TestRegressionSceneLoss:
         rng = np.random.default_rng(6)
         grid, gts, preds = random_scene(rng, n_gts=4)
         assignment = assign_dcla(grid, gts, preds, r=1)
-        result = regression_loss_scene(assignment, gts)
+        result = regression_loss_scene(assignment)
         assert [p.k for p in result.per_gt] == assignment.k_per_gt
         assert [p.gt_index for p in result.per_gt] == list(range(len(gts)))
         for p in result.per_gt:
@@ -350,19 +349,12 @@ class TestRegressionSceneLoss:
                 assert p.mean_loss == 0.0
 
     def test_degenerate_scene(self):
-        gts = [GroundTruth(Box3D(1.5, 1.5, 0.0, 1.0, 1.0, 1.0, 0.0), 0)]
         empty = no_positive_assignment(3, 3, 1)
-        result = regression_loss_scene(empty, gts)
+        result = regression_loss_scene(empty)
         assert result.value == 0.0
         assert result.degenerate
         assert result.box_grads.shape == (0, 8)
         assert result.per_gt[0].k == 0
-
-    def test_ground_truth_count_must_match(self):
-        gts = [GroundTruth(Box3D(1.5, 1.5, 0.0, 1.0, 1.0, 1.0, 0.0), 0)]
-        assignment = no_positive_assignment(3, 3, 1)
-        with pytest.raises(ValueError):
-            regression_loss_scene(assignment, gts + gts)
 
 
 class TestIouPredictionLoss:
@@ -379,7 +371,7 @@ class TestIouPredictionLoss:
 
     def test_matches_scalar_expression(self):
         gt, preds, assignment = self.build_scene(0.3)
-        value, grads = iou_prediction_loss(assignment, preds, [gt])
+        value, grads = iou_prediction_loss(assignment, preds)
         iou = rotated_iou_exact(gt.box, preds.box_at(CellIndex(1, 1)))
         target = 2.0 * iou - 1.0
         expected_value, expected_grad = smooth_l1_with_grad(0.3 - target)
@@ -391,23 +383,22 @@ class TestIouPredictionLoss:
         gt, preds, assignment = self.build_scene(0.0)
         iou = rotated_iou_exact(gt.box, preds.box_at(CellIndex(1, 1)))
         preds.iou_conf[1, 1] = 2.0 * iou - 1.0
-        value, grads = iou_prediction_loss(assignment, preds, [gt])
+        value, grads = iou_prediction_loss(assignment, preds)
         assert value == 0.0
         assert np.all(grads == 0.0)
 
     def test_degenerate_no_positives(self):
         gt, preds, _ = self.build_scene(0.3)
         empty = no_positive_assignment(3, 3, 1)
-        value, grads = iou_prediction_loss(empty, preds, [gt])
+        value, grads = iou_prediction_loss(empty, preds)
         assert value == 0.0
         assert grads.shape == (0,)
 
     def test_target_is_the_assignments_iou(self):
-        # the loss reads the IoU stored on the candidate, not a fresh one
+        # the loss reads the IoU stored in the positive's slot, not a fresh one
         gt, preds, assignment = self.build_scene(0.3)
-        cell = CellIndex(1, 1)
-        assignment.candidates = [[Candidate(0.0, cell, 0.25)]]
-        value, grads = iou_prediction_loss(assignment, preds, [gt])
+        assignment.ious = np.array([0.25])
+        value, grads = iou_prediction_loss(assignment, preds)
         expected_value, expected_grad = smooth_l1_with_grad(0.3 - (2.0 * 0.25 - 1.0))
         assert value == float(expected_value)
         assert grads.shape == (1,)
@@ -420,23 +411,19 @@ class TestIouPredictionLoss:
         row = np.arange(1.0, 9.0)
         assignment.regression_values = np.array([7.0, 0.125])
         assignment.regression_grads = np.stack([-row, row])
+        assignment.cand_gt = np.array([0, 0])
         assignment.positive_slots = np.array([1])
-        result = regression_loss_scene(assignment, [gt])
+        result = regression_loss_scene(assignment)
         assert result.value == 0.125
         assert result.per_gt[0].mean_loss == 0.125
         assert result.box_grads.shape == (1, 8)
         assert np.array_equal(result.box_grads[0], row)
 
-    def test_ground_truth_count_must_match(self):
-        gt, preds, assignment = self.build_scene(0.3)
-        with pytest.raises(ValueError):
-            iou_prediction_loss(assignment, preds, [gt, gt])
-
     def test_matches_oracle_on_random_scene(self):
         rng = np.random.default_rng(8)
         grid, gts, preds = random_scene(rng, n_gts=4)
         assignment = assign_dcla(grid, gts, preds, r=1)
-        value, _ = iou_prediction_loss(assignment, preds, gts)
+        value, _ = iou_prediction_loss(assignment, preds)
         n = max(assignment.n_positives, 1)
         total = 0.0
         for i, gt in enumerate(gts):
@@ -483,8 +470,8 @@ class TestTotalLoss:
         assignment = assign_dcla(grid, gts, preds, r=1)
         weights = LossWeights()
         l_cls, _ = classification_loss(assignment, preds)
-        reg = regression_loss_scene(assignment, gts)
-        l_iou, _ = iou_prediction_loss(assignment, preds, gts)
+        reg = regression_loss_scene(assignment)
+        l_iou, _ = iou_prediction_loss(assignment, preds)
         report = total_loss(l_cls, reg.value, l_iou, weights,
                             n_positives=assignment.n_positives, per_gt=reg.per_gt)
         expected = (weights.lambda_cls * l_cls + weights.lambda_reg * reg.value
