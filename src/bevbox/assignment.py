@@ -77,6 +77,8 @@ class GridSpec:
             raise ValueError(f"cell_size must be positive, got {self.cell_size!r}")
         if self.n_rows < 1 or self.n_cols < 1:
             raise ValueError(f"grid must have at least one cell, got {self.n_rows}x{self.n_cols}")
+        if not all(map(math.isfinite, (self.x_min, self.y_min, self.x_max, self.y_max))):
+            raise ValueError("grid extent must be finite")
 
     @property
     def x_max(self) -> float:
@@ -179,8 +181,8 @@ class PredictionMap:
     with values in ``[0, 1]``; ``iou_conf`` is ``(rows, cols)`` in ``[-1, 1]``
     (zeros when omitted).  Box sizes must be strictly positive and every
     value finite; construction is where cell values are validated.  A fit
-    keeps one map and rewrites it cell by cell after each update, running
-    the same checks on the values it wrote.
+    decodes from its state only the values it reads after each update and
+    runs the same checks on them.
     """
 
     boxes: np.ndarray
@@ -223,7 +225,7 @@ class PredictionMap:
 
 @dataclass
 class AssignmentResult:
-    """One scene's assignment as a flat candidate table.
+    """One scene's assignment, or a stack of scenes', as a flat candidate table.
 
     Every cell of every ground truth's cross region is a candidate; ground
     truth by ground truth, each region row-major, their positions are the
@@ -236,14 +238,17 @@ class AssignmentResult:
     so ground truth by ground truth and each row-major; every per-ground-
     truth view of the positives derives from it.  ``best_slots[i]`` is
     ground truth ``i``'s cheapest slot (cost ties row-major).
-    ``requested_k[i]`` is the dynamic k before conflicts.  ``owner`` is
-    ``(rows, cols)`` with the owning ground-truth index or -1.  ``heatmap``
+    ``requested_k[i]`` is the dynamic k before conflicts.  ``heatmap``
     is ``(rows, cols, n_classes)``: exactly 1.0 on a positive's owner
     channel, the true-IoU weight on cross-region negatives, 0 elsewhere.
+
+    A stack of scenes numbers its ground truths scene after scene, so the
+    slots are in scene order too; ``cand_scene`` is each slot's scene and
+    the heatmap gains a leading scene axis.  A single scene has
+    ``cand_scene=None``.
     """
 
     requested_k: list[int]
-    owner: np.ndarray
     heatmap: np.ndarray
     cand_rows: np.ndarray
     cand_cols: np.ndarray
@@ -254,10 +259,15 @@ class AssignmentResult:
     regression_grads: np.ndarray
     positive_slots: np.ndarray
     best_slots: np.ndarray
+    cand_scene: np.ndarray | None = None
 
     @property
     def n_positives(self) -> int:
         return len(self.positive_slots)
+
+    @property
+    def n_scenes(self) -> int:
+        return 1 if self.cand_scene is None else self.heatmap.shape[0]
 
     @property
     def k_per_gt(self) -> list[int]:
@@ -277,6 +287,14 @@ class AssignmentResult:
             cells[i].append(CellIndex(row, col))
         return cells
 
+    @property
+    def owner(self) -> np.ndarray:
+        """The heatmap's cells (with its scene axis, if any) holding the
+        owning ground-truth index, or -1."""
+        owner = np.full(self.heatmap.shape[:-1], -1, dtype=int)
+        owner[self.positive_cells()] = self.cand_gt[self.positive_slots]
+        return owner
+
     def positive_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Flat ``(rows, cols, gt)`` index arrays of every positive, in
         ``positive_slots`` order: the gather and scatter index of the
@@ -284,12 +302,33 @@ class AssignmentResult:
         slots = self.positive_slots
         return self.cand_rows[slots], self.cand_cols[slots], self.cand_gt[slots]
 
+    def positive_cells(self) -> tuple[np.ndarray, ...]:
+        """Every positive's index into the maps, in ``positive_slots``
+        order: ``(rows, cols)``, led by the scenes for a stack."""
+        rows, cols, _ = self.positive_index()
+        if self.cand_scene is None:
+            return rows, cols
+        return self.cand_scene[self.positive_slots], rows, cols
+
+    def _per_scene(self, slots: np.ndarray) -> np.ndarray:
+        scenes = np.zeros(len(slots), dtype=np.intp) if self.cand_scene is None \
+            else self.cand_scene[slots]
+        return np.bincount(scenes, minlength=self.n_scenes)
+
+    def positives_per_scene(self) -> np.ndarray:
+        return self._per_scene(self.positive_slots)
+
+    def gts_per_scene(self) -> np.ndarray:
+        # Every region holds its center cell, so each ground truth has a best slot.
+        return self._per_scene(self.best_slots)
+
     def to_json_dict(self) -> dict:
-        rows, cols = self.owner.shape
+        owner = self.owner
+        rows, cols = owner.shape
         owner_entries = [
-            [r, c, int(self.owner[r, c])]
+            [r, c, int(owner[r, c])]
             for r in range(rows) for c in range(cols)
-            if self.owner[r, c] >= 0
+            if owner[r, c] >= 0
         ]
         heat_entries = [
             [r, c, k, float(self.heatmap[r, c, k])]
@@ -369,8 +408,8 @@ def _validate_scene(grid: GridSpec, gts: Sequence[GroundTruth], preds: Predictio
                     lambda_reg: float, alpha: float) -> float:
     """:func:`assign_dcla`'s input checks; returns the checked ``alpha``.
 
-    Nothing checked here changes while a fit rewrites its prediction map in
-    place, so a fit runs them once.
+    Nothing checked here changes while a fit updates its state, so a fit
+    runs them once per scene.
     """
     if not preds.matches_grid(grid):
         raise ValueError(
@@ -390,8 +429,18 @@ def _validate_scene(grid: GridSpec, gts: Sequence[GroundTruth], preds: Predictio
     return _check_alpha(alpha)
 
 
+class _SceneFault(Exception):
+    """A scored stack whose scene ``scene`` fails; ``error`` is what scoring
+    that scene alone raises.  Every earlier scene scored cleanly."""
+
+    def __init__(self, scene: int, error: Exception) -> None:
+        super().__init__(scene, error)
+        self.scene = scene
+        self.error = error
+
+
 class _ScenePlan:
-    """The part of one scene's assignment that the predictions do not change.
+    """The part of an assignment that the predictions do not change.
 
     Built from ``(grid, gts, r)``: every ground truth's cross region as the
     flat slot order with its gather indices (region ``i`` holds slots
@@ -400,19 +449,32 @@ class _ScenePlan:
     footprints.  It also keeps, per slot, the bits of the box row it last
     scored and that row's exact IoU: :meth:`score` re-runs the clipper only
     for slots whose box bits changed.  Bits, not floats, because
-    ``-0.0 == 0.0`` yet ``atan2`` tells them apart.  A plan serves one scene
-    and one fit; ``iou_runs`` counts the IoUs it has computed.
+    ``-0.0 == 0.0`` yet ``atan2`` tells them apart.  A plan serves one fit;
+    ``iou_runs`` counts the IoUs it has computed.
+
+    With ``scene_sizes`` the plan serves a stack of scenes: ``gts`` lists
+    each scene's ground truths in turn (``scene_sizes`` of them), ``scenes``
+    is each slot's scene, and :attr:`cells` indexes maps with a leading
+    scene axis.  Without it, ``gts`` is one scene and maps have no scene
+    axis.
     """
 
-    def __init__(self, grid: GridSpec, gts: Sequence[GroundTruth], r: int) -> None:
+    def __init__(self, grid: GridSpec, gts: Sequence[GroundTruth], r: int,
+                 scene_sizes: Sequence[int] | None = None) -> None:
         self.grid = grid
         self.gts = list(gts)
+        self.stacked = scene_sizes is not None
+        if scene_sizes is None:
+            scene_sizes = [len(self.gts)]
+        self.gt_starts = np.cumsum([0, *scene_sizes])
         regions = [cross_region(grid, world_to_cell(grid, gt.box.x, gt.box.y), r)
                    for gt in self.gts]
         sizes = [len(region) for region in regions]
-        self.starts = np.cumsum([0] + sizes)
-        self.gt_of = np.repeat(np.arange(len(sizes)), sizes)
+        self.starts = np.cumsum([0, *sizes])
+        self.gt_of = np.repeat(np.arange(len(sizes)), np.array(sizes, dtype=np.intp))
         self.offsets = np.arange(len(self.gt_of)) - self.starts[self.gt_of]
+        gt_scene = np.repeat(np.arange(len(scene_sizes)), np.array(scene_sizes, dtype=np.intp))
+        self.scenes = gt_scene[self.gt_of]
         self.rows = np.array([cell.row for region in regions for cell in region], dtype=np.intp)
         self.cols = np.array([cell.col for region in regions for cell in region], dtype=np.intp)
         self.class_ids = np.array([gt.class_id for gt in self.gts], dtype=np.intp)[self.gt_of]
@@ -422,18 +484,47 @@ class _ScenePlan:
         self._ious = [0.0] * len(self.gt_of)
         self.iou_runs = 0
 
+    @property
+    def n_scenes(self) -> int:
+        return len(self.gt_starts) - 1
+
+    @property
+    def cells(self) -> tuple[np.ndarray, ...]:
+        """Each slot's index into the maps: ``(rows, cols)``, led by the
+        scenes for a stack."""
+        return (self.scenes, self.rows, self.cols) if self.stacked else (self.rows, self.cols)
+
+    def truncate(self, n_scenes: int) -> None:
+        """Keep the first ``n_scenes`` scenes of the stack, memo included."""
+        n_gts = int(self.gt_starts[n_scenes])
+        n = int(self.starts[n_gts])
+        self.gt_starts = self.gt_starts[:n_scenes + 1]
+        self.gts, self.gt_feet = self.gts[:n_gts], self.gt_feet[:n_gts]
+        self.starts = self.starts[:n_gts + 1]
+        for name in ("gt_of", "offsets", "scenes", "rows", "cols", "class_ids", "targets"):
+            setattr(self, name, getattr(self, name)[:n])
+        if self._bits is not None:
+            self._bits = self._bits[:n]
+        self._ious = self._ious[:n]
+
     def _exact_ious(self, boxes: np.ndarray) -> list[float]:
         """``rotated_iou_exact(gt.box, pred)`` per slot, from footprints of
-        the validated row floats; only rows whose bits changed are clipped."""
+        the validated row floats; only rows whose bits changed are clipped.
+        A clipper error is raised as the :class:`_SceneFault` of its slot's
+        scene."""
         bits = boxes.view(np.uint64)
         if self._bits is None:
             changed = np.arange(len(boxes))
         else:
             changed = np.flatnonzero(np.any(bits != self._bits, axis=1))
-        for slot, i, (x, y, z, l, w, h, s, c) in zip(
-                changed.tolist(), self.gt_of[changed].tolist(), boxes[changed].tolist()):
-            self._ious[slot] = _iou_footprints(
-                self.gt_feet[i], _footprint(x, y, z, l, w, h, math.atan2(s, c)))
+        slot = 0
+        try:
+            for slot, i, (x, y, z, l, w, h, s, c) in zip(
+                    changed.tolist(), self.gt_of[changed].tolist(), boxes[changed].tolist()):
+                self._ious[slot] = _iou_footprints(
+                    self.gt_feet[i], _footprint(x, y, z, l, w, h, math.atan2(s, c)))
+        except (ValueError, ArithmeticError) as exc:
+            raise _SceneFault(int(self.scenes[slot]), exc) from exc
         self._bits = bits
         self.iou_runs += len(changed)
         return self._ious
@@ -441,19 +532,39 @@ class _ScenePlan:
     def score(self, preds: PredictionMap, lambda_reg: float, alpha: float) -> AssignmentResult:
         """The assignment of :func:`assign_dcla` for ``preds``, whose inputs
         :func:`_validate_scene` has checked (``alpha`` is its return)."""
+        cells = self.cells
+        try:
+            return self.score_rows(preds.boxes[cells], preds.scores[(*cells, self.class_ids)],
+                                   preds.n_classes, lambda_reg, alpha)
+        except _SceneFault as fault:
+            raise fault.error from None
+
+    def score_rows(self, boxes: np.ndarray, scores: np.ndarray, n_classes: int,
+                   lambda_reg: float, alpha: float) -> AssignmentResult:
+        """:meth:`score` from each slot's box row and score on its ground
+        truth's class channel, gathered at :attr:`cells`.
+
+        Raises the :class:`_SceneFault` of the first scene whose own
+        scoring fails: a clipper error, or ``ValueError("candidate costs
+        must be finite")``, checked in that order within a scene.
+        """
         gt_of, starts, rows, cols = self.gt_of, self.starts, self.rows, self.cols
-        boxes = preds.boxes[rows, cols]
-        scores = preds.scores[rows, cols, self.class_ids]
         # selection_cost row by row, bitwise: the kernel's values are the
         # regression sample loss.  An overflow inside it shows as a
         # non-finite cost, rejected below.
         with np.errstate(all="ignore"):
             reg_values, reg_grads = regression_sample_grad_batch(boxes, self.targets, alpha)
             costs = quality_focal(scores, 1.0, 2.0) + lambda_reg * reg_values
-        iou_list = self._exact_ious(boxes)
+        finite = np.isfinite(costs)
         # Sorts order NaN keys unlike comparisons; no cost reaches them.
-        if not np.all(np.isfinite(costs)):
-            raise ValueError("candidate costs must be finite")
+        bad_cost = None if finite.all() else int(self.scenes[np.argmin(finite)])
+        try:
+            iou_list = self._exact_ious(boxes)
+        except _SceneFault as fault:
+            if bad_cost is None or fault.scene <= bad_cost:
+                raise
+        if bad_cost is not None:
+            raise _SceneFault(bad_cost, ValueError("candidate costs must be finite"))
         requested_k = [dynamic_k_from_ious(iou_list[a:b])
                        for a, b in zip(starts[:-1].tolist(), starts[1:].tolist())]
 
@@ -464,25 +575,27 @@ class _ScenePlan:
         rank[order] = self.offsets
         shortlist = np.flatnonzero(rank < np.array(requested_k, dtype=np.intp)[gt_of])
 
-        # Conflict resolution: per cell, the first claimant by (cost, gt) wins.
-        cells = rows[shortlist] * self.grid.n_cols + cols[shortlist]
-        by_cell = np.lexsort((gt_of[shortlist], costs[shortlist], cells))
-        _, first = np.unique(cells[by_cell], return_index=True)
+        # Conflict resolution: per cell of a scene, the first claimant by
+        # (cost, gt) wins.
+        n_rows, n_cols = self.grid.n_rows, self.grid.n_cols
+        keys = (self.scenes[shortlist] * n_rows + rows[shortlist]) * n_cols + cols[shortlist]
+        by_cell = np.lexsort((gt_of[shortlist], costs[shortlist], keys))
+        _, first = np.unique(keys[by_cell], return_index=True)
         positive_slots = np.sort(shortlist[by_cell[first]])
-        pos_rows, pos_cols = rows[positive_slots], cols[positive_slots]
-        owner = np.full((self.grid.n_rows, self.grid.n_cols), -1, dtype=int)
-        owner[pos_rows, pos_cols] = gt_of[positive_slots]
 
-        heatmap = np.zeros((self.grid.n_rows, self.grid.n_cols, preds.n_classes))
+        shape = (n_rows, n_cols, n_classes)
+        heatmap = np.zeros((self.n_scenes, *shape) if self.stacked else shape)
         ious = np.array(iou_list)
-        np.maximum.at(heatmap, (rows, cols, self.class_ids), ious)
-        heatmap[pos_rows, pos_cols, self.class_ids[positive_slots]] = 1.0
+        index = (*self.cells, self.class_ids)
+        np.maximum.at(heatmap, index, ious)
+        heatmap[tuple(i[positive_slots] for i in index)] = 1.0
 
-        return AssignmentResult(requested_k=requested_k, owner=owner, heatmap=heatmap,
+        return AssignmentResult(requested_k=requested_k, heatmap=heatmap,
                                 cand_rows=rows, cand_cols=cols, cand_gt=gt_of,
                                 costs=costs, ious=ious,
                                 regression_values=reg_values, regression_grads=reg_grads,
-                                positive_slots=positive_slots, best_slots=order[starts[:-1]])
+                                positive_slots=positive_slots, best_slots=order[starts[:-1]],
+                                cand_scene=self.scenes if self.stacked else None)
 
 
 def assign_dcla(grid: GridSpec, gts: Sequence[GroundTruth], preds: PredictionMap,

@@ -123,6 +123,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         aggregate = run_fit_config(config, out_dir=args.out)
     except (ValueError, PlacementError) as exc:
         raise CliError(f"config: {exc}") from None
+    except OSError as exc:
+        raise CliError(f"output: {exc}") from None
     except DivergenceError as exc:
         print(f"fit diverged: {exc}", file=sys.stderr)
         return 1

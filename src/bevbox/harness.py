@@ -31,18 +31,20 @@ from .assignment import (
     PredictionMap,
     _check_cell_values,
     _check_iou_conf,
+    _SceneFault,
     _ScenePlan,
     _validate_scene,
     cross_region,
     world_to_cell,
 )
-from .geometry import Box3D, _target_rows, convex_intersection_area
+from .geometry import Box3D, convex_intersection_area
 from .losses import (
+    FOCAL_BLOCK,
     LossReport,
     LossWeights,
-    classification_loss,
-    iou_prediction_loss,
-    regression_loss_scene,
+    _classification_groups,
+    _iou_prediction_losses,
+    _regression_losses,
     smooth_l1_with_grad,
     total_loss,
 )
@@ -218,25 +220,28 @@ class TrainState:
             sizes = np.exp(self.log_size[index])
         return np.concatenate([self.loc[index], sizes, self.sin_cos[index]], axis=-1)
 
-    def _refresh(self, preds: PredictionMap, box_cells, conf_cells) -> None:
-        """Bring ``preds``, decoded from this state, up to date after an update
-        that changed the box parameters only at ``box_cells`` and
-        ``iou_conf_raw`` only at ``conf_cells`` (``(rows, cols)`` index
-        arrays); the scores are decoded over the whole map.
+    def _decode(self, box_cells, conf_cells, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Decode this state into a fit's view of its predictions: the whole
+        score map, written into ``scores``, and the boxes at ``box_cells``
+        and the confidences at ``conf_cells`` (index tuples into the maps),
+        returned.
 
-        The written values go through :class:`PredictionMap`'s checks, in its
-        order and with its messages, before ``preds`` changes.  Every other
-        value passed them when it was written, so a full decode would raise
-        the same ``ValueError``.
+        They then go through :class:`PredictionMap`'s checks, in its order
+        and with its messages.  A fit decodes only the box and confidence
+        cells it reads, and every other cell passed the checks when it was
+        last written, so a full decode would raise the same ``ValueError``.
         """
         boxes = self._boxes_at(box_cells)
-        scores = _sigmoid(self.score_logits)
+        _sigmoid_into(self.score_logits, scores)
         conf = np.tanh(self.iou_conf_raw[conf_cells])
         _check_cell_values(boxes, scores)
         _check_iou_conf(conf)
-        preds.boxes[box_cells] = boxes
-        preds.scores = scores
-        preds.iou_conf[conf_cells] = conf
+        return boxes, conf
+
+    def _slab(self, index) -> "TrainState":
+        """Scene ``index`` (an int, or a slice of scenes) of a stacked
+        state, as views."""
+        return TrainState(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -313,6 +318,15 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(x) / (1 + exp(x)) below, each term as in the two-branch form.
     e = np.exp(-np.abs(x))
     return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
+
+
+def _sigmoid_into(x: np.ndarray, out: np.ndarray) -> None:
+    """``out[...] = _sigmoid(x)`` for C-contiguous arrays, block by block so
+    that the temporaries stay in cache."""
+    x, out = x.reshape(-1), out.reshape(-1)
+    for start in range(0, x.size, FOCAL_BLOCK):
+        block = slice(start, start + FOCAL_BLOCK)
+        out[block] = _sigmoid(x[block])
 
 
 def _roundtrip_fixed_point(value: float, roundtrip) -> float:
@@ -443,7 +457,9 @@ def _nearest_gt_indices(grid: GridSpec, gts: list[GroundTruth]) -> np.ndarray:
     cy = centers_y[:, None, None]
     gx = np.array([gt.box.x for gt in gts])[None, None, :]
     gy = np.array([gt.box.y for gt in gts])[None, None, :]
-    d2 = (cx - gx) ** 2 + (cy - gy) ** 2
+    # On a grid too large to square its distances, inf ties go to the first.
+    with np.errstate(over="ignore"):
+        d2 = (cx - gx) ** 2 + (cy - gy) ** 2
     return np.argmin(d2, axis=-1)
 
 
@@ -507,7 +523,10 @@ def init_state(
         )
         yaw = np.arctan2(sin_cos[..., 0], sin_cos[..., 1])
         yaw = yaw + rng.normal(0.0, init.sigma_yaw, size=yaw.shape)
-        sin_cos = np.stack([np.sin(yaw), np.cos(yaw)], axis=-1)
+        # A huge sigma draws an infinite yaw, whose NaN sine the prediction
+        # map's checks reject; numpy's warning would only repeat it.
+        with np.errstate(invalid="ignore"):
+            sin_cos = np.stack([np.sin(yaw), np.cos(yaw)], axis=-1)
     elif init.kind == "exact":
         # Saturate logits so the scores reproduce the heatmap the assignment
         # derives from these exact boxes: 1 on region cells carrying the
@@ -530,36 +549,44 @@ def init_state(
     )
 
 
-def _smooth_l1_scene(
+def _smooth_l1_scenes(
     assignment: AssignmentResult,
-    preds: PredictionMap,
+    boxes: np.ndarray,
     gt_params: np.ndarray,
-) -> tuple[float, np.ndarray]:
+) -> tuple[list[float], np.ndarray]:
     """Per-channel smooth-L1 regression baseline on raw residuals.
 
     Residuals per positive cell against its ground truth's ``gt_params`` row
     (:func:`_gt_param_rows`): center offsets, log-size ratios, and yaw
-    sine/cosine differences. Channel losses are summed per cell and averaged
-    over the positive count, the usual box-regression normalization.
-    Gradients come back in box-parameter space (per-size, not per-log-size),
-    as ``(N, 8)`` rows in positive order like the main regression loss.
+    sine/cosine differences, from the box rows ``boxes`` of the
+    assignment's slots.  Channel losses are summed per cell and averaged
+    over the scene's positive count, the usual box-regression
+    normalization.  Returns one loss per scene and the gradients in
+    box-parameter space (per-size, not per-log-size), as ``(N, 8)`` rows in
+    positive order like the main regression loss.
     """
-    n = max(assignment.n_positives, 1)
-    rows_i, cols_i, gt_of = assignment.positive_index()
-    raw = preds.boxes[rows_i, cols_i]
+    n_pos = assignment.positives_per_scene()
+    n = np.maximum(n_pos, 1)
+    slots = assignment.positive_slots
+    raw = boxes[slots]
     pred = raw.copy()
     # math.log, not np.log: the two differ in the last bit on some sizes.
     pred[:, 3:6] = np.array(
         [math.log(v) for v in raw[:, 3:6].ravel().tolist()]
     ).reshape(-1, 3)
-    values, d_res = smooth_l1_with_grad(pred - gt_params[gt_of])
-    total = 0.0
-    for cell_sum in np.sum(values, axis=1).tolist():
-        total += cell_sum / n
-    d = d_res / n
+    values, d_res = smooth_l1_with_grad(pred - gt_params[assignment.cand_gt[slots]])
+    cell_sums = np.sum(values, axis=1).tolist()
+    totals, start = [], 0
+    for count, scene_n in zip(n_pos.tolist(), n.tolist()):
+        total = 0.0
+        for cell_sum in cell_sums[start:start + count]:
+            total += cell_sum / scene_n
+        totals.append(total)
+        start += count
+    d = d_res / np.repeat(n, n_pos)[:, None]
     # The log-size residual differentiates through 1/size.
     d[:, 3:6] /= raw[:, 3:6]
-    return total, d
+    return totals, d
 
 
 def _true_iou_per_gt(assignment: AssignmentResult) -> list[float]:
@@ -594,7 +621,99 @@ def fit_scene(
     state whose predictions or assignment cannot be built (``ValueError`` or
     ``ArithmeticError`` from either); an unusable initial state, or a step
     size whose product with ``weights.lambda_iou`` is not finite, raises
-    ``ValueError``.
+    ``ValueError``.  This is the one-scene case of :func:`_fit_scenes`.
+    """
+    if n_classes is None:
+        n_classes = max((gt.class_id for gt in gts), default=0) + 1
+    reports, failure = _fit_scenes(grid, [gts], [init_seed], assigner, optimizer, init,
+                                   weights, regression, n_classes,
+                                   states=None if state is None else [state])
+    if failure is not None:
+        raise failure
+    return reports[0]
+
+
+class _Stack:
+    """The live scenes of a stacked fit: a prefix of the scenes it started
+    with, their stacked state and score map, and the plan of their slots.
+    A failing scene ends the prefix, since fitting the scenes one by one
+    would not have reached the scenes after it."""
+
+    def __init__(self, state: TrainState, scores: np.ndarray, plan: _ScenePlan) -> None:
+        self.state, self.scores, self.plan = state, scores, plan
+        self.failure: Exception | None = None
+
+    @property
+    def size(self) -> int:
+        return self.plan.n_scenes
+
+    def drop(self, scene: int, failure: Exception) -> None:
+        """End the stack before ``scene``, which failed with ``failure``."""
+        self.failure = failure
+        self.state = self.state._slab(slice(scene))
+        self.scores = self.scores[:scene]
+        self.plan.truncate(scene)
+
+    def decode(self, conf_cells) -> np.ndarray:
+        """:meth:`TrainState._decode` of the stack into its score map;
+        returns the boxes at the plan's slots.  A failure is raised as the
+        :class:`_SceneFault` of the first scene whose own decode fails."""
+        plan = self.plan
+        try:
+            return self.state._decode(plan.cells, conf_cells, self.scores)[0]
+        except ValueError:
+            for scene in range(self.size):
+                slots = plan.scenes == scene
+                conf = conf_cells[0] == scene
+                try:
+                    self.state._slab(scene)._decode((plan.rows[slots], plan.cols[slots]),
+                                                    (conf_cells[1][conf], conf_cells[2][conf]),
+                                                    self.scores[scene])
+                except ValueError as exc:
+                    raise _SceneFault(scene, exc) from exc
+            raise
+
+    def score(self, boxes: np.ndarray, weights: LossWeights, alpha: float) -> AssignmentResult:
+        plan = self.plan
+        return plan.score_rows(boxes, self.scores[(*plan.cells, plan.class_ids)],
+                               self.scores.shape[-1], weights.lambda_reg, alpha)
+
+
+def _descend_logits(logits: np.ndarray, grads: np.ndarray, scores: np.ndarray,
+                    step: float) -> None:
+    """``logits -= step * grads * scores * (1 - scores)`` in place, block by
+    block: the classification update through the sigmoid derivative."""
+    logits, grads, scores = logits.reshape(-1), grads.reshape(-1), scores.reshape(-1)
+    for start in range(0, logits.size, FOCAL_BLOCK):
+        block = slice(start, start + FOCAL_BLOCK)
+        p = scores[block]
+        logits[block] -= step * grads[block] * p * (1.0 - p)
+
+
+def _fit_scenes(
+    grid: GridSpec,
+    scenes: list[list[GroundTruth]],
+    init_seeds: list[int],
+    assigner: AssignerConfig,
+    optimizer: OptimizerConfig,
+    init: InitConfig,
+    weights: LossWeights,
+    regression: str,
+    n_classes: int,
+    states: list[TrainState] | None = None,
+) -> tuple[list[ExperimentReport], Exception | None]:
+    """:func:`fit_scene` of every scene of ``scenes`` on one grid, in one pass.
+
+    The states and the score map carry a leading scene axis, one plan holds
+    every scene's slots, and each step runs the kernel, the focal pass, the
+    decode, the checks and the update once over all live scenes; each
+    scene's losses are reduced over its own slab, so every report and final
+    state is bitwise the scene's own fit.  ``wall_clock_s`` is the pass's
+    wall time divided evenly over the reports.
+
+    Returns the reports of the scenes before the first one that fails, and
+    that failure (``None`` when every fit finishes): the exception fitting
+    the scenes one at a time, in order, would have raised.
     """
     if regression not in ("rwiou", "smooth_l1"):
         raise ValueError("regression must be 'rwiou' or 'smooth_l1'")
@@ -603,127 +722,194 @@ def fit_scene(
     step_iou = optimizer.step_size * weights.lambda_iou
     if not math.isfinite(step_iou):
         raise ValueError("step_size * lambda_iou must be finite")
-    if n_classes is None:
-        n_classes = max((gt.class_id for gt in gts), default=0) + 1
-    if state is None:
-        state = init_state(grid, gts, n_classes, init, assigner, init_seed)
-    else:
-        state = state.copy()
-
-    gt_targets = _target_rows([gt.box for gt in gts])
-    gt_params = _gt_param_rows(gts)
     started = time.perf_counter()
-    steps: list[StepRecord] = []
-    preds = state.prediction_map()
-    # The map is rewritten in place and keeps its shape, so the scene is
-    # checked once; one plan scores it every step and re-runs the exact IoU
-    # only for the candidates whose box moved.
-    alpha = _validate_scene(grid, gts, preds, weights.lambda_reg, weights.alpha)
-    plan = _ScenePlan(grid, gts, assigner.effective_r)
-    assignment = plan.score(preds, weights.lambda_reg, alpha)
 
+    # Each scene's initial state is user input: it is checked on its own, and
+    # a scene that fails these checks keeps its ValueError.
+    failure = None
+    stacked: list[np.ndarray] = []
+    alpha = weights.alpha
+    for i, gts in enumerate(scenes):
+        try:
+            state = (init_state(grid, gts, n_classes, init, assigner, init_seeds[i])
+                     if states is None else states[i])
+            alpha = _validate_scene(grid, gts, state.prediction_map(),
+                                    weights.lambda_reg, weights.alpha)
+            if not stacked:
+                stacked = [np.empty((len(scenes), *getattr(state, f.name).shape))
+                           for f in fields(TrainState)]
+            for array, f in zip(stacked, fields(TrainState)):
+                array[i] = getattr(state, f.name)
+        except ValueError as exc:
+            failure = exc
+            scenes = scenes[:i]
+            break
+        del state
+    if not scenes:
+        return [], failure
+    all_gts = [gt for gts in scenes for gt in gts]
+    state = TrainState(*stacked)._slab(slice(len(scenes)))
+    del stacked
+    scores = np.empty(state.score_logits.shape)
+    _sigmoid_into(state.score_logits, scores)
+    stack = _Stack(state, scores,
+                   _ScenePlan(grid, all_gts, assigner.effective_r, [len(g) for g in scenes]))
+    stack.failure = failure
+    plan = stack.plan
+    gt_params = _gt_param_rows(all_gts)
+
+    def score_or_drop(boxes, fault_error):
+        # Score the live scenes; a failing scene ends the stack, the rest rescore.
+        while stack.size:
+            try:
+                return stack.score(boxes[:len(plan.rows)], weights, alpha)
+            except _SceneFault as fault:
+                stack.drop(fault.scene, fault_error(fault))
+        return None
+
+    boxes = stack.state._boxes_at(plan.cells)
+    assignment = score_or_drop(boxes, lambda fault: fault.error)
+    steps: list[list[StepRecord]] = [[] for _ in scenes]
+    last: list[LossReport | None] = [None] * len(scenes)
+    lr = optimizer.step_size
     for step in range(optimizer.n_steps + 1):
-        l_cls, cls_grads = classification_loss(assignment, preds)
+        if not stack.size:
+            break
+        state, scores = stack.state, stack.scores
+        n_pos = assignment.positives_per_scene()
+        pos = assignment.positive_cells()
         if regression == "rwiou":
-            scene = regression_loss_scene(assignment)
-            l_reg, reg_rows, per_gt = scene.value, scene.box_grads, scene.per_gt
+            l_reg, reg_rows, per_gt = _regression_losses(assignment)
         else:
-            l_reg, reg_rows = _smooth_l1_scene(assignment, preds, gt_params)
-            per_gt = ()
-        l_iou, iou_rows = iou_prediction_loss(assignment, preds)
-        report = total_loss(
-            l_cls,
-            l_reg,
-            l_iou,
-            weights=weights,
-            n_positives=assignment.n_positives,
-            per_gt=per_gt,
-        )
-        steps.append(
-            StepRecord(
-                step=step,
-                l_cls=l_cls,
-                l_reg=l_reg,
-                l_iou=l_iou,
-                total=report.total,
-                mean_true_iou=(
-                    float(np.mean(_true_iou_per_gt(assignment))) if gts else 0.0
-                ),
-            )
-        )
-        # Written so that a NaN total also counts as divergence.
-        if not report.total <= DIVERGENCE_THRESHOLD:
-            raise DivergenceError(step, report)
-        if step == optimizer.n_steps:
+            l_reg, reg_rows = _smooth_l1_scenes(assignment, boxes, gt_params)
+            per_gt = [()] * stack.size
+        u = np.tanh(state.iou_conf_raw[pos])
+        l_iou, iou_rows = _iou_prediction_losses(assignment, u)
+        readout = _true_iou_per_gt(assignment)
+        gt_starts = plan.gt_starts.tolist()
+        for first, l_cls, cls_grads in _classification_groups(assignment, scores):
+            group = range(first, first + len(l_cls))
+            for scene in group:
+                report = total_loss(l_cls[scene - first], l_reg[scene], l_iou[scene],
+                                    weights=weights, n_positives=int(n_pos[scene]),
+                                    per_gt=per_gt[scene])
+                ious = readout[gt_starts[scene]:gt_starts[scene + 1]]
+                steps[scene].append(StepRecord(
+                    step=step, l_cls=l_cls[scene - first], l_reg=l_reg[scene],
+                    l_iou=l_iou[scene], total=report.total,
+                    mean_true_iou=float(np.mean(ious)) if ious else 0.0))
+                last[scene] = report
+                # Written so that a NaN total also counts as divergence.
+                if not report.total <= DIVERGENCE_THRESHOLD:
+                    stack.drop(scene, DivergenceError(step, report))
+                    break
+            if step < optimizer.n_steps:
+                # Classification: logits move through the sigmoid derivative.
+                live = slice(first, min(group.stop, stack.size))
+                with np.errstate(all="ignore"):
+                    _descend_logits(state.score_logits[live], cls_grads[:live.stop - first],
+                                    scores[live], lr * weights.lambda_cls)
+            if stack.size < group.stop:
+                break
+        if not stack.size or step == optimizer.n_steps:
             break
 
-        lr = optimizer.step_size
-        # Classification: logits move through the sigmoid derivative.
-        p = preds.scores
-        state.score_logits -= lr * weights.lambda_cls * cls_grads * p * (1.0 - p)
+        # The rest of the update, for the live scenes: their positives lead
+        # the table.
+        state = stack.state
+        live = int(n_pos[:stack.size].sum())
+        pos = tuple(index[:live] for index in pos)
+        slots = assignment.positive_slots[:live]
 
-        # Regression: per-positive box gradient rows chained onto the raw
-        # parameterization. A cell whose eight box channels already match the
-        # target bitwise is frozen outright: the loss there sits at a kinked
-        # minimum where the one-sided conventions leave a nonzero yaw
-        # subgradient and roundoff can leave ulp-scale residue in the size
-        # channels, and nudging a converged cell by either would only knock it
-        # off the optimum. Short of full equality, only the yaw channels get
-        # the same treatment per channel.
-        rows_i, cols_i, gt_of = assignment.positive_index()
-        pos = (rows_i, cols_i)
-        target8 = gt_targets[gt_of]
-        live = ~np.all(preds.boxes[pos] == target8, axis=1)
-        r = pos[0][live]
-        c = pos[1][live]
-        g = reg_rows[live]
-        step_reg = lr * weights.lambda_reg
-        state.loc[r, c] -= step_reg * g[:, 0:3]
-        state.log_size[r, c] -= step_reg * g[:, 3:6] * np.exp(state.log_size[r, c])
-        yaw = np.any(state.sin_cos[r, c] != target8[live, 6:8], axis=1)
-        state.sin_cos[r[yaw], c[yaw]] -= step_reg * g[yaw, 6:8]
+        # A blown-up update leaves inf or NaN, which the decode checks report
+        # as divergence; numpy's warnings would only repeat it.
+        with np.errstate(all="ignore"):
+            # Regression: per-positive box gradient rows chained onto the raw
+            # parameterization. A cell whose eight box channels already match the
+            # target bitwise is frozen outright: the loss there sits at a kinked
+            # minimum where the one-sided conventions leave a nonzero yaw
+            # subgradient and roundoff can leave ulp-scale residue in the size
+            # channels, and nudging a converged cell by either would only knock it
+            # off the optimum. Short of full equality, only the yaw channels get
+            # the same treatment per channel.
+            target8 = plan.targets[slots]
+            moving = ~np.all(boxes[slots] == target8, axis=1)
+            cells = tuple(index[moving] for index in pos)
+            g = reg_rows[:live][moving]
+            step_reg = lr * weights.lambda_reg
+            state.loc[cells] -= step_reg * g[:, 0:3]
+            state.log_size[cells] -= step_reg * g[:, 3:6] * np.exp(state.log_size[cells])
+            yaw = np.any(state.sin_cos[cells] != target8[moving, 6:8], axis=1)
+            state.sin_cos[tuple(index[yaw] for index in cells)] -= step_reg * g[yaw, 6:8]
 
-        # Overlap confidence: raw channel moves through the tanh derivative.
-        # Its gradient is 0.0 off the positives, and x - 0.0 == x there.
-        u = preds.iou_conf[pos]
-        state.iou_conf_raw[pos] -= step_iou * iou_rows * (1.0 - u * u)
+            # Overlap confidence: raw channel moves through the tanh derivative.
+            # Its gradient is 0.0 off the positives, and x - 0.0 == x there.
+            u = u[:live]
+            state.iou_conf_raw[pos] -= step_iou * iou_rows[:live] * (1.0 - u * u)
 
-        # The initial state is user input and its errors stay ValueErrors;
-        # an updated state that cannot be evaluated is a blow-up.
-        try:
-            state._refresh(preds, (r, c), pos)
-            assignment = plan.score(preds, weights.lambda_reg, alpha)
-        except (ValueError, ArithmeticError) as exc:
-            raise DivergenceError(
-                step + 1, report,
-                reason=f"update left an unusable state ({type(exc).__name__}: {exc})",
-            ) from exc
+        # An updated state that cannot be evaluated is a blow-up.
+        assignment = None
+        while stack.size:
+            try:
+                boxes = stack.decode(pos)
+                break
+            except _SceneFault as fault:
+                stack.drop(fault.scene, _unusable(step + 1, last[fault.scene], fault))
+                pos = tuple(index[:int(n_pos[:stack.size].sum())] for index in pos)
+        assignment = score_or_drop(
+            boxes, lambda fault, step=step: _unusable(step + 1, last[fault.scene], fault))
 
-    final_ious = _true_iou_per_gt(assignment)
-    k_by_class = _mean_k_by_class(assignment, gts)
-    return ExperimentReport(
-        seed=init_seed,
-        regression=regression,
-        assigner=assigner,
-        steps=steps,
-        final_iou_per_gt=final_ious,
-        mean_final_iou=float(np.mean(final_ious)) if final_ious else 0.0,
-        min_final_iou=float(np.min(final_ious)) if final_ious else 0.0,
-        k_by_class=k_by_class,
-        wall_clock_s=time.perf_counter() - started,
-        final_state=state,
-    )
+    elapsed = time.perf_counter() - started
+    reports = []
+    if stack.size:
+        readout = _true_iou_per_gt(assignment)
+        k_per_gt = assignment.k_per_gt
+    gt_starts = plan.gt_starts.tolist()
+    for scene in range(stack.size):
+        gts = slice(gt_starts[scene], gt_starts[scene + 1])
+        final_ious = readout[gts]
+        reports.append(ExperimentReport(
+            seed=init_seeds[scene],
+            regression=regression,
+            assigner=assigner,
+            steps=steps[scene],
+            final_iou_per_gt=final_ious,
+            mean_final_iou=float(np.mean(final_ious)) if final_ious else 0.0,
+            min_final_iou=float(np.min(final_ious)) if final_ious else 0.0,
+            k_by_class=_mean_k_by_class(k_per_gt[gts], scenes[scene]),
+            wall_clock_s=elapsed / stack.size,
+            final_state=stack.state._slab(scene),
+        ))
+    return reports, stack.failure
 
 
-def _mean_k_by_class(
-    assignment: AssignmentResult, gts: list[GroundTruth]
-) -> dict[str, float]:
+def _unusable(step: int, report: LossReport, fault: _SceneFault) -> DivergenceError:
+    error = DivergenceError(step, report, reason=(
+        f"update left an unusable state ({type(fault.error).__name__}: {fault.error})"))
+    error.__cause__ = fault.error
+    return error
+
+
+def _mean_k_by_class(k_per_gt: list[int], gts: list[GroundTruth]) -> dict[str, float]:
     counts: dict[int, list[int]] = {}
-    for gt, k in zip(gts, assignment.k_per_gt):
+    for gt, k in zip(gts, k_per_gt):
         counts.setdefault(gt.class_id, []).append(k)
     return {
         f"class_{c}": float(np.mean(ks)) for c, ks in sorted(counts.items())
     }
+
+
+def _generate_scenes(scene: SceneConfig, seeds: list[int]) -> tuple[
+        list[list[GroundTruth]], PlacementError | None]:
+    """The scene of each seed in turn, up to the first that cannot be
+    placed, and that seed's :class:`PlacementError` (``None`` if all are)."""
+    scenes = []
+    for seed in seeds:
+        try:
+            scenes.append(generate_scene(replace(scene, seed=seed)))
+        except PlacementError as exc:
+            return scenes, exc
+    return scenes, None
 
 
 def balance_experiment(
@@ -739,27 +925,23 @@ def balance_experiment(
 
     Each scene is warmed up with a short fit so the scores are informative,
     then the final assignment's per-ground-truth positive counts are grouped
-    by size class.
+    by size class.  All scenes are fitted in one stacked pass.
     """
+    seeds = [base_seed + i for i in range(n_scenes)]
+    scenes, failure = _generate_scenes(scene, seeds)
+    reports, fit_failure = _fit_scenes(
+        scene.grid, scenes, [seed + INIT_SEED_OFFSET for seed in seeds[:len(scenes)]],
+        assigner, OptimizerConfig(step_size=0.05, n_steps=warmup_steps), init, weights,
+        "rwiou", scene.n_classes)
+    failure = fit_failure or failure
+    if failure is not None:
+        raise failure
     sums: dict[str, float] = {}
     counts: dict[str, int] = {}
-    for scene_index in range(n_scenes):
-        seed = base_seed + scene_index
-        cfg = replace(scene, seed=seed)
-        gts = generate_scene(cfg)
-        report = fit_scene(
-            cfg.grid,
-            gts,
-            assigner=assigner,
-            optimizer=OptimizerConfig(step_size=0.05, n_steps=warmup_steps),
-            init=init,
-            weights=weights,
-            init_seed=seed + INIT_SEED_OFFSET,
-            n_classes=cfg.n_classes,
-        )
+    for gts, report in zip(scenes, reports):
         for key, mean_k in report.k_by_class.items():
             class_id = int(key.removeprefix("class_"))
-            name = cfg.size_classes[class_id].name
+            name = scene.size_classes[class_id].name
             n_gt = sum(1 for gt in gts if gt.class_id == class_id)
             sums[name] = sums.get(name, 0.0) + mean_k * n_gt
             counts[name] = counts.get(name, 0) + n_gt
@@ -821,22 +1003,15 @@ def run_fit_config(config: dict, out_dir: Path | str | None = None) -> dict:
     if directory is not None:
         directory.mkdir(parents=True, exist_ok=True)
 
+    # Seeds after a failing one are never fitted; the trajectories of the
+    # seeds before it are written before the failure is raised.
+    scenes, failure = _generate_scenes(scene, seeds)
+    reports, fit_failure = _fit_scenes(
+        scene.grid, scenes, [seed + INIT_SEED_OFFSET for seed in seeds[:len(scenes)]],
+        assigner, optimizer, init, weights, regression, scene.n_classes)
+    failure = fit_failure or failure
     per_seed = []
-    reports: list[ExperimentReport] = []
-    for seed in seeds:
-        gts = generate_scene(replace(scene, seed=seed))
-        report = fit_scene(
-            scene.grid,
-            gts,
-            assigner=assigner,
-            optimizer=optimizer,
-            init=init,
-            weights=weights,
-            regression=regression,
-            init_seed=seed + INIT_SEED_OFFSET,
-            n_classes=scene.n_classes,
-        )
-        reports.append(report)
+    for seed, report in zip(seeds, reports):
         per_seed.append(
             {
                 "seed": seed,
@@ -849,6 +1024,8 @@ def run_fit_config(config: dict, out_dir: Path | str | None = None) -> dict:
         if directory is not None:
             csv_path = directory / f"{prefix}_seed{seed}.csv"
             csv_path.write_text(report.trajectory_csv())
+    if failure is not None:
+        raise failure
 
     aggregate = {
         "regression": regression,
@@ -889,6 +1066,8 @@ def load_scene(
             raise ValueError("ground truth box must have 7 values: x,y,z,l,w,h,yaw")
         class_id = _scalar(int, entry["class_id"], "ground truth: class_id")
         gts.append(GroundTruth(box=Box3D(*values), class_id=class_id))
+        if not grid.contains(values[0], values[1]):
+            raise ValueError(f"gt {len(gts) - 1} center ({values[0]}, {values[1]}) is off-grid")
     n_classes = _scalar(
         int, scene.get("n_classes", max((gt.class_id for gt in gts), default=0) + 1),
         "scene file: n_classes",
@@ -902,14 +1081,15 @@ def load_scene(
     kind = str(pred_spec["kind"])
     if kind == "explicit":
         _require_keys(pred_spec, {"boxes", "scores"}, set(pred_spec), "predictions")
-        boxes = np.asarray(pred_spec["boxes"], dtype=float)
-        scores = np.asarray(pred_spec["scores"], dtype=float)
-        iou_conf = (
-            np.asarray(pred_spec["iou_conf"], dtype=float)
-            if "iou_conf" in pred_spec
-            else None
-        )
-        return grid, gts, PredictionMap(boxes=boxes, scores=scores, iou_conf=iou_conf)
+        arrays = {}
+        for key in ("boxes", "scores", "iou_conf"):
+            if key in pred_spec:
+                try:
+                    arrays[key] = np.asarray(pred_spec[key], dtype=float)
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(
+                        f"predictions: {key}: expected nested lists of numbers") from exc
+        return grid, gts, PredictionMap(**arrays)
     if kind not in ("exact", "noisy"):
         raise ValueError("predictions kind must be 'exact', 'noisy', or 'explicit'")
     init = _from_dict(

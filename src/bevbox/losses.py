@@ -200,21 +200,26 @@ def quality_focal_with_grad(p, q, gamma: float = 2.0):
     """
     p, q, scalar = _focal_arrays(p, q)
     p, q = np.broadcast_arrays(p, q)
-    flat_p = p.reshape(-1)
-    value = np.empty(flat_p.shape)
-    grad = np.empty(flat_p.shape)
+    value = np.empty(p.shape)
+    grad = np.empty(p.shape)
+    _focal_into(p.reshape(-1), q.reshape(-1), gamma, value.reshape(-1), grad.reshape(-1))
+    shape = () if scalar else p.shape
+    return value.reshape(shape), grad.reshape(shape)
+
+
+def _focal_into(p: np.ndarray, q: np.ndarray, gamma: float,
+                value: np.ndarray, grad: np.ndarray) -> None:
+    """:func:`quality_focal_with_grad` of flat ``p`` and ``q``, written into
+    flat ``value`` and ``grad``."""
     # A heatmap is 0 almost everywhere: every entry takes the q == 0 form,
     # block by block so that its temporaries stay in cache, and the full
     # formula then overwrites the q != 0 entries.
-    for start in range(0, flat_p.size, FOCAL_BLOCK):
+    for start in range(0, p.size, FOCAL_BLOCK):
         block = slice(start, start + FOCAL_BLOCK)
-        value[block], grad[block] = _focal_q0(flat_p[block], gamma)
+        value[block], grad[block] = _focal_q0(p[block], gamma)
     general = np.flatnonzero(q != 0.0)
     if general.size:
-        value[general], grad[general] = _focal(flat_p[general], q.reshape(-1)[general],
-                                               gamma, with_grad=True)
-    shape = () if scalar else p.shape
-    return value.reshape(shape), grad.reshape(shape)
+        value[general], grad[general] = _focal(p[general], q[general], gamma, with_grad=True)
 
 
 def smooth_l1(d, beta: float = 1.0):
@@ -236,6 +241,27 @@ def smooth_l1_with_grad(d, beta: float = 1.0):
     return value, grad
 
 
+def _norms(assignment: "AssignmentResult") -> np.ndarray:
+    """``1 / max(N, 1)`` per scene, ``N`` its positive count."""
+    return 1.0 / np.maximum(assignment.positives_per_scene(), 1)
+
+
+def _per_scene_sums(values: list[float], counts: list[int]) -> list[float]:
+    """Sequential sums of consecutive runs of ``values``, ``counts`` long.
+
+    ``np.sum`` adds pairwise (and the builtin ``sum`` compensates on newer
+    Pythons), which rounds differently.
+    """
+    sums, start = [], 0
+    for count in counts:
+        total = 0.0
+        for value in values[start:start + count]:
+            total += value
+        sums.append(total)
+        start += count
+    return sums
+
+
 def classification_loss(assignment: "AssignmentResult", preds: "PredictionMap",
                         gamma: float = 2.0) -> tuple[float, np.ndarray]:
     """Quality focal loss over all cells and classes, averaged over positives.
@@ -244,14 +270,39 @@ def classification_loss(assignment: "AssignmentResult", preds: "PredictionMap",
     on cross-region negatives, 0 elsewhere).  Returns the scalar loss and the
     gradient map w.r.t. the scores, scaled by the same ``1 / max(N, 1)``.
     """
+    ((_, values, grad),) = _classification_groups(assignment, preds.scores, gamma)
+    return values[0], grad.reshape(preds.scores.shape)
+
+
+def _classification_groups(assignment: "AssignmentResult", scores: np.ndarray,
+                           gamma: float = 2.0):
+    """:func:`classification_loss` of every scene of a stacked assignment,
+    over groups of whole scenes of about a block's worth of entries.
+
+    Yields ``(first, losses, grads)`` per group in scene order: the group's
+    first scene, one loss per scene of the group and their gradient maps as
+    ``(scenes, entries)`` rows, valid until the next group.  Each loss is
+    ``np.sum`` over its scene's own slab, so it equals the single-scene
+    value, and no gradient map of the whole stack is ever held.
+    """
     q = assignment.heatmap
-    p = preds.scores
-    if p.shape != q.shape:
-        raise ValueError(f"scores shape {p.shape} does not match heatmap {q.shape}")
-    norm = 1.0 / max(assignment.n_positives, 1)
-    value, grad = quality_focal_with_grad(p, q, gamma)
-    grad *= norm
-    return float(np.sum(value) * norm), grad
+    if scores.shape != q.shape:
+        raise ValueError(f"scores shape {scores.shape} does not match heatmap {q.shape}")
+    norms = _norms(assignment)
+    n_scenes = len(norms)
+    p, q = scores.reshape(n_scenes, -1), q.reshape(n_scenes, -1)
+    per_group = min(-(-FOCAL_BLOCK // max(p.shape[1], 1)), n_scenes)
+    value_buffer, grad_buffer = np.empty((2, per_group * p.shape[1]))
+    for first in range(0, n_scenes, per_group):
+        group = slice(first, first + per_group)
+        size = p[group].size
+        value = value_buffer[:size].reshape(-1, p.shape[1])
+        grads = grad_buffer[:size].reshape(-1, p.shape[1])
+        _focal_into(p[group].reshape(-1), q[group].reshape(-1), gamma,
+                    value_buffer[:size], grad_buffer[:size])
+        grads *= norms[group, None]
+        yield first, [float(np.sum(v) * norm)
+                      for v, norm in zip(value, norms[group].tolist())], grads
 
 
 def regression_loss_scene(assignment: "AssignmentResult") -> RegressionSceneLoss:
@@ -263,24 +314,31 @@ def regression_loss_scene(assignment: "AssignmentResult") -> RegressionSceneLoss
     ``degenerate=True``.  Each positive's value and gradient are read from
     the assignment's regression rows (computed at its alpha).
     """
-    n_pos = assignment.n_positives
-    norm = 1.0 / max(n_pos, 1)
+    values, box_grads, per_gt = _regression_losses(assignment)
+    return RegressionSceneLoss(values[0], box_grads, per_gt[0],
+                               degenerate=assignment.n_positives == 0)
+
+
+def _regression_losses(assignment: "AssignmentResult") -> tuple[
+        list[float], np.ndarray, list[list[PerGtRegression]]]:
+    """:func:`regression_loss_scene` of every scene of a stacked assignment:
+    the per-scene losses, the ``(N, 8)`` gradient rows of all positives
+    (each scaled by its scene's ``1 / N``) and the per-scene
+    :class:`PerGtRegression` lists, indexed within the scene."""
+    norms = _norms(assignment)
+    n_pos = assignment.positives_per_scene()
     slots = assignment.positive_slots
-    box_grads = assignment.regression_grads[slots] * norm
-    # Sums run sequentially in positive order: np.sum adds pairwise (and the
-    # builtin sum compensates on newer Pythons), which rounds differently.
-    values = assignment.regression_values[slots].tolist()
-    total = 0.0
-    per_gt = []
-    start = 0
-    for i, k in enumerate(assignment.k_per_gt):
-        gt_sum = 0.0
-        for value in values[start:start + k]:
-            gt_sum += value
-        start += k
-        per_gt.append(PerGtRegression(i, k, gt_sum / k if k else 0.0))
-        total += gt_sum
-    return RegressionSceneLoss(total * norm, box_grads, per_gt, degenerate=n_pos == 0)
+    box_grads = assignment.regression_grads[slots] * np.repeat(norms, n_pos)[:, None]
+    ks = assignment.k_per_gt
+    gt_sums = _per_scene_sums(assignment.regression_values[slots].tolist(), ks)
+    n_gts = assignment.gts_per_scene().tolist()
+    per_gt, first = [], 0
+    for count in n_gts:
+        per_gt.append([PerGtRegression(i, ks[first + i], gt_sums[first + i] / ks[first + i]
+                                       if ks[first + i] else 0.0) for i in range(count)])
+        first += count
+    return ([total * norm for total, norm in zip(_per_scene_sums(gt_sums, n_gts), norms.tolist())],
+            box_grads, per_gt)
 
 
 def iou_prediction_loss(assignment: "AssignmentResult",
@@ -294,14 +352,22 @@ def iou_prediction_loss(assignment: "AssignmentResult",
     ``(N,)`` gradient rows w.r.t. the confidence channel, one per positive
     in positive order.
     """
-    norm = 1.0 / max(assignment.n_positives, 1)
-    rows_i, cols_i, _ = assignment.positive_index()
+    values, d = _iou_prediction_losses(assignment, preds.iou_conf[assignment.positive_cells()])
+    return values[0], d
+
+
+def _iou_prediction_losses(assignment: "AssignmentResult",
+                          conf: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """:func:`iou_prediction_loss` of every scene of a stacked assignment,
+    from each positive's confidence ``conf`` (positive order): the
+    per-scene losses and the ``(N,)`` gradient rows."""
+    norms = _norms(assignment)
+    n_pos = assignment.positives_per_scene()
     targets = 2.0 * assignment.ious[assignment.positive_slots] - 1.0
-    values, d = smooth_l1_with_grad(preds.iou_conf[rows_i, cols_i] - targets)
-    total = 0.0  # sequential, as in regression_loss_scene
-    for value in values.tolist():
-        total += value
-    return total * norm, d * norm
+    values, d = smooth_l1_with_grad(conf - targets)
+    return ([total * norm for total, norm in
+             zip(_per_scene_sums(values.tolist(), n_pos.tolist()), norms.tolist())],
+            d * np.repeat(norms, n_pos))
 
 
 def total_loss(l_cls: float, l_reg: float, l_iou: float, weights: LossWeights,

@@ -701,17 +701,20 @@ class TestScenePlanMemo:
     @pytest.mark.parametrize("r", [0, 1, 2])
     def test_fit_states_score_like_a_fresh_assignment(self, r, monkeypatch):
         scored = []
+        real_score = bevbox.harness._Stack.score
 
-        class CheckedPlan(_ScenePlan):
-            def score(self, preds, lambda_reg, alpha):
-                planned = super().score(preds, lambda_reg, alpha)
-                fresh = assign_dcla(self.grid, self.gts, preds, r=r,
-                                    lambda_reg=lambda_reg, alpha=alpha)
-                assert_bitwise_equal(planned, fresh)
-                scored.append(len(plan_cells(self)))
-                return planned
+        def checked_score(stack, boxes, weights, alpha):
+            planned = real_score(stack, boxes, weights, alpha)
+            fresh = assign_dcla(stack.plan.grid, stack.plan.gts,
+                                stack.state._slab(0).prediction_map(), r=r,
+                                lambda_reg=weights.lambda_reg, alpha=alpha)
+            # A one-scene stack: its result with the scene axis taken off.
+            assert_bitwise_equal(dataclasses.replace(
+                planned, heatmap=planned.heatmap[0], cand_scene=None), fresh)
+            scored.append(len(plan_cells(stack.plan)))
+            return planned
 
-        monkeypatch.setattr(bevbox.harness, "_ScenePlan", CheckedPlan)
+        monkeypatch.setattr(bevbox.harness._Stack, "score", checked_score)
         rng = np.random.default_rng(40 + r)
         overlapping = 0
         for _ in range(3):

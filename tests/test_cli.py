@@ -208,6 +208,10 @@ MALFORMED = [
     ("fit", ("output",), 3),
     ("fit", ("assigner",), None),
     ("fit", ("assigner", "r"), 1.5),
+    ("assign", ("predictions",), {"kind": "explicit", "boxes": {}, "scores": []}),
+    ("assign", ("predictions",), {"kind": "explicit", "boxes": [], "scores": [[{}]]}),
+    ("assign", ("predictions",), {"kind": "explicit", "boxes": [], "scores": [],
+                                  "iou_conf": {"a": 1}}),
 ]
 
 

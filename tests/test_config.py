@@ -46,19 +46,23 @@ class _Captured(Exception):
 
 @pytest.fixture
 def capture_fit(monkeypatch):
-    """Run ``run_fit_config`` up to its first fit and return what it parsed."""
+    """Run ``run_fit_config`` up to its fit and return what it parsed."""
     seen = {}
 
     def fake_generate_scene(config):
-        seen["scene"] = config
+        # Every seed's scene is generated before the fit; keep the first.
+        seen.setdefault("scene", config)
         return []
 
-    def fake_fit_scene(grid, gts, **kwargs):
-        seen.update(kwargs, grid=grid)
+    def fake_fit_scenes(grid, scenes, init_seeds, assigner, optimizer, init, weights,
+                        regression, n_classes):
+        seen.update(grid=grid, init_seed=init_seeds[0], assigner=assigner,
+                    optimizer=optimizer, init=init, weights=weights, regression=regression,
+                    n_classes=n_classes)
         raise _Captured
 
     monkeypatch.setattr(bevbox.harness, "generate_scene", fake_generate_scene)
-    monkeypatch.setattr(bevbox.harness, "fit_scene", fake_fit_scene)
+    monkeypatch.setattr(bevbox.harness, "_fit_scenes", fake_fit_scenes)
 
     def run(config):
         with pytest.raises(_Captured):

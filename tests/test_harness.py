@@ -43,6 +43,7 @@ from bevbox.harness import (
     DIVERGENCE_THRESHOLD,
     INIT_SEED_OFFSET,
     SATURATED_LOGIT,
+    _fit_scenes,
     _true_iou_per_gt,
 )
 from helpers import random_scene, reference_fit_scene, reference_sigmoid, scan_readout
@@ -366,6 +367,32 @@ def assert_fit_matches_reference(gts, assigner, regression, n_steps=40, state=No
         assert getattr(report.final_state, name).tobytes() == getattr(final, name).tobytes(), name
 
 
+def frozen_scene():
+    """Exact init with every center cell on its target, then four cells knocked off.
+
+    Lengths of exactly 1 keep log-size 0, where even the ulp-scale gradient
+    residue at equality would move a cell that is not frozen. Of the eight
+    boxes, two get a moved center (yaw-only freeze) and two a turned yaw.
+    Returns ``(gts, assigner, state)``.
+    """
+    gts = []
+    for i, (x, y, theta) in enumerate([(-5.5, -5.5, 0.3), (-1.5, -5.5, 5.1), (2.5, -5.5, 1.7),
+                                       (5.5, -1.5, 5.9), (-5.5, 2.5, 2.2), (-1.5, 5.5, 4.0),
+                                       (2.5, 2.5, 0.9), (5.5, 5.5, 3.3)]):
+        w = bevbox.harness._snap_size(0.6 + 0.25 * i)
+        h = bevbox.harness._snap_size(0.5 + 0.2 * i)
+        theta = bevbox.harness._snap_yaw(theta)
+        gts.append(GroundTruth(Box3D(x, y, 0.5 * h, 1.0, w, h, theta), class_id=i % 3))
+    assigner = AssignerConfig(kind="center")
+    state = init_state(GRID16, gts, 3, InitConfig(kind="exact"), assigner, 0)
+    cells = [world_to_cell(GRID16, gt.box.x, gt.box.y) for gt in gts]
+    for cell in cells[0:2]:
+        state.loc[cell.row, cell.col, 0] += 0.3
+    for cell in cells[2:4]:
+        state.sin_cos[cell.row, cell.col] += (0.1, -0.1)
+    return gts, assigner, state
+
+
 class TestFitMatchesScalarReference:
     """The array-native fit step against per-positive scalar losses, the full
     focal formula, a per-cell update and a full decode after every update:
@@ -379,25 +406,7 @@ class TestFitMatchesScalarReference:
 
     @pytest.mark.parametrize("regression", ["rwiou", "smooth_l1"])
     def test_frozen_and_yaw_frozen_cells(self, regression):
-        # Exact init puts every center cell on its target. Lengths of exactly
-        # 1 keep log-size 0, where even the ulp-scale gradient residue at
-        # equality would move a cell that is not frozen. Of the eight boxes,
-        # two get a moved center (yaw-only freeze) and two a turned yaw.
-        gts = []
-        for i, (x, y, theta) in enumerate([(-5.5, -5.5, 0.3), (-1.5, -5.5, 5.1), (2.5, -5.5, 1.7),
-                                           (5.5, -1.5, 5.9), (-5.5, 2.5, 2.2), (-1.5, 5.5, 4.0),
-                                           (2.5, 2.5, 0.9), (5.5, 5.5, 3.3)]):
-            w = bevbox.harness._snap_size(0.6 + 0.25 * i)
-            h = bevbox.harness._snap_size(0.5 + 0.2 * i)
-            theta = bevbox.harness._snap_yaw(theta)
-            gts.append(GroundTruth(Box3D(x, y, 0.5 * h, 1.0, w, h, theta), class_id=i % 3))
-        assigner = AssignerConfig(kind="center")
-        state = init_state(GRID16, gts, 3, InitConfig(kind="exact"), assigner, 0)
-        cells = [world_to_cell(GRID16, gt.box.x, gt.box.y) for gt in gts]
-        for cell in cells[0:2]:
-            state.loc[cell.row, cell.col, 0] += 0.3
-        for cell in cells[2:4]:
-            state.sin_cos[cell.row, cell.col] += (0.1, -0.1)
+        gts, assigner, state = frozen_scene()
         assert_fit_matches_reference(gts, assigner, regression, n_steps=20, state=state)
 
     def test_frozen_cells_keep_fitting_confidence(self):
@@ -425,13 +434,13 @@ class TestFitMatchesScalarReference:
 
 
 class TestRowRefresh:
-    """``TrainState._refresh`` against a full decode of the same state."""
+    """``TrainState._decode`` against a full decode of the same state."""
 
     def test_equals_full_decode(self):
         rng = np.random.default_rng(41)
         gts = generate_scene(scene16())
         state = init_state(GRID16, gts, 3, InitConfig(), AssignerConfig(), 0)
-        preds = state.prediction_map()
+        scores = state.prediction_map().scores
         flat = rng.choice(16 * 16, size=40, replace=False)
         boxes_at = np.divmod(flat[:25], 16)
         conf_at = np.divmod(flat[15:], 16)
@@ -440,10 +449,11 @@ class TestRowRefresh:
         state.sin_cos[boxes_at] += rng.normal(0.0, 0.5, (25, 2))
         state.iou_conf_raw[conf_at] += rng.normal(0.0, 2.0, 25)
         state.score_logits += rng.normal(0.0, 3.0, state.score_logits.shape)
-        state._refresh(preds, boxes_at, conf_at)
+        boxes, conf = state._decode(boxes_at, conf_at, scores)
         full = state.prediction_map()
-        for name in ("boxes", "scores", "iou_conf"):
-            assert getattr(preds, name).tobytes() == getattr(full, name).tobytes(), name
+        assert scores.tobytes() == full.scores.tobytes()
+        assert boxes.tobytes() == full.boxes[boxes_at].tobytes()
+        assert conf.tobytes() == full.iou_conf[conf_at].tobytes()
 
     @pytest.mark.parametrize("field,value,message", [
         ("loc", math.nan, "boxes must be finite"),
@@ -456,29 +466,28 @@ class TestRowRefresh:
     def test_rejects_what_a_full_decode_rejects(self, field, value, message):
         gts = generate_scene(scene16())
         state = init_state(GRID16, gts, 3, InitConfig(), AssignerConfig(), 0)
-        preds = state.prediction_map()
-        snapshot = [preds.boxes.copy(), preds.scores.copy(), preds.iou_conf.copy()]
+        scores = state.prediction_map().scores
         cells = (np.array([2, 9]), np.array([5, 11]))
         getattr(state, field)[9, 11] = value
+        snapshot = state.copy()
         with pytest.raises(ValueError) as full:
             state.prediction_map()
         assert str(full.value) == message
-        with pytest.raises(ValueError) as refreshed:
-            state._refresh(preds, cells, cells)
-        assert str(refreshed.value) == message
-        # Nothing is written until every check has passed.
-        for before, after in zip(snapshot, [preds.boxes, preds.scores, preds.iou_conf]):
-            assert before.tobytes() == after.tobytes()
+        with pytest.raises(ValueError) as decoded:
+            state._decode(cells, cells, scores)
+        assert str(decoded.value) == message
+        # Decoding never writes the state.
+        for name in ("loc", "log_size", "sin_cos", "score_logits", "iou_conf_raw"):
+            assert getattr(state, name).tobytes() == getattr(snapshot, name).tobytes()
 
     def test_nan_score_logit_is_divergence(self, monkeypatch):
-        real_classification_loss = bevbox.harness.classification_loss
+        real_descend_logits = bevbox.harness._descend_logits
 
-        def nan_gradient(assignment, preds):
-            value, grads = real_classification_loss(assignment, preds)
-            grads[0, 0, 0] = math.nan
-            return value, grads
+        def nan_update(logits, grads, scores, step):
+            real_descend_logits(logits, grads, scores, step)
+            logits.reshape(-1)[0] = math.nan
 
-        monkeypatch.setattr(bevbox.harness, "classification_loss", nan_gradient)
+        monkeypatch.setattr(bevbox.harness, "_descend_logits", nan_update)
         gts = generate_scene(scene16())
         with pytest.raises(DivergenceError) as exc_info:
             fit_scene(GRID16, gts, optimizer=OptimizerConfig(n_steps=3), n_classes=3)
@@ -694,6 +703,177 @@ class TestRunFitConfig:
         config["seeds"] = []
         with pytest.raises(ValueError, match="seeds"):
             run_fit_config(config)
+
+
+STATE_FIELDS = ("loc", "log_size", "sin_cos", "score_logits", "iou_conf_raw")
+
+
+def assert_same_fit(stacked, single):
+    """A stacked fit's report for one scene against that scene's own fit."""
+    assert stacked.trajectory_csv() == single.trajectory_csv()
+    assert [v.hex() for v in stacked.final_iou_per_gt] == \
+        [v.hex() for v in single.final_iou_per_gt]
+    assert stacked.k_by_class == single.k_by_class
+    timeless = [{k: v for k, v in r.to_json_dict().items() if k != "wall_clock_s"}
+                for r in (stacked, single)]
+    assert json.dumps(timeless[0]) == json.dumps(timeless[1])
+    for name in STATE_FIELDS:
+        a, b = getattr(stacked.final_state, name), getattr(single.final_state, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+class TestStackedFit:
+    """Scenes fitted in one stacked pass against each scene's own fit."""
+
+    @pytest.mark.parametrize("regression", ["rwiou", "smooth_l1"])
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_each_scene_equals_its_own_fit(self, regression, r):
+        # Different ground-truth counts, one scene with none.
+        scenes = [generate_scene(SceneConfig(grid=GRID16, n_objects=n, seed=seed))
+                  for seed, n in enumerate([4, 0, 2, 5, 1])]
+        seeds = [21, 22, 23, 24, 25]
+        config = dict(assigner=AssignerConfig(kind="dcla", r=r),
+                      optimizer=OptimizerConfig(n_steps=25),
+                      init=InitConfig(kind="noisy", sigma_loc=0.5), weights=LossWeights(),
+                      regression=regression, n_classes=3)
+        reports, failure = _fit_scenes(GRID16, scenes, seeds, **config)
+        assert failure is None
+        assert [report.seed for report in reports] == seeds
+        for gts, seed, report in zip(scenes, seeds, reports):
+            assert_same_fit(report, fit_scene(GRID16, gts, init_seed=seed, **config))
+        # The pass's wall time, divided evenly over its scenes.
+        assert len({report.wall_clock_s for report in reports}) == 1
+
+    @pytest.mark.parametrize("regression", ["rwiou", "smooth_l1"])
+    def test_frozen_and_yaw_frozen_states(self, regression):
+        gts, assigner, frozen = frozen_scene()
+        other = generate_scene(scene16())
+        scenes = [gts, other, gts]
+        states = [frozen, init_state(GRID16, other, 3, InitConfig(), assigner, 5), frozen]
+        config = dict(assigner=assigner, optimizer=OptimizerConfig(n_steps=20),
+                      init=InitConfig(), weights=LossWeights(), regression=regression,
+                      n_classes=3)
+        reports, failure = _fit_scenes(GRID16, scenes, [0, 5, 0], states=states, **config)
+        assert failure is None
+        for gts_i, state, seed, report in zip(scenes, states, [0, 5, 0], reports):
+            assert_same_fit(report, fit_scene(GRID16, gts_i, state=state, init_seed=seed,
+                                              **config))
+        assert frozen.loc.tobytes() == frozen_scene()[2].loc.tobytes()  # inputs untouched
+
+
+def seed_by_seed(config, out_dir):
+    """The loop a stacked fit replaces: one fit per seed, in config order."""
+    for seed in config["seeds"]:
+        run_fit_config(dict(config, seeds=[seed]), out_dir=out_dir)
+
+
+def failed_run(run, config, out_dir):
+    """The exception ``run`` raises and the trajectory files it left."""
+    with pytest.raises(Exception) as info:
+        run(config, out_dir)
+    return info.value, {path.name: path.read_bytes() for path in sorted(out_dir.glob("*.csv"))}
+
+
+class TestStackedFailureOrder:
+    """A stacked ``run_fit_config`` fails as fitting its seeds one by one
+    would: the first seed in config order that fails, at the same step, with
+    the same report, reason and cause, and the same trajectory files."""
+
+    def assert_fails_like_seed_by_seed(self, config, tmp_path):
+        stacked, stacked_files = failed_run(run_fit_config, config, tmp_path / "stacked")
+        single, single_files = failed_run(seed_by_seed, config, tmp_path / "single")
+        assert type(stacked) is type(single)
+        assert str(stacked) == str(single)
+        if isinstance(single, DivergenceError):
+            assert stacked.step == single.step
+            assert stacked.report == single.report
+            assert type(stacked.__cause__) is type(single.__cause__)
+            assert str(stacked.__cause__) == str(single.__cause__)
+        assert stacked_files == single_files
+        return stacked, stacked_files
+
+    @pytest.mark.parametrize("seeds,step_size,step,cause", [
+        # Seed 4 blows up at step 4, seed 6 after it in the list at step 1.
+        ([5, 4, 6], 300.0, 4, ZeroDivisionError),
+        # Seed 2 at step 3, seed 3 at step 1.
+        ([2, 3], 1e3, 3, ZeroDivisionError),
+        # Both at step 1: the first in the list.
+        ([1, 0], 1e5, 1, ValueError),
+    ])
+    def test_first_seed_in_order_wins(self, tmp_path, seeds, step_size, step, cause):
+        config = dict(BASE_CONFIG, seeds=seeds,
+                      optimizer={"step_size": step_size, "n_steps": 20})
+        config["scene"] = dict(config["scene"], n_objects=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            error, files = self.assert_fails_like_seed_by_seed(config, tmp_path)
+        assert isinstance(error, DivergenceError)
+        assert error.step == step
+        assert isinstance(error.__cause__, cause)
+        failing = seeds.index(next(s for s in seeds if f"fit_seed{s}.csv" not in files))
+        assert set(files) == {f"fit_seed{s}.csv" for s in seeds[:failing]}
+
+    def test_first_scene_over_the_threshold_wins(self):
+        # Scenes 2 and 3 cross the threshold at step 0 with different totals,
+        # in one focal group (two 32x32 scenes each); 0 and 1 finish.
+        gts = generate_scene(SceneConfig(grid=GRID32, n_objects=4, seed=2))
+        assigner = AssignerConfig(kind="dcla", r=1)
+        states = [init_state(GRID32, gts, 3, InitConfig(kind="exact"), assigner, 0)
+                  for _ in range(4)]
+        states[2].score_logits[:] = SATURATED_LOGIT
+        states[3].score_logits[:24] = SATURATED_LOGIT
+        optimizer = OptimizerConfig(n_steps=3)
+        reports, failure = _fit_scenes(GRID32, [gts] * 4, [0, 1, 2, 3], assigner, optimizer,
+                                       InitConfig(), LossWeights(), "rwiou", 3, states=states)
+        assert [report.seed for report in reports] == [0, 1]
+        own = []
+        for state in states[2:]:
+            with pytest.raises(DivergenceError) as info:
+                fit_scene(GRID32, gts, assigner=assigner, optimizer=optimizer, n_classes=3,
+                          state=state)
+            own.append(info.value)
+        assert own[0].report != own[1].report
+        assert isinstance(failure, DivergenceError)
+        assert (failure.step, failure.report, str(failure)) == \
+            (own[0].step, own[0].report, str(own[0]))
+
+    def test_first_unusable_scene_wins(self, monkeypatch):
+        # NaN logits in every scene but the first after step 0's update.
+        real_descend_logits = bevbox.harness._descend_logits
+
+        def nan_update(logits, grads, scores, step):
+            real_descend_logits(logits, grads, scores, step)
+            logits[1:, 0, 0, 0] = math.nan
+
+        monkeypatch.setattr(bevbox.harness, "_descend_logits", nan_update)
+        scenes = [generate_scene(SceneConfig(grid=GRID16, n_objects=n, seed=seed))
+                  for seed, n in enumerate([3, 4, 2])]
+        optimizer = OptimizerConfig(n_steps=3)
+        reports, failure = _fit_scenes(GRID16, scenes, [0, 1, 2], AssignerConfig(), optimizer,
+                                       InitConfig(), LossWeights(), "rwiou", 3)
+        assert [report.seed for report in reports] == [0]
+        assert isinstance(failure, DivergenceError)
+        assert failure.step == 1
+        assert str(failure.__cause__) == "scores must be finite"
+        monkeypatch.undo()
+        own = fit_scene(GRID16, scenes[1], optimizer=OptimizerConfig(n_steps=0), init_seed=1,
+                        n_classes=3)
+        assert failure.report.total == own.steps[0].total
+
+    def test_unplaceable_seed_partway(self, tmp_path):
+        # With five attempts per object, seed 5 cannot place its six objects.
+        config = dict(BASE_CONFIG, seeds=[2, 3, 5, 6])
+        config["scene"] = dict(config["scene"], n_objects=6, max_attempts=5)
+        error, files = self.assert_fails_like_seed_by_seed(config, tmp_path)
+        assert isinstance(error, PlacementError)
+        assert set(files) == {"fit_seed2.csv", "fit_seed3.csv"}
+
+    def test_divergence_before_an_unplaceable_seed(self, tmp_path):
+        config = dict(BASE_CONFIG, seeds=[4, 5], optimizer={"step_size": 300.0, "n_steps": 20})
+        config["scene"] = dict(config["scene"], n_objects=6, max_attempts=5)
+        error, files = self.assert_fails_like_seed_by_seed(config, tmp_path)
+        assert isinstance(error, DivergenceError)
+        assert files == {}
 
 
 SCENE_FILE = {

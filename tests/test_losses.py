@@ -223,8 +223,6 @@ def single_positive_assignment(rows, cols, n_classes, cell, class_id,
     otherwise those are zeros (only the regression and IoU-prediction
     losses read them).
     """
-    owner = np.full((rows, cols), -1, dtype=int)
-    owner[cell.row, cell.col] = 0
     heatmap = np.zeros((rows, cols, n_classes))
     heatmap[cell.row, cell.col, class_id] = 1.0
     for r, c, k, w in extra_heat:
@@ -237,13 +235,12 @@ def single_positive_assignment(rows, cols, n_classes, cell, class_id,
             "costs": [selection_cost(gt, pred, float(preds.scores[cell.row, cell.col, class_id]))],
             "ious": [rotated_iou_exact(gt.box, preds.box_at(cell))],
             "regression_values": [value], "regression_grads": grad.as_array()[None, :]}
-    return AssignmentResult(requested_k=[1], owner=owner, heatmap=heatmap,
+    return AssignmentResult(requested_k=[1], heatmap=heatmap,
                             **candidate_table([cell], [0], [0], [0], **values))
 
 
 def no_positive_assignment(rows, cols, n_classes):
-    return AssignmentResult(requested_k=[1], owner=np.full((rows, cols), -1, dtype=int),
-                            heatmap=np.zeros((rows, cols, n_classes)),
+    return AssignmentResult(requested_k=[1], heatmap=np.zeros((rows, cols, n_classes)),
                             **candidate_table([CellIndex(0, 0)], [0], [], [0]))
 
 
@@ -288,7 +285,6 @@ class TestClassificationLoss:
         one = single_positive_assignment(3, 3, 1, CellIndex(1, 1), 0)
         two = AssignmentResult(
             requested_k=[1, 1],
-            owner=one.owner.copy(),
             heatmap=one.heatmap.copy(),
             **candidate_table([CellIndex(1, 1), CellIndex(0, 0)], [0, 1], [0, 1], [0, 1]))
         two.heatmap[0, 0, 0] = 1.0
