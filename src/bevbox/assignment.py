@@ -238,18 +238,25 @@ class AssignmentResult:
     so ground truth by ground truth and each row-major; every per-ground-
     truth view of the positives derives from it.  ``best_slots[i]`` is
     ground truth ``i``'s cheapest slot (cost ties row-major).
-    ``requested_k[i]`` is the dynamic k before conflicts.  ``heatmap``
-    is ``(rows, cols, n_classes)``: exactly 1.0 on a positive's owner
-    channel, the true-IoU weight on cross-region negatives, 0 elsewhere.
+    ``requested_k[i]`` is the dynamic k before conflicts.
+
+    The classification targets are held per entry: ``heat[j]`` is the
+    target of the score entry ``heat_entries[j]`` (a flat index into a map
+    of shape ``map_shape``, ``(rows, cols, n_classes)``), and every other
+    entry's target is 0.  :attr:`heatmap` is the dense map they make:
+    exactly 1.0 on a positive's owner channel, the true-IoU weight on
+    cross-region negatives, 0 elsewhere.
 
     A stack of scenes numbers its ground truths scene after scene, so the
     slots are in scene order too; ``cand_scene`` is each slot's scene and
-    the heatmap gains a leading scene axis.  A single scene has
+    ``map_shape`` gains a leading scene axis.  A single scene has
     ``cand_scene=None``.
     """
 
     requested_k: list[int]
-    heatmap: np.ndarray
+    map_shape: tuple[int, ...]
+    heat_entries: np.ndarray
+    heat: np.ndarray
     cand_rows: np.ndarray
     cand_cols: np.ndarray
     cand_gt: np.ndarray
@@ -267,7 +274,14 @@ class AssignmentResult:
 
     @property
     def n_scenes(self) -> int:
-        return 1 if self.cand_scene is None else self.heatmap.shape[0]
+        return 1 if self.cand_scene is None else self.map_shape[0]
+
+    @property
+    def heatmap(self) -> np.ndarray:
+        """The dense classification targets, of shape ``map_shape``."""
+        heatmap = np.zeros(self.map_shape)
+        heatmap.reshape(-1)[self.heat_entries] = self.heat
+        return heatmap
 
     @property
     def k_per_gt(self) -> list[int]:
@@ -291,7 +305,7 @@ class AssignmentResult:
     def owner(self) -> np.ndarray:
         """The heatmap's cells (with its scene axis, if any) holding the
         owning ground-truth index, or -1."""
-        owner = np.full(self.heatmap.shape[:-1], -1, dtype=int)
+        owner = np.full(self.map_shape[:-1], -1, dtype=int)
         owner[self.positive_cells()] = self.cand_gt[self.positive_slots]
         return owner
 
@@ -324,17 +338,18 @@ class AssignmentResult:
 
     def to_json_dict(self) -> dict:
         owner = self.owner
+        heatmap = self.heatmap
         rows, cols = owner.shape
         owner_entries = [
             [r, c, int(owner[r, c])]
             for r in range(rows) for c in range(cols)
             if owner[r, c] >= 0
         ]
-        heat_entries = [
-            [r, c, k, float(self.heatmap[r, c, k])]
+        heat_cells = [
+            [r, c, k, float(heatmap[r, c, k])]
             for r in range(rows) for c in range(cols)
-            for k in range(self.heatmap.shape[2])
-            if self.heatmap[r, c, k] != 0.0
+            for k in range(heatmap.shape[2])
+            if heatmap[r, c, k] != 0.0
         ]
         return {
             "n_positives": self.n_positives,
@@ -349,7 +364,7 @@ class AssignmentResult:
             ],
             "unassigned": list(self.unassigned),
             "owner": owner_entries,
-            "heatmap": heat_entries,
+            "heatmap": heat_cells,
         }
 
 
@@ -442,15 +457,20 @@ class _SceneFault(Exception):
 class _ScenePlan:
     """The part of an assignment that the predictions do not change.
 
-    Built from ``(grid, gts, r)``: every ground truth's cross region as the
-    flat slot order with its gather indices (region ``i`` holds slots
-    ``starts[i]:starts[i + 1]``, and ``offsets`` is each slot's position in
-    its region), the regression target rows and the ground-truth
-    footprints.  It also keeps, per slot, the bits of the box row it last
-    scored and that row's exact IoU: :meth:`score` re-runs the clipper only
-    for slots whose box bits changed.  Bits, not floats, because
-    ``-0.0 == 0.0`` yet ``atan2`` tells them apart.  A plan serves one fit;
-    ``iou_runs`` counts the IoUs it has computed.
+    Built from ``(grid, gts, r, n_classes)``: every ground truth's cross
+    region as the flat slot order with its gather indices (region ``i``
+    holds slots ``starts[i]:starts[i + 1]``, and ``offsets`` is each slot's
+    position in its region), the regression target rows and the
+    ground-truth footprints.  ``entries`` are the score entries the slots
+    read (each slot's cell on its ground truth's class channel), as
+    increasing flat indices into maps of shape ``map_shape``, and
+    ``slot_entry`` is each slot's position in them; no other entry's
+    classification target can be nonzero.  It also keeps, per slot, the
+    bits of the box row it last scored and that row's exact IoU:
+    :meth:`score` re-runs the clipper only for slots whose box bits
+    changed.  Bits, not floats, because ``-0.0 == 0.0`` yet ``atan2``
+    tells them apart.  A plan serves one fit; ``iou_runs`` counts the IoUs
+    it has computed.
 
     With ``scene_sizes`` the plan serves a stack of scenes: ``gts`` lists
     each scene's ground truths in turn (``scene_sizes`` of them), ``scenes``
@@ -459,7 +479,7 @@ class _ScenePlan:
     axis.
     """
 
-    def __init__(self, grid: GridSpec, gts: Sequence[GroundTruth], r: int,
+    def __init__(self, grid: GridSpec, gts: Sequence[GroundTruth], r: int, n_classes: int,
                  scene_sizes: Sequence[int] | None = None) -> None:
         self.grid = grid
         self.gts = list(gts)
@@ -478,6 +498,11 @@ class _ScenePlan:
         self.rows = np.array([cell.row for region in regions for cell in region], dtype=np.intp)
         self.cols = np.array([cell.col for region in regions for cell in region], dtype=np.intp)
         self.class_ids = np.array([gt.class_id for gt in self.gts], dtype=np.intp)[self.gt_of]
+        shape = (grid.n_rows, grid.n_cols, n_classes)
+        self.map_shape = (len(scene_sizes), *shape) if self.stacked else shape
+        keys = ((self.scenes * grid.n_rows + self.rows) * grid.n_cols + self.cols) * n_classes \
+            + self.class_ids
+        self.entries, self.slot_entry = np.unique(keys, return_inverse=True)
         self.targets = _target_rows([gt.box for gt in self.gts])[self.gt_of]
         self.gt_feet = [_footprint(*gt.box.as_tuple()) for gt in self.gts]
         self._bits: np.ndarray | None = None
@@ -501,8 +526,11 @@ class _ScenePlan:
         self.gt_starts = self.gt_starts[:n_scenes + 1]
         self.gts, self.gt_feet = self.gts[:n_gts], self.gt_feet[:n_gts]
         self.starts = self.starts[:n_gts + 1]
-        for name in ("gt_of", "offsets", "scenes", "rows", "cols", "class_ids", "targets"):
+        for name in ("gt_of", "offsets", "scenes", "rows", "cols", "class_ids", "targets",
+                     "slot_entry"):
             setattr(self, name, getattr(self, name)[:n])
+        self.map_shape = (n_scenes, *self.map_shape[1:])
+        self.entries = self.entries[:np.searchsorted(self.entries, math.prod(self.map_shape))]
         if self._bits is not None:
             self._bits = self._bits[:n]
         self._ious = self._ious[:n]
@@ -535,11 +563,11 @@ class _ScenePlan:
         cells = self.cells
         try:
             return self.score_rows(preds.boxes[cells], preds.scores[(*cells, self.class_ids)],
-                                   preds.n_classes, lambda_reg, alpha)
+                                   lambda_reg, alpha)
         except _SceneFault as fault:
             raise fault.error from None
 
-    def score_rows(self, boxes: np.ndarray, scores: np.ndarray, n_classes: int,
+    def score_rows(self, boxes: np.ndarray, scores: np.ndarray,
                    lambda_reg: float, alpha: float) -> AssignmentResult:
         """:meth:`score` from each slot's box row and score on its ground
         truth's class channel, gathered at :attr:`cells`.
@@ -583,14 +611,15 @@ class _ScenePlan:
         _, first = np.unique(keys[by_cell], return_index=True)
         positive_slots = np.sort(shortlist[by_cell[first]])
 
-        shape = (n_rows, n_cols, n_classes)
-        heatmap = np.zeros((self.n_scenes, *shape) if self.stacked else shape)
+        # Targets: the IoU (max over same-class regions), then 1.0 at the
+        # positives.
+        heat = np.zeros(len(self.entries))
         ious = np.array(iou_list)
-        index = (*self.cells, self.class_ids)
-        np.maximum.at(heatmap, index, ious)
-        heatmap[tuple(i[positive_slots] for i in index)] = 1.0
+        np.maximum.at(heat, self.slot_entry, ious)
+        heat[self.slot_entry[positive_slots]] = 1.0
 
-        return AssignmentResult(requested_k=requested_k, heatmap=heatmap,
+        return AssignmentResult(requested_k=requested_k, map_shape=self.map_shape,
+                                heat_entries=self.entries, heat=heat,
                                 cand_rows=rows, cand_cols=cols, cand_gt=gt_of,
                                 costs=costs, ious=ious,
                                 regression_values=reg_values, regression_grads=reg_grads,
@@ -618,7 +647,7 @@ def assign_dcla(grid: GridSpec, gts: Sequence[GroundTruth], preds: PredictionMap
     forces exactly 1.0 on each positive's owner channel.
     """
     alpha = _validate_scene(grid, gts, preds, lambda_reg, alpha)
-    return _ScenePlan(grid, gts, r).score(preds, lambda_reg, alpha)
+    return _ScenePlan(grid, gts, r, preds.n_classes).score(preds, lambda_reg, alpha)
 
 
 def assign_center(grid: GridSpec, gts: Sequence[GroundTruth], preds: PredictionMap,

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .assignment import assign_dcla
-from .geometry import Box3D, mc_iou_oracle, rotated_iou_exact, rwiou
+from .geometry import Box3D, _check_volume, mc_iou_oracle, rotated_iou_exact, rwiou
 from .gradients import gradient_bound_audit, gradient_check
 from .harness import DivergenceError, PlacementError, load_scene, run_fit_config
 
@@ -42,9 +42,11 @@ def _parse_box(text: str, label: str) -> Box3D:
                 f"{label}: field '{field}' is not a number: {part.strip()!r}"
             ) from None
     try:
-        return Box3D(*values)
+        box = Box3D(*values)
+        _check_volume(box)
     except ValueError as exc:
         raise CliError(f"{label}: {exc}") from None
+    return box
 
 
 def _load_json(path: str, label: str) -> dict:

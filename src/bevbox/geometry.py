@@ -192,6 +192,14 @@ def volume(box: Box3D | BoxParams8) -> float:
     return box.l * box.w * box.h
 
 
+def _check_volume(box: Box3D) -> None:
+    """Reject a box whose volume ``l * w * h`` overflows or underflows (as
+    it does whenever its footprint ``l * w`` does): its overlaps would come
+    out wrong instead of failing."""
+    if not 0.0 < volume(box) < math.inf:
+        raise ValueError(f"box volume l*w*h = {volume(box)!r} must be finite and positive")
+
+
 def _axis_bounds(box: Box3D | BoxParams8):
     """Per-axis (lo, hi) face coordinates of the axis-aligned footprint."""
     return (

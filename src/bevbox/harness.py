@@ -37,13 +37,13 @@ from .assignment import (
     cross_region,
     world_to_cell,
 )
-from .geometry import Box3D, convex_intersection_area
+from .geometry import Box3D, _check_volume, convex_intersection_area
 from .losses import (
-    FOCAL_BLOCK,
     LossReport,
     LossWeights,
-    _classification_groups,
+    _focal_entries,
     _iou_prediction_losses,
+    _norms,
     _regression_losses,
     smooth_l1_with_grad,
     total_loss,
@@ -220,23 +220,25 @@ class TrainState:
             sizes = np.exp(self.log_size[index])
         return np.concatenate([self.loc[index], sizes, self.sin_cos[index]], axis=-1)
 
-    def _decode(self, box_cells, conf_cells, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Decode this state into a fit's view of its predictions: the whole
-        score map, written into ``scores``, and the boxes at ``box_cells``
-        and the confidences at ``conf_cells`` (index tuples into the maps),
-        returned.
+    def _decode(self, box_cells, conf_cells,
+                logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Decode the predictions a fit reads: the boxes at ``box_cells``,
+        the scores of ``logits`` (a fit's distinct score logits, which stand
+        for its whole score map) and the confidences at ``conf_cells``
+        (index tuples into the maps).
 
         They then go through :class:`PredictionMap`'s checks, in its order
         and with its messages.  A fit decodes only the box and confidence
-        cells it reads, and every other cell passed the checks when it was
-        last written, so a full decode would raise the same ``ValueError``.
+        cells it reads, every other cell passed the checks when it was last
+        written, and every score entry's logit is one of ``logits``, so a
+        full decode would raise the same ``ValueError``.
         """
         boxes = self._boxes_at(box_cells)
-        _sigmoid_into(self.score_logits, scores)
+        scores = _sigmoid(logits)
         conf = np.tanh(self.iou_conf_raw[conf_cells])
         _check_cell_values(boxes, scores)
         _check_iou_conf(conf)
-        return boxes, conf
+        return boxes, scores, conf
 
     def _slab(self, index) -> "TrainState":
         """Scene ``index`` (an int, or a slice of scenes) of a stacked
@@ -318,15 +320,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(x) / (1 + exp(x)) below, each term as in the two-branch form.
     e = np.exp(-np.abs(x))
     return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
-
-
-def _sigmoid_into(x: np.ndarray, out: np.ndarray) -> None:
-    """``out[...] = _sigmoid(x)`` for C-contiguous arrays, block by block so
-    that the temporaries stay in cache."""
-    x, out = x.reshape(-1), out.reshape(-1)
-    for start in range(0, x.size, FOCAL_BLOCK):
-        block = slice(start, start + FOCAL_BLOCK)
-        out[block] = _sigmoid(x[block])
 
 
 def _roundtrip_fixed_point(value: float, roundtrip) -> float:
@@ -635,13 +628,54 @@ def fit_scene(
 
 class _Stack:
     """The live scenes of a stacked fit: a prefix of the scenes it started
-    with, their stacked state and score map, and the plan of their slots.
-    A failing scene ends the prefix, since fitting the scenes one by one
-    would not have reached the scenes after it."""
+    with, their stacked state, the plan of their slots and their score
+    logits.  A failing scene ends the prefix, since fitting the scenes one
+    by one would not have reached the scenes after it.
 
-    def __init__(self, state: TrainState, scores: np.ndarray, plan: _ScenePlan) -> None:
-        self.state, self.scores, self.plan = state, scores, plan
+    Score logits are held per unit, scene after scene (scene ``s``'s units
+    at ``starts[s]:starts[s + 1]``).  A scene's units are its entries of
+    ``plan.entries`` (the only ones whose classification target can be
+    nonzero), in order, then its other entries grouped by logit bits, so
+    ``-0.0`` and ``0.0`` stay apart.  A group's entries have target 0 and
+    one logit, so the descent moves them as one value.  A scene's map holds
+    its ``base`` unit everywhere but at the flat indices ``spread[s]``,
+    which hold the units ``unit_of[s]``.  ``state.score_logits`` is
+    written back only by :meth:`scene_state`.
+    """
+
+    def __init__(self, state: TrainState, plan: _ScenePlan) -> None:
+        self.state, self.plan = state, plan
         self.failure: Exception | None = None
+        maps = state.score_logits.reshape(plan.n_scenes, -1)
+        size = maps.shape[1]
+        bounds = np.searchsorted(plan.entries, np.arange(plan.n_scenes + 1) * size)
+        logits, entry_units, self.base, self.spread, self.unit_of = [], [], [], [], []
+        starts = [0]
+        for scene, flat in enumerate(maps):
+            cells = plan.entries[bounds[scene]:bounds[scene + 1]] - scene * size
+            background = np.ones(size, dtype=bool)
+            background[cells] = False
+            background = np.flatnonzero(background)
+            bits, group_of, counts = np.unique(flat.view(np.uint64)[background],
+                                               return_inverse=True, return_counts=True)
+            # The largest group is the base; with no background, the last
+            # entry is, and it is spread like every entry.
+            base = int(np.argmax(counts)) if len(counts) else -1
+            other = group_of != base
+            first = len(cells) + starts[-1]
+            entry_units.append(np.arange(starts[-1], first))
+            self.base.append(first + base)
+            self.spread.append(np.concatenate([cells, background[other]]))
+            self.unit_of.append(np.concatenate([entry_units[-1], first + group_of[other]]))
+            logits += [flat[cells], bits.view(np.float64)]
+            starts.append(first + len(bits))
+        self.logits = np.concatenate(logits)
+        self.scores = _sigmoid(self.logits)
+        self.starts = np.array(starts)
+        self.scenes = np.repeat(np.arange(plan.n_scenes), np.diff(self.starts))
+        self.entry_unit = np.concatenate(entry_units)
+        self.slot_unit = self.entry_unit[plan.slot_entry]
+        self._map = np.empty(size)
 
     @property
     def size(self) -> int:
@@ -651,43 +685,72 @@ class _Stack:
         """End the stack before ``scene``, which failed with ``failure``."""
         self.failure = failure
         self.state = self.state._slab(slice(scene))
-        self.scores = self.scores[:scene]
         self.plan.truncate(scene)
+        units = slice(self.starts[scene])
+        self.logits, self.scores, self.scenes = (
+            self.logits[units], self.scores[units], self.scenes[units])
+        self.starts = self.starts[:scene + 1]
+        self.base, self.spread, self.unit_of = (
+            self.base[:scene], self.spread[:scene], self.unit_of[:scene])
+        self.entry_unit = self.entry_unit[:len(self.plan.entries)]
+        self.slot_unit = self.slot_unit[:len(self.plan.gt_of)]
+
+    def _scene_map(self, values: np.ndarray, scene: int, out: np.ndarray) -> np.ndarray:
+        """The flat map of scene ``scene`` with per-unit ``values``, written
+        into ``out``."""
+        out.fill(values[self.base[scene]])
+        out[self.spread[scene]] = values[self.unit_of[scene]]
+        return out
+
+    def scene_state(self, scene: int) -> TrainState:
+        """Scene ``scene``'s state, with its score logits written back."""
+        state = self.state._slab(scene)
+        self._scene_map(self.logits, scene, state.score_logits.reshape(-1))
+        return state
 
     def decode(self, conf_cells) -> np.ndarray:
-        """:meth:`TrainState._decode` of the stack into its score map;
+        """:meth:`TrainState._decode` of the stack, keeping the scores;
         returns the boxes at the plan's slots.  A failure is raised as the
         :class:`_SceneFault` of the first scene whose own decode fails."""
         plan = self.plan
         try:
-            return self.state._decode(plan.cells, conf_cells, self.scores)[0]
+            boxes, self.scores, _ = self.state._decode(plan.cells, conf_cells, self.logits)
+            return boxes
         except ValueError:
             for scene in range(self.size):
                 slots = plan.scenes == scene
                 conf = conf_cells[0] == scene
                 try:
-                    self.state._slab(scene)._decode((plan.rows[slots], plan.cols[slots]),
-                                                    (conf_cells[1][conf], conf_cells[2][conf]),
-                                                    self.scores[scene])
+                    self.state._slab(scene)._decode(
+                        (plan.rows[slots], plan.cols[slots]),
+                        (conf_cells[1][conf], conf_cells[2][conf]),
+                        self.logits[self.starts[scene]:self.starts[scene + 1]])
                 except ValueError as exc:
                     raise _SceneFault(scene, exc) from exc
             raise
 
     def score(self, boxes: np.ndarray, weights: LossWeights, alpha: float) -> AssignmentResult:
-        plan = self.plan
-        return plan.score_rows(boxes, self.scores[(*plan.cells, plan.class_ids)],
-                               self.scores.shape[-1], weights.lambda_reg, alpha)
+        return self.plan.score_rows(boxes, self.scores[self.slot_unit],
+                                    weights.lambda_reg, alpha)
+
+    def classification(self, assignment: AssignmentResult) -> tuple[list[float], np.ndarray]:
+        """:func:`~bevbox.losses.classification_loss` of every scene: the
+        focal terms of the units, each scene's loss as ``np.sum`` over its
+        map of them (so it equals the dense loss), and the units' gradients."""
+        q = np.zeros(len(self.scores))
+        q[self.entry_unit] = assignment.heat
+        values, grads = _focal_entries(self.scores, q, 2.0)
+        norms = _norms(assignment)
+        losses = [float(np.sum(self._scene_map(values, scene, self._map)) * norm)
+                  for scene, norm in enumerate(norms.tolist())]
+        return losses, grads * norms[self.scenes]
 
 
 def _descend_logits(logits: np.ndarray, grads: np.ndarray, scores: np.ndarray,
                     step: float) -> None:
-    """``logits -= step * grads * scores * (1 - scores)`` in place, block by
-    block: the classification update through the sigmoid derivative."""
-    logits, grads, scores = logits.reshape(-1), grads.reshape(-1), scores.reshape(-1)
-    for start in range(0, logits.size, FOCAL_BLOCK):
-        block = slice(start, start + FOCAL_BLOCK)
-        p = scores[block]
-        logits[block] -= step * grads[block] * p * (1.0 - p)
+    """``logits -= step * grads * scores * (1 - scores)`` in place: the
+    classification update through the sigmoid derivative."""
+    logits -= step * grads * scores * (1.0 - scores)
 
 
 def _fit_scenes(
@@ -704,12 +767,13 @@ def _fit_scenes(
 ) -> tuple[list[ExperimentReport], Exception | None]:
     """:func:`fit_scene` of every scene of ``scenes`` on one grid, in one pass.
 
-    The states and the score map carry a leading scene axis, one plan holds
-    every scene's slots, and each step runs the kernel, the focal pass, the
-    decode, the checks and the update once over all live scenes; each
-    scene's losses are reduced over its own slab, so every report and final
-    state is bitwise the scene's own fit.  ``wall_clock_s`` is the pass's
-    wall time divided evenly over the reports.
+    The states carry a leading scene axis, one plan holds every scene's
+    slots, the score logits are held per distinct unit (:class:`_Stack`),
+    and each step runs the kernel, the focal terms, the decode, the checks
+    and the update once over all live scenes; each scene's losses are
+    reduced over its own slab, so every report and final state is bitwise
+    the scene's own fit.  ``wall_clock_s`` is the pass's wall time divided
+    evenly over the reports.
 
     Returns the reports of the scenes before the first one that fails, and
     that failure (``None`` when every fit finishes): the exception fitting
@@ -750,10 +814,8 @@ def _fit_scenes(
     all_gts = [gt for gts in scenes for gt in gts]
     state = TrainState(*stacked)._slab(slice(len(scenes)))
     del stacked
-    scores = np.empty(state.score_logits.shape)
-    _sigmoid_into(state.score_logits, scores)
-    stack = _Stack(state, scores,
-                   _ScenePlan(grid, all_gts, assigner.effective_r, [len(g) for g in scenes]))
+    stack = _Stack(state, _ScenePlan(grid, all_gts, assigner.effective_r,
+                                     state.score_logits.shape[-1], [len(g) for g in scenes]))
     stack.failure = failure
     plan = stack.plan
     gt_params = _gt_param_rows(all_gts)
@@ -775,7 +837,7 @@ def _fit_scenes(
     for step in range(optimizer.n_steps + 1):
         if not stack.size:
             break
-        state, scores = stack.state, stack.scores
+        state = stack.state
         n_pos = assignment.positives_per_scene()
         pos = assignment.positive_cells()
         if regression == "rwiou":
@@ -786,36 +848,24 @@ def _fit_scenes(
         u = np.tanh(state.iou_conf_raw[pos])
         l_iou, iou_rows = _iou_prediction_losses(assignment, u)
         readout = _true_iou_per_gt(assignment)
+        l_cls, cls_grads = stack.classification(assignment)
         gt_starts = plan.gt_starts.tolist()
-        for first, l_cls, cls_grads in _classification_groups(assignment, scores):
-            group = range(first, first + len(l_cls))
-            for scene in group:
-                report = total_loss(l_cls[scene - first], l_reg[scene], l_iou[scene],
-                                    weights=weights, n_positives=int(n_pos[scene]),
-                                    per_gt=per_gt[scene])
-                ious = readout[gt_starts[scene]:gt_starts[scene + 1]]
-                steps[scene].append(StepRecord(
-                    step=step, l_cls=l_cls[scene - first], l_reg=l_reg[scene],
-                    l_iou=l_iou[scene], total=report.total,
-                    mean_true_iou=float(np.mean(ious)) if ious else 0.0))
-                last[scene] = report
-                # Written so that a NaN total also counts as divergence.
-                if not report.total <= DIVERGENCE_THRESHOLD:
-                    stack.drop(scene, DivergenceError(step, report))
-                    break
-            if step < optimizer.n_steps:
-                # Classification: logits move through the sigmoid derivative.
-                live = slice(first, min(group.stop, stack.size))
-                with np.errstate(all="ignore"):
-                    _descend_logits(state.score_logits[live], cls_grads[:live.stop - first],
-                                    scores[live], lr * weights.lambda_cls)
-            if stack.size < group.stop:
+        for scene in range(stack.size):
+            report = total_loss(l_cls[scene], l_reg[scene], l_iou[scene], weights=weights,
+                                n_positives=int(n_pos[scene]), per_gt=per_gt[scene])
+            ious = readout[gt_starts[scene]:gt_starts[scene + 1]]
+            steps[scene].append(StepRecord(
+                step=step, l_cls=l_cls[scene], l_reg=l_reg[scene], l_iou=l_iou[scene],
+                total=report.total, mean_true_iou=float(np.mean(ious)) if ious else 0.0))
+            last[scene] = report
+            # Written so that a NaN total also counts as divergence.
+            if not report.total <= DIVERGENCE_THRESHOLD:
+                stack.drop(scene, DivergenceError(step, report))
                 break
         if not stack.size or step == optimizer.n_steps:
             break
 
-        # The rest of the update, for the live scenes: their positives lead
-        # the table.
+        # The update, for the live scenes: their units and positives lead.
         state = stack.state
         live = int(n_pos[:stack.size].sum())
         pos = tuple(index[:live] for index in pos)
@@ -824,6 +874,10 @@ def _fit_scenes(
         # A blown-up update leaves inf or NaN, which the decode checks report
         # as divergence; numpy's warnings would only repeat it.
         with np.errstate(all="ignore"):
+            # Classification: logits move through the sigmoid derivative.
+            _descend_logits(stack.logits, cls_grads[:len(stack.logits)], stack.scores,
+                            lr * weights.lambda_cls)
+
             # Regression: per-positive box gradient rows chained onto the raw
             # parameterization. A cell whose eight box channels already match the
             # target bitwise is frozen outright: the loss there sits at a kinked
@@ -878,7 +932,7 @@ def _fit_scenes(
             min_final_iou=float(np.min(final_ious)) if final_ious else 0.0,
             k_by_class=_mean_k_by_class(k_per_gt[gts], scenes[scene]),
             wall_clock_s=elapsed / stack.size,
-            final_state=stack.state._slab(scene),
+            final_state=stack.scene_state(scene),
         ))
     return reports, stack.failure
 
@@ -1065,7 +1119,12 @@ def load_scene(
         if len(values) != 7:
             raise ValueError("ground truth box must have 7 values: x,y,z,l,w,h,yaw")
         class_id = _scalar(int, entry["class_id"], "ground truth: class_id")
-        gts.append(GroundTruth(box=Box3D(*values), class_id=class_id))
+        box = Box3D(*values)
+        try:
+            _check_volume(box)
+        except ValueError as exc:
+            raise ValueError(f"gt {len(gts)}: {exc}") from None
+        gts.append(GroundTruth(box=box, class_id=class_id))
         if not grid.contains(values[0], values[1]):
             raise ValueError(f"gt {len(gts) - 1} center ({values[0]}, {values[1]}) is off-grid")
     n_classes = _scalar(

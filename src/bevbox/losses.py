@@ -52,11 +52,6 @@ __all__ = [
 # score is kept in the |q - p| factor so an exact match costs exactly zero.
 SCORE_EPS = 1e-6
 
-# Entries per block of the q == 0 focal form.  At 8192 (64 KB per array) its
-# dozen temporaries stay in a core's L2 cache; on a 2 MB-L2 Xeon, blocks of
-# 8192 beat 4096, 16384 and whole 128x128x3 maps.
-FOCAL_BLOCK = 8192
-
 
 @dataclass(frozen=True)
 class LossWeights:
@@ -200,26 +195,25 @@ def quality_focal_with_grad(p, q, gamma: float = 2.0):
     """
     p, q, scalar = _focal_arrays(p, q)
     p, q = np.broadcast_arrays(p, q)
-    value = np.empty(p.shape)
-    grad = np.empty(p.shape)
-    _focal_into(p.reshape(-1), q.reshape(-1), gamma, value.reshape(-1), grad.reshape(-1))
+    value, grad = _focal_entries(p.reshape(-1), q.reshape(-1), gamma)
     shape = () if scalar else p.shape
     return value.reshape(shape), grad.reshape(shape)
 
 
-def _focal_into(p: np.ndarray, q: np.ndarray, gamma: float,
-                value: np.ndarray, grad: np.ndarray) -> None:
-    """:func:`quality_focal_with_grad` of flat ``p`` and ``q``, written into
-    flat ``value`` and ``grad``."""
-    # A heatmap is 0 almost everywhere: every entry takes the q == 0 form,
-    # block by block so that its temporaries stay in cache, and the full
-    # formula then overwrites the q != 0 entries.
-    for start in range(0, p.size, FOCAL_BLOCK):
-        block = slice(start, start + FOCAL_BLOCK)
-        value[block], grad[block] = _focal_q0(p[block], gamma)
-    general = np.flatnonzero(q != 0.0)
-    if general.size:
-        value[general], grad[general] = _focal(p[general], q[general], gamma, with_grad=True)
+def _focal_entries(p: np.ndarray, q: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`quality_focal_with_grad` of flat ``p`` and ``q``, each entry
+    evaluated in one form: the q == 0 form where ``q == 0``, the full
+    formula elsewhere."""
+    zero = q == 0.0
+    if zero.all():
+        return _focal_q0(p, gamma)
+    if not zero.any():
+        return _focal(p, q, gamma, with_grad=True)
+    value, grad = np.empty((2, p.size))
+    value[zero], grad[zero] = _focal_q0(p[zero], gamma)
+    general = ~zero
+    value[general], grad[general] = _focal(p[general], q[general], gamma, with_grad=True)
+    return value, grad
 
 
 def smooth_l1(d, beta: float = 1.0):
@@ -270,39 +264,12 @@ def classification_loss(assignment: "AssignmentResult", preds: "PredictionMap",
     on cross-region negatives, 0 elsewhere).  Returns the scalar loss and the
     gradient map w.r.t. the scores, scaled by the same ``1 / max(N, 1)``.
     """
-    ((_, values, grad),) = _classification_groups(assignment, preds.scores, gamma)
-    return values[0], grad.reshape(preds.scores.shape)
-
-
-def _classification_groups(assignment: "AssignmentResult", scores: np.ndarray,
-                           gamma: float = 2.0):
-    """:func:`classification_loss` of every scene of a stacked assignment,
-    over groups of whole scenes of about a block's worth of entries.
-
-    Yields ``(first, losses, grads)`` per group in scene order: the group's
-    first scene, one loss per scene of the group and their gradient maps as
-    ``(scenes, entries)`` rows, valid until the next group.  Each loss is
-    ``np.sum`` over its scene's own slab, so it equals the single-scene
-    value, and no gradient map of the whole stack is ever held.
-    """
     q = assignment.heatmap
-    if scores.shape != q.shape:
-        raise ValueError(f"scores shape {scores.shape} does not match heatmap {q.shape}")
-    norms = _norms(assignment)
-    n_scenes = len(norms)
-    p, q = scores.reshape(n_scenes, -1), q.reshape(n_scenes, -1)
-    per_group = min(-(-FOCAL_BLOCK // max(p.shape[1], 1)), n_scenes)
-    value_buffer, grad_buffer = np.empty((2, per_group * p.shape[1]))
-    for first in range(0, n_scenes, per_group):
-        group = slice(first, first + per_group)
-        size = p[group].size
-        value = value_buffer[:size].reshape(-1, p.shape[1])
-        grads = grad_buffer[:size].reshape(-1, p.shape[1])
-        _focal_into(p[group].reshape(-1), q[group].reshape(-1), gamma,
-                    value_buffer[:size], grad_buffer[:size])
-        grads *= norms[group, None]
-        yield first, [float(np.sum(v) * norm)
-                      for v, norm in zip(value, norms[group].tolist())], grads
+    if preds.scores.shape != q.shape:
+        raise ValueError(f"scores shape {preds.scores.shape} does not match heatmap {q.shape}")
+    values, grads = _focal_entries(preds.scores.reshape(-1), q.reshape(-1), gamma)
+    (norm,) = _norms(assignment).tolist()
+    return float(np.sum(values) * norm), (grads * norm).reshape(q.shape)
 
 
 def regression_loss_scene(assignment: "AssignmentResult") -> RegressionSceneLoss:

@@ -663,7 +663,7 @@ class TestScenePlanMemo:
     def crowded(self, seed, r):
         rng = np.random.default_rng(seed)
         grid, gts, preds = random_scene(rng, n_rows=5, n_cols=6, n_gts=5)
-        plan = _ScenePlan(grid, gts, r)
+        plan = _ScenePlan(grid, gts, r, preds.n_classes)
         assert len(set(plan_cells(plan))) < len(plan_cells(plan))  # regions overlap
         return plan, preds
 
@@ -706,11 +706,11 @@ class TestScenePlanMemo:
         def checked_score(stack, boxes, weights, alpha):
             planned = real_score(stack, boxes, weights, alpha)
             fresh = assign_dcla(stack.plan.grid, stack.plan.gts,
-                                stack.state._slab(0).prediction_map(), r=r,
+                                stack.scene_state(0).prediction_map(), r=r,
                                 lambda_reg=weights.lambda_reg, alpha=alpha)
             # A one-scene stack: its result with the scene axis taken off.
             assert_bitwise_equal(dataclasses.replace(
-                planned, heatmap=planned.heatmap[0], cand_scene=None), fresh)
+                planned, map_shape=planned.map_shape[1:], cand_scene=None), fresh)
             scored.append(len(plan_cells(stack.plan)))
             return planned
 
@@ -719,7 +719,7 @@ class TestScenePlanMemo:
         overlapping = 0
         for _ in range(3):
             grid, gts, _ = random_scene(rng, n_rows=6, n_cols=7, n_gts=5)
-            cells = plan_cells(_ScenePlan(grid, gts, r))
+            cells = plan_cells(_ScenePlan(grid, gts, r, 3))
             overlapping += len(set(cells)) < len(cells)
             fit_scene(grid, gts, assigner=AssignerConfig(kind="dcla", r=r),
                       optimizer=OptimizerConfig(step_size=0.05, n_steps=30), n_classes=3)

@@ -65,6 +65,30 @@ class TestIouCommand:
         assert main(["iou", "0,0,0,1,0,1,0", BOX_B]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["--exact", "--rwiou", "--mc"])
+    @pytest.mark.parametrize("size,volume", [("1e200", "inf"), ("1e-200", "0.0")])
+    def test_overflowing_or_underflowing_volume_rejected(self, capsys, mode, size, volume):
+        # Valid Box3D fields whose volume is inf or 0.0: the IoU would be
+        # printed wrong (exact 0.000000, rwiou nan), so the box is refused.
+        box = f"0,0,0,{size},{size},{size},0"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["iou", mode, box, BOX_B]) == 2
+            assert main(["iou", mode, BOX_A, box]) == 2
+        message = f"box volume l*w*h = {volume} must be finite and positive"
+        assert capsys.readouterr().err.splitlines() == [f"error: box1: {message}",
+                                                        f"error: box2: {message}"]
+
+    def test_overflowing_footprint_rejected(self, capsys):
+        # l*w overflows, so the volume does too, however small h is.
+        assert main(["iou", "0,0,0,1e200,1e200,1e-300,0", BOX_B]) == 2
+        assert capsys.readouterr().err == \
+            "error: box1: box volume l*w*h = inf must be finite and positive\n"
+
+    def test_large_finite_volume_accepted(self, capsys):
+        assert main(["iou", "0,0,0,1e100,1e100,1e100,0", "0,0,0,1e100,1e100,1e100,0"]) == 0
+        assert capsys.readouterr().out == "exact 1.000000\n"
+
     def test_alpha_range(self, capsys):
         assert main(["iou", "--rwiou", "--alpha", "1.5", BOX_A, BOX_B]) == 2
         assert "--alpha" in capsys.readouterr().err
@@ -231,7 +255,8 @@ class TestMalformedJson:
         assert capsys.readouterr().err.startswith(f"error: {label}: ")
 
     def test_non_finite_costs_are_a_scene_error(self, tmp_path, capsys):
-        # Sizes of 1e308 overflow the volumes: every candidate cost is NaN.
+        # Sizes of 1e308 overflow the volume: the ground truth is refused as
+        # the scene loads, before any candidate cost is computed.
         scene = json.loads(json.dumps(SCENE_FILE))
         scene["ground_truths"][0]["box"][3:6] = [1e308] * 3
         scene["predictions"] = {"kind": "noisy", "seed": 3}
@@ -240,7 +265,17 @@ class TestMalformedJson:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["assign", str(path)]) == 2
-        assert capsys.readouterr().err == "error: scene: candidate costs must be finite\n"
+        assert capsys.readouterr().err == (
+            "error: scene: gt 0: box volume l*w*h = inf must be finite and positive\n")
+
+    @pytest.mark.parametrize("size", [1e200, 1e-200])
+    def test_ground_truth_volume_is_a_scene_error(self, tmp_path, capsys, size):
+        scene = json.loads(json.dumps(SCENE_FILE))
+        scene["ground_truths"][0]["box"][3:6] = [size] * 3
+        path = tmp_path / "volume.json"
+        path.write_text(json.dumps(scene))
+        assert main(["assign", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: scene: gt 0: box volume l*w*h = ")
 
 
 @pytest.fixture

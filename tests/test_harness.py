@@ -38,6 +38,7 @@ from bevbox import (
     run_fit_config,
     world_to_cell,
 )
+from bevbox.assignment import _ScenePlan
 from bevbox.harness import (
     DEFAULT_SIZE_CLASSES,
     DIVERGENCE_THRESHOLD,
@@ -46,7 +47,13 @@ from bevbox.harness import (
     _fit_scenes,
     _true_iou_per_gt,
 )
-from helpers import random_scene, reference_fit_scene, reference_sigmoid, scan_readout
+from helpers import (
+    brute_force_assign,
+    random_scene,
+    reference_fit_scene,
+    reference_sigmoid,
+    scan_readout,
+)
 
 GRID16 = GridSpec(x_min=-8.0, y_min=-8.0, cell_size=1.0, n_rows=16, n_cols=16)
 GRID32 = GridSpec(x_min=-16.0, y_min=-16.0, cell_size=1.0, n_rows=32, n_cols=32)
@@ -433,6 +440,148 @@ class TestFitMatchesScalarReference:
                                      n_steps=30, grid=grid)
 
 
+def plan_entries(gts, assigner):
+    """The flat score entries a one-scene fit of ``gts`` keeps one by one."""
+    return _ScenePlan(GRID16, gts, assigner.effective_r, 3).entries
+
+
+def background_states(gts, assigner):
+    """Noisy states whose score logits repeat a few values (both zeros, a
+    saturated and an infinite one) with some distinct values mixed in, in and
+    out of the plan's entries.  Returns ``(state, n_groups)`` pairs, with the
+    number of distinct background logit bit patterns of each."""
+    entries = plan_entries(gts, assigner)
+    rng = np.random.default_rng(17)
+    pool = np.array([-2.0, 0.0, -0.0, 1.5, -SATURATED_LOGIT, -math.inf])
+    out = []
+    for seed in range(3):
+        state = init_state(GRID16, gts, 3, InitConfig(kind="noisy", sigma_loc=0.5),
+                           assigner, seed)
+        flat = state.score_logits.reshape(-1)
+        flat[:] = rng.choice(pool, flat.size)
+        distinct = rng.choice(flat.size, 40, replace=False)
+        flat[distinct] = rng.normal(0.0, 3.0, 40)
+        flat[entries[::3]] = rng.choice(pool, len(entries[::3]))
+        flat[entries[1::3]] = rng.normal(0.0, 3.0, len(entries[1::3]))
+        background = np.delete(flat, entries)
+        out.append((state, len(np.unique(background.view(np.uint64)))))
+    return out
+
+
+class TestSparseScoreMap:
+    """The fit keeps one logit per plan entry and one per group of equal
+    background logits; the dense scalar reference updates every entry."""
+
+    @pytest.mark.parametrize("regression", ["rwiou", "smooth_l1"])
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_mixed_background_matches_reference(self, regression, r):
+        gts = generate_scene(scene16())
+        assigner = AssignerConfig(kind="dcla", r=r)
+        state, n_groups = background_states(gts, assigner)[r]
+        assert n_groups > 30
+        assert_fit_matches_reference(gts, assigner, regression, n_steps=15, state=state)
+
+    def test_groups_are_by_bits(self):
+        gts = generate_scene(scene16())
+        assigner = AssignerConfig()
+        for state, n_groups in background_states(gts, assigner):
+            plan = _ScenePlan(GRID16, gts, 1, 3, [len(gts)])
+            # -0.0 == 0.0, yet they are two groups.
+            assert n_groups == len(np.unique(np.delete(state.score_logits, plan.entries))) + 1
+            stacked = bevbox.harness.TrainState(
+                *(getattr(state, name)[None].copy() for name in STATE_FIELDS))
+            stack = bevbox.harness._Stack(stacked, plan)
+            assert len(stack.logits) == len(plan.entries) + n_groups
+            # Written back, the units give the state's own logits.
+            assert stack.scene_state(0).score_logits.tobytes() == state.score_logits.tobytes()
+
+    def test_signed_zero_kept_when_the_update_is_zero(self):
+        # With lambda_cls = 0 every logit steps by +-0.0: -0.0 - 0.0 stays
+        # -0.0, while -0.0 - -0.0 is 0.0, so merged zeros would differ.
+        gts = generate_scene(scene16())
+        assigner = AssignerConfig()
+        state, _ = background_states(gts, assigner)[1]
+        optimizer = OptimizerConfig(n_steps=5)
+        weights = LossWeights(lambda_cls=0.0)
+        report = fit_scene(GRID16, gts, assigner=assigner, optimizer=optimizer,
+                           weights=weights, n_classes=3, state=state)
+        _, final = reference_fit_scene(GRID16, gts, assigner, optimizer, InitConfig(), weights,
+                                       "rwiou", init_seed=0, n_classes=3, state=state)
+        assert report.final_state.score_logits.tobytes() == final.score_logits.tobytes()
+        assert np.any(np.signbit(final.score_logits) & (final.score_logits == 0.0))
+
+    @pytest.mark.parametrize("state_r,fit_r", [(1, 1), (2, 2), (2, 1), (0, 2)])
+    def test_exact_init_matches_reference(self, state_r, fit_r):
+        # A state saturated for another radius puts +800 logits outside the
+        # fit's entries: a second background group.
+        gts = generate_scene(scene16())
+        state = init_state(GRID16, gts, 3, InitConfig(kind="exact"),
+                           AssignerConfig(kind="dcla", r=state_r), 0)
+        state.loc[..., 0] += 0.05
+        assert_fit_matches_reference(gts, AssignerConfig(kind="dcla", r=fit_r), "rwiou",
+                                     n_steps=15, state=state)
+
+    def test_stacked_backgrounds_equal_own_fits(self):
+        gts = generate_scene(scene16())
+        assigner = AssignerConfig()
+        mixed, _ = background_states(gts, assigner)[0]
+        states = [init_state(GRID16, gts, 3, InitConfig(), assigner, 4),
+                  init_state(GRID16, gts, 3, InitConfig(kind="exact"), assigner, 0),
+                  mixed]
+        states[1].loc[..., 1] -= 0.1
+        config = dict(assigner=assigner, optimizer=OptimizerConfig(n_steps=15),
+                      init=InitConfig(), weights=LossWeights(), regression="rwiou",
+                      n_classes=3)
+        reports, failure = _fit_scenes(GRID16, [gts] * 3, [4, 0, 9], states=states, **config)
+        assert failure is None
+        for state, seed, report in zip(states, [4, 0, 9], reports):
+            assert_same_fit(report, fit_scene(GRID16, gts, state=state, init_seed=seed,
+                                              **config))
+
+    def test_blown_up_background_is_divergence(self):
+        # Step size times lambda_cls is inf.  Exact boxes with the plan's
+        # entries at logit 0 keep every loss finite; an entry's update is
+        # then +-inf (a score of 0 or 1, still valid), but a background
+        # score of exactly 0 has gradient 0 and inf * 0 is NaN.
+        gts = generate_scene(scene16())
+        assigner = AssignerConfig()
+        state = init_state(GRID16, gts, 3, InitConfig(kind="exact"), assigner, 0)
+        state.score_logits.reshape(-1)[plan_entries(gts, assigner)] = 0.0
+        optimizer = OptimizerConfig(step_size=1e306, n_steps=3)
+        weights = LossWeights(lambda_cls=1e3)
+        with pytest.raises(DivergenceError) as info, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit_scene(GRID16, gts, assigner=assigner, optimizer=optimizer, weights=weights,
+                      n_classes=3, state=state)
+        err = info.value
+        assert err.step == 1
+        assert type(err.__cause__) is ValueError
+        assert str(err.__cause__) == "scores must be finite"
+        first = fit_scene(GRID16, gts, assigner=assigner,
+                          optimizer=OptimizerConfig(step_size=1e306, n_steps=0),
+                          weights=weights, n_classes=3, state=state)
+        assert err.report.total == first.steps[0].total <= DIVERGENCE_THRESHOLD
+        # The dense reference: the update leaves NaN scores off the entries.
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="scores must be finite"):
+            reference_fit_scene(GRID16, gts, assigner, optimizer, InitConfig(), weights,
+                                "rwiou", init_seed=0, n_classes=3, state=state)
+
+    def test_stacked_heatmap_matches_brute_force(self):
+        rng = np.random.default_rng(77)
+        grid, gts, preds = random_scene(rng, n_rows=7, n_cols=9, n_gts=4)
+        scenes = [gts, gts[:1], [], gts[::-1]]
+        plan = _ScenePlan(grid, [gt for g in scenes for gt in g], 1, 3,
+                          [len(g) for g in scenes])
+        stacked = np.stack([preds.boxes] * len(scenes))
+        scores = np.stack([preds.scores] * len(scenes))
+        result = plan.score_rows(stacked[plan.cells], scores[(*plan.cells, plan.class_ids)],
+                                 3.0, 0.5)
+        assert result.heatmap.shape == (len(scenes), 7, 9, 3)
+        for scene, scene_gts in enumerate(scenes):
+            expected = brute_force_assign(grid, scene_gts, preds, 1)[3]
+            assert result.heatmap[scene].tobytes() == expected.tobytes()
+
+
 class TestRowRefresh:
     """``TrainState._decode`` against a full decode of the same state."""
 
@@ -440,7 +589,6 @@ class TestRowRefresh:
         rng = np.random.default_rng(41)
         gts = generate_scene(scene16())
         state = init_state(GRID16, gts, 3, InitConfig(), AssignerConfig(), 0)
-        scores = state.prediction_map().scores
         flat = rng.choice(16 * 16, size=40, replace=False)
         boxes_at = np.divmod(flat[:25], 16)
         conf_at = np.divmod(flat[15:], 16)
@@ -449,7 +597,7 @@ class TestRowRefresh:
         state.sin_cos[boxes_at] += rng.normal(0.0, 0.5, (25, 2))
         state.iou_conf_raw[conf_at] += rng.normal(0.0, 2.0, 25)
         state.score_logits += rng.normal(0.0, 3.0, state.score_logits.shape)
-        boxes, conf = state._decode(boxes_at, conf_at, scores)
+        boxes, scores, conf = state._decode(boxes_at, conf_at, state.score_logits)
         full = state.prediction_map()
         assert scores.tobytes() == full.scores.tobytes()
         assert boxes.tobytes() == full.boxes[boxes_at].tobytes()
@@ -466,7 +614,6 @@ class TestRowRefresh:
     def test_rejects_what_a_full_decode_rejects(self, field, value, message):
         gts = generate_scene(scene16())
         state = init_state(GRID16, gts, 3, InitConfig(), AssignerConfig(), 0)
-        scores = state.prediction_map().scores
         cells = (np.array([2, 9]), np.array([5, 11]))
         getattr(state, field)[9, 11] = value
         snapshot = state.copy()
@@ -474,7 +621,7 @@ class TestRowRefresh:
             state.prediction_map()
         assert str(full.value) == message
         with pytest.raises(ValueError) as decoded:
-            state._decode(cells, cells, scores)
+            state._decode(cells, cells, state.score_logits)
         assert str(decoded.value) == message
         # Decoding never writes the state.
         for name in ("loc", "log_size", "sin_cos", "score_logits", "iou_conf_raw"):
@@ -814,8 +961,8 @@ class TestStackedFailureOrder:
         assert set(files) == {f"fit_seed{s}.csv" for s in seeds[:failing]}
 
     def test_first_scene_over_the_threshold_wins(self):
-        # Scenes 2 and 3 cross the threshold at step 0 with different totals,
-        # in one focal group (two 32x32 scenes each); 0 and 1 finish.
+        # Scenes 2 and 3 cross the threshold at step 0 with different totals;
+        # 0 and 1 finish.
         gts = generate_scene(SceneConfig(grid=GRID32, n_objects=4, seed=2))
         assigner = AssignerConfig(kind="dcla", r=1)
         states = [init_state(GRID32, gts, 3, InitConfig(kind="exact"), assigner, 0)
@@ -839,13 +986,13 @@ class TestStackedFailureOrder:
 
     def test_first_unusable_scene_wins(self, monkeypatch):
         # NaN logits in every scene but the first after step 0's update.
-        real_descend_logits = bevbox.harness._descend_logits
+        real_decode = bevbox.harness._Stack.decode
 
-        def nan_update(logits, grads, scores, step):
-            real_descend_logits(logits, grads, scores, step)
-            logits[1:, 0, 0, 0] = math.nan
+        def nan_decode(stack, conf_cells):
+            stack.logits[stack.scenes >= 1] = math.nan
+            return real_decode(stack, conf_cells)
 
-        monkeypatch.setattr(bevbox.harness, "_descend_logits", nan_update)
+        monkeypatch.setattr(bevbox.harness._Stack, "decode", nan_decode)
         scenes = [generate_scene(SceneConfig(grid=GRID16, n_objects=n, seed=seed))
                   for seed, n in enumerate([3, 4, 2])]
         optimizer = OptimizerConfig(n_steps=3)

@@ -214,6 +214,14 @@ def candidate_table(cells, gt_of, positive_slots, best_slots, **values):
                 best_slots=np.array(best_slots, dtype=np.intp))
 
 
+def heat_fields(heatmap):
+    """The per-entry target fields of a hand-built result with this dense
+    heatmap."""
+    entries = np.flatnonzero(heatmap)
+    return {"map_shape": heatmap.shape, "heat_entries": entries,
+            "heat": heatmap.reshape(-1)[entries]}
+
+
 def single_positive_assignment(rows, cols, n_classes, cell, class_id,
                                extra_heat=(), gt=None, preds=None):
     """Assignment with one positive cell plus optional negative weights.
@@ -235,12 +243,12 @@ def single_positive_assignment(rows, cols, n_classes, cell, class_id,
             "costs": [selection_cost(gt, pred, float(preds.scores[cell.row, cell.col, class_id]))],
             "ious": [rotated_iou_exact(gt.box, preds.box_at(cell))],
             "regression_values": [value], "regression_grads": grad.as_array()[None, :]}
-    return AssignmentResult(requested_k=[1], heatmap=heatmap,
+    return AssignmentResult(requested_k=[1], **heat_fields(heatmap),
                             **candidate_table([cell], [0], [0], [0], **values))
 
 
 def no_positive_assignment(rows, cols, n_classes):
-    return AssignmentResult(requested_k=[1], heatmap=np.zeros((rows, cols, n_classes)),
+    return AssignmentResult(requested_k=[1], **heat_fields(np.zeros((rows, cols, n_classes))),
                             **candidate_table([CellIndex(0, 0)], [0], [], [0]))
 
 
@@ -283,11 +291,11 @@ class TestClassificationLoss:
         scores = np.full((3, 3, 1), 0.5)
         preds = PredictionMap(boxes=np.ones((3, 3, 8)), scores=scores)
         one = single_positive_assignment(3, 3, 1, CellIndex(1, 1), 0)
+        heatmap = one.heatmap
+        heatmap[0, 0, 0] = 1.0
         two = AssignmentResult(
-            requested_k=[1, 1],
-            heatmap=one.heatmap.copy(),
+            requested_k=[1, 1], **heat_fields(heatmap),
             **candidate_table([CellIndex(1, 1), CellIndex(0, 0)], [0, 1], [0, 1], [0, 1]))
-        two.heatmap[0, 0, 0] = 1.0
         v1, _ = classification_loss(one, preds)
         v2, _ = classification_loss(two, preds)
         # same heatmap sum of focal terms except the added positive; the
