@@ -337,20 +337,13 @@ class AssignmentResult:
         return self._per_scene(self.best_slots)
 
     def to_json_dict(self) -> dict:
-        owner = self.owner
-        heatmap = self.heatmap
-        rows, cols = owner.shape
-        owner_entries = [
-            [r, c, int(owner[r, c])]
-            for r in range(rows) for c in range(cols)
-            if owner[r, c] >= 0
-        ]
-        heat_cells = [
-            [r, c, k, float(heatmap[r, c, k])]
-            for r in range(rows) for c in range(cols)
-            for k in range(heatmap.shape[2])
-            if heatmap[r, c, k] != 0.0
-        ]
+        # A cell has at most one owner, so sorting orders the owners row-major,
+        # and the increasing heat entries are the heatmap's row-major order.
+        owner = sorted(map(list, zip(*(index.tolist() for index in self.positive_index()))))
+        nonzero = self.heat != 0.0
+        heat_index = np.unravel_index(self.heat_entries[nonzero], self.map_shape)
+        heat_cells = [list(entry) for entry in zip(*(index.tolist() for index in heat_index),
+                                                   self.heat[nonzero].tolist())]
         return {
             "n_positives": self.n_positives,
             "per_gt": [
@@ -363,7 +356,7 @@ class AssignmentResult:
                 for i, cells in enumerate(self.positives)
             ],
             "unassigned": list(self.unassigned),
-            "owner": owner_entries,
+            "owner": owner,
             "heatmap": heat_cells,
         }
 
@@ -444,16 +437,6 @@ def _validate_scene(grid: GridSpec, gts: Sequence[GroundTruth], preds: Predictio
     return _check_alpha(alpha)
 
 
-class _SceneFault(Exception):
-    """A scored stack whose scene ``scene`` fails; ``error`` is what scoring
-    that scene alone raises.  Every earlier scene scored cleanly."""
-
-    def __init__(self, scene: int, error: Exception) -> None:
-        super().__init__(scene, error)
-        self.scene = scene
-        self.error = error
-
-
 class _ScenePlan:
     """The part of an assignment that the predictions do not change.
 
@@ -519,40 +502,18 @@ class _ScenePlan:
         scenes for a stack."""
         return (self.scenes, self.rows, self.cols) if self.stacked else (self.rows, self.cols)
 
-    def truncate(self, n_scenes: int) -> None:
-        """Keep the first ``n_scenes`` scenes of the stack, memo included."""
-        n_gts = int(self.gt_starts[n_scenes])
-        n = int(self.starts[n_gts])
-        self.gt_starts = self.gt_starts[:n_scenes + 1]
-        self.gts, self.gt_feet = self.gts[:n_gts], self.gt_feet[:n_gts]
-        self.starts = self.starts[:n_gts + 1]
-        for name in ("gt_of", "offsets", "scenes", "rows", "cols", "class_ids", "targets",
-                     "slot_entry"):
-            setattr(self, name, getattr(self, name)[:n])
-        self.map_shape = (n_scenes, *self.map_shape[1:])
-        self.entries = self.entries[:np.searchsorted(self.entries, math.prod(self.map_shape))]
-        if self._bits is not None:
-            self._bits = self._bits[:n]
-        self._ious = self._ious[:n]
-
     def _exact_ious(self, boxes: np.ndarray) -> list[float]:
         """``rotated_iou_exact(gt.box, pred)`` per slot, from footprints of
-        the validated row floats; only rows whose bits changed are clipped.
-        A clipper error is raised as the :class:`_SceneFault` of its slot's
-        scene."""
+        the validated row floats; only rows whose bits changed are clipped."""
         bits = boxes.view(np.uint64)
         if self._bits is None:
             changed = np.arange(len(boxes))
         else:
             changed = np.flatnonzero(np.any(bits != self._bits, axis=1))
-        slot = 0
-        try:
-            for slot, i, (x, y, z, l, w, h, s, c) in zip(
-                    changed.tolist(), self.gt_of[changed].tolist(), boxes[changed].tolist()):
-                self._ious[slot] = _iou_footprints(
-                    self.gt_feet[i], _footprint(x, y, z, l, w, h, math.atan2(s, c)))
-        except (ValueError, ArithmeticError) as exc:
-            raise _SceneFault(int(self.scenes[slot]), exc) from exc
+        for slot, i, (x, y, z, l, w, h, s, c) in zip(
+                changed.tolist(), self.gt_of[changed].tolist(), boxes[changed].tolist()):
+            self._ious[slot] = _iou_footprints(
+                self.gt_feet[i], _footprint(x, y, z, l, w, h, math.atan2(s, c)))
         self._bits = bits
         self.iou_runs += len(changed)
         return self._ious
@@ -561,20 +522,16 @@ class _ScenePlan:
         """The assignment of :func:`assign_dcla` for ``preds``, whose inputs
         :func:`_validate_scene` has checked (``alpha`` is its return)."""
         cells = self.cells
-        try:
-            return self.score_rows(preds.boxes[cells], preds.scores[(*cells, self.class_ids)],
-                                   lambda_reg, alpha)
-        except _SceneFault as fault:
-            raise fault.error from None
+        return self.score_rows(preds.boxes[cells], preds.scores[(*cells, self.class_ids)],
+                               lambda_reg, alpha)
 
     def score_rows(self, boxes: np.ndarray, scores: np.ndarray,
                    lambda_reg: float, alpha: float) -> AssignmentResult:
         """:meth:`score` from each slot's box row and score on its ground
         truth's class channel, gathered at :attr:`cells`.
 
-        Raises the :class:`_SceneFault` of the first scene whose own
-        scoring fails: a clipper error, or ``ValueError("candidate costs
-        must be finite")``, checked in that order within a scene.
+        A clipper error is raised before ``ValueError("candidate costs must
+        be finite")``.
         """
         gt_of, starts, rows, cols = self.gt_of, self.starts, self.rows, self.cols
         # selection_cost row by row, bitwise: the kernel's values are the
@@ -583,16 +540,10 @@ class _ScenePlan:
         with np.errstate(all="ignore"):
             reg_values, reg_grads = regression_sample_grad_batch(boxes, self.targets, alpha)
             costs = quality_focal(scores, 1.0, 2.0) + lambda_reg * reg_values
-        finite = np.isfinite(costs)
+        iou_list = self._exact_ious(boxes)
         # Sorts order NaN keys unlike comparisons; no cost reaches them.
-        bad_cost = None if finite.all() else int(self.scenes[np.argmin(finite)])
-        try:
-            iou_list = self._exact_ious(boxes)
-        except _SceneFault as fault:
-            if bad_cost is None or fault.scene <= bad_cost:
-                raise
-        if bad_cost is not None:
-            raise _SceneFault(bad_cost, ValueError("candidate costs must be finite"))
+        if not np.all(np.isfinite(costs)):
+            raise ValueError("candidate costs must be finite")
         requested_k = [dynamic_k_from_ious(iou_list[a:b])
                        for a, b in zip(starts[:-1].tolist(), starts[1:].tolist())]
 

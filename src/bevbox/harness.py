@@ -31,7 +31,6 @@ from .assignment import (
     PredictionMap,
     _check_cell_values,
     _check_iou_conf,
-    _SceneFault,
     _ScenePlan,
     _validate_scene,
     cross_region,
@@ -45,7 +44,7 @@ from .losses import (
     _iou_prediction_losses,
     _norms,
     _regression_losses,
-    smooth_l1_with_grad,
+    _smooth_l1_losses,
     total_loss,
 )
 
@@ -542,46 +541,6 @@ def init_state(
     )
 
 
-def _smooth_l1_scenes(
-    assignment: AssignmentResult,
-    boxes: np.ndarray,
-    gt_params: np.ndarray,
-) -> tuple[list[float], np.ndarray]:
-    """Per-channel smooth-L1 regression baseline on raw residuals.
-
-    Residuals per positive cell against its ground truth's ``gt_params`` row
-    (:func:`_gt_param_rows`): center offsets, log-size ratios, and yaw
-    sine/cosine differences, from the box rows ``boxes`` of the
-    assignment's slots.  Channel losses are summed per cell and averaged
-    over the scene's positive count, the usual box-regression
-    normalization.  Returns one loss per scene and the gradients in
-    box-parameter space (per-size, not per-log-size), as ``(N, 8)`` rows in
-    positive order like the main regression loss.
-    """
-    n_pos = assignment.positives_per_scene()
-    n = np.maximum(n_pos, 1)
-    slots = assignment.positive_slots
-    raw = boxes[slots]
-    pred = raw.copy()
-    # math.log, not np.log: the two differ in the last bit on some sizes.
-    pred[:, 3:6] = np.array(
-        [math.log(v) for v in raw[:, 3:6].ravel().tolist()]
-    ).reshape(-1, 3)
-    values, d_res = smooth_l1_with_grad(pred - gt_params[assignment.cand_gt[slots]])
-    cell_sums = np.sum(values, axis=1).tolist()
-    totals, start = [], 0
-    for count, scene_n in zip(n_pos.tolist(), n.tolist()):
-        total = 0.0
-        for cell_sum in cell_sums[start:start + count]:
-            total += cell_sum / scene_n
-        totals.append(total)
-        start += count
-    d = d_res / np.repeat(n, n_pos)[:, None]
-    # The log-size residual differentiates through 1/size.
-    d[:, 3:6] /= raw[:, 3:6]
-    return totals, d
-
-
 def _true_iou_per_gt(assignment: AssignmentResult) -> list[float]:
     """IoU between each ground truth and its best-matching region cell.
 
@@ -627,13 +586,11 @@ def fit_scene(
 
 
 class _Stack:
-    """The live scenes of a stacked fit: a prefix of the scenes it started
-    with, their stacked state, the plan of their slots and their score
-    logits.  A failing scene ends the prefix, since fitting the scenes one
-    by one would not have reached the scenes after it.
+    """The scenes of a stacked fit: their stacked state, the plan of their
+    slots and their score logits.
 
-    Score logits are held per unit, scene after scene (scene ``s``'s units
-    at ``starts[s]:starts[s + 1]``).  A scene's units are its entries of
+    Score logits are held per unit, scene after scene (``scenes`` is each
+    unit's scene).  A scene's units are its entries of
     ``plan.entries`` (the only ones whose classification target can be
     nonzero), in order, then its other entries grouped by logit bits, so
     ``-0.0`` and ``0.0`` stay apart.  A group's entries have target 0 and
@@ -645,7 +602,6 @@ class _Stack:
 
     def __init__(self, state: TrainState, plan: _ScenePlan) -> None:
         self.state, self.plan = state, plan
-        self.failure: Exception | None = None
         maps = state.score_logits.reshape(plan.n_scenes, -1)
         size = maps.shape[1]
         bounds = np.searchsorted(plan.entries, np.arange(plan.n_scenes + 1) * size)
@@ -671,29 +627,10 @@ class _Stack:
             starts.append(first + len(bits))
         self.logits = np.concatenate(logits)
         self.scores = _sigmoid(self.logits)
-        self.starts = np.array(starts)
-        self.scenes = np.repeat(np.arange(plan.n_scenes), np.diff(self.starts))
+        self.scenes = np.repeat(np.arange(plan.n_scenes), np.diff(starts))
         self.entry_unit = np.concatenate(entry_units)
         self.slot_unit = self.entry_unit[plan.slot_entry]
         self._map = np.empty(size)
-
-    @property
-    def size(self) -> int:
-        return self.plan.n_scenes
-
-    def drop(self, scene: int, failure: Exception) -> None:
-        """End the stack before ``scene``, which failed with ``failure``."""
-        self.failure = failure
-        self.state = self.state._slab(slice(scene))
-        self.plan.truncate(scene)
-        units = slice(self.starts[scene])
-        self.logits, self.scores, self.scenes = (
-            self.logits[units], self.scores[units], self.scenes[units])
-        self.starts = self.starts[:scene + 1]
-        self.base, self.spread, self.unit_of = (
-            self.base[:scene], self.spread[:scene], self.unit_of[:scene])
-        self.entry_unit = self.entry_unit[:len(self.plan.entries)]
-        self.slot_unit = self.slot_unit[:len(self.plan.gt_of)]
 
     def _scene_map(self, values: np.ndarray, scene: int, out: np.ndarray) -> np.ndarray:
         """The flat map of scene ``scene`` with per-unit ``values``, written
@@ -710,24 +647,9 @@ class _Stack:
 
     def decode(self, conf_cells) -> np.ndarray:
         """:meth:`TrainState._decode` of the stack, keeping the scores;
-        returns the boxes at the plan's slots.  A failure is raised as the
-        :class:`_SceneFault` of the first scene whose own decode fails."""
-        plan = self.plan
-        try:
-            boxes, self.scores, _ = self.state._decode(plan.cells, conf_cells, self.logits)
-            return boxes
-        except ValueError:
-            for scene in range(self.size):
-                slots = plan.scenes == scene
-                conf = conf_cells[0] == scene
-                try:
-                    self.state._slab(scene)._decode(
-                        (plan.rows[slots], plan.cols[slots]),
-                        (conf_cells[1][conf], conf_cells[2][conf]),
-                        self.logits[self.starts[scene]:self.starts[scene + 1]])
-                except ValueError as exc:
-                    raise _SceneFault(scene, exc) from exc
-            raise
+        returns the boxes at the plan's slots."""
+        boxes, self.scores, _ = self.state._decode(self.plan.cells, conf_cells, self.logits)
+        return boxes
 
     def score(self, boxes: np.ndarray, weights: LossWeights, alpha: float) -> AssignmentResult:
         return self.plan.score_rows(boxes, self.scores[self.slot_unit],
@@ -770,14 +692,15 @@ def _fit_scenes(
     The states carry a leading scene axis, one plan holds every scene's
     slots, the score logits are held per distinct unit (:class:`_Stack`),
     and each step runs the kernel, the focal terms, the decode, the checks
-    and the update once over all live scenes; each scene's losses are
-    reduced over its own slab, so every report and final state is bitwise
-    the scene's own fit.  ``wall_clock_s`` is the pass's wall time divided
+    and the update once over all scenes; each scene's losses are reduced
+    over its own slab, so every report and final state is bitwise the
+    scene's own fit.  ``wall_clock_s`` is the pass's wall time divided
     evenly over the reports.
 
     Returns the reports of the scenes before the first one that fails, and
-    that failure (``None`` when every fit finishes): the exception fitting
-    the scenes one at a time, in order, would have raised.
+    that failure (``None`` when every fit finishes): what fitting the scenes
+    one at a time, in order, gives.  A stack of several scenes that meets a
+    failure does just that (:func:`_fit_one_by_one`).
     """
     if regression not in ("rwiou", "smooth_l1"):
         raise ValueError("regression must be 'rwiou' or 'smooth_l1'")
@@ -787,10 +710,9 @@ def _fit_scenes(
     if not math.isfinite(step_iou):
         raise ValueError("step_size * lambda_iou must be finite")
     started = time.perf_counter()
+    settings = (assigner, optimizer, init, weights, regression, n_classes)
 
-    # Each scene's initial state is user input: it is checked on its own, and
-    # a scene that fails these checks keeps its ValueError.
-    failure = None
+    # Each scene's initial state is user input, checked on its own.
     stacked: list[np.ndarray] = []
     alpha = weights.alpha
     for i, gts in enumerate(scenes):
@@ -799,84 +721,66 @@ def _fit_scenes(
                      if states is None else states[i])
             alpha = _validate_scene(grid, gts, state.prediction_map(),
                                     weights.lambda_reg, weights.alpha)
-            if not stacked:
-                stacked = [np.empty((len(scenes), *getattr(state, f.name).shape))
-                           for f in fields(TrainState)]
-            for array, f in zip(stacked, fields(TrainState)):
-                array[i] = getattr(state, f.name)
         except ValueError as exc:
-            failure = exc
-            scenes = scenes[:i]
-            break
-        del state
+            return _fit_one_by_one(grid, scenes, init_seeds, states, exc, settings)
+        if not stacked:
+            stacked = [np.empty((len(scenes), *getattr(state, f.name).shape))
+                       for f in fields(TrainState)]
+        for array, f in zip(stacked, fields(TrainState)):
+            array[i] = getattr(state, f.name)
     if not scenes:
-        return [], failure
+        return [], None
     all_gts = [gt for gts in scenes for gt in gts]
-    state = TrainState(*stacked)._slab(slice(len(scenes)))
+    state = TrainState(*stacked)
     del stacked
     stack = _Stack(state, _ScenePlan(grid, all_gts, assigner.effective_r,
                                      state.score_logits.shape[-1], [len(g) for g in scenes]))
-    stack.failure = failure
     plan = stack.plan
     gt_params = _gt_param_rows(all_gts)
 
-    def score_or_drop(boxes, fault_error):
-        # Score the live scenes; a failing scene ends the stack, the rest rescore.
-        while stack.size:
-            try:
-                return stack.score(boxes[:len(plan.rows)], weights, alpha)
-            except _SceneFault as fault:
-                stack.drop(fault.scene, fault_error(fault))
-        return None
-
-    boxes = stack.state._boxes_at(plan.cells)
-    assignment = score_or_drop(boxes, lambda fault: fault.error)
+    failure = None
+    boxes = state._boxes_at(plan.cells)
+    try:
+        assignment = stack.score(boxes, weights, alpha)
+    except (ValueError, ArithmeticError) as exc:
+        failure = exc
     steps: list[list[StepRecord]] = [[] for _ in scenes]
-    last: list[LossReport | None] = [None] * len(scenes)
+    gt_starts = plan.gt_starts.tolist()
     lr = optimizer.step_size
     for step in range(optimizer.n_steps + 1):
-        if not stack.size:
+        if failure is not None:
             break
-        state = stack.state
         n_pos = assignment.positives_per_scene()
         pos = assignment.positive_cells()
         if regression == "rwiou":
             l_reg, reg_rows, per_gt = _regression_losses(assignment)
         else:
-            l_reg, reg_rows = _smooth_l1_scenes(assignment, boxes, gt_params)
-            per_gt = [()] * stack.size
+            l_reg, reg_rows = _smooth_l1_losses(assignment, boxes, gt_params)
+            per_gt = [()] * len(scenes)
         u = np.tanh(state.iou_conf_raw[pos])
         l_iou, iou_rows = _iou_prediction_losses(assignment, u)
         readout = _true_iou_per_gt(assignment)
         l_cls, cls_grads = stack.classification(assignment)
-        gt_starts = plan.gt_starts.tolist()
-        for scene in range(stack.size):
+        for scene in range(len(scenes)):
             report = total_loss(l_cls[scene], l_reg[scene], l_iou[scene], weights=weights,
                                 n_positives=int(n_pos[scene]), per_gt=per_gt[scene])
             ious = readout[gt_starts[scene]:gt_starts[scene + 1]]
             steps[scene].append(StepRecord(
                 step=step, l_cls=l_cls[scene], l_reg=l_reg[scene], l_iou=l_iou[scene],
                 total=report.total, mean_true_iou=float(np.mean(ious)) if ious else 0.0))
-            last[scene] = report
             # Written so that a NaN total also counts as divergence.
             if not report.total <= DIVERGENCE_THRESHOLD:
-                stack.drop(scene, DivergenceError(step, report))
+                failure = DivergenceError(step, report)
                 break
-        if not stack.size or step == optimizer.n_steps:
+        if failure is not None or step == optimizer.n_steps:
             break
 
-        # The update, for the live scenes: their units and positives lead.
-        state = stack.state
-        live = int(n_pos[:stack.size].sum())
-        pos = tuple(index[:live] for index in pos)
-        slots = assignment.positive_slots[:live]
-
+        slots = assignment.positive_slots
         # A blown-up update leaves inf or NaN, which the decode checks report
         # as divergence; numpy's warnings would only repeat it.
         with np.errstate(all="ignore"):
             # Classification: logits move through the sigmoid derivative.
-            _descend_logits(stack.logits, cls_grads[:len(stack.logits)], stack.scores,
-                            lr * weights.lambda_cls)
+            _descend_logits(stack.logits, cls_grads, stack.scores, lr * weights.lambda_cls)
 
             # Regression: per-positive box gradient rows chained onto the raw
             # parameterization. A cell whose eight box channels already match the
@@ -889,7 +793,7 @@ def _fit_scenes(
             target8 = plan.targets[slots]
             moving = ~np.all(boxes[slots] == target8, axis=1)
             cells = tuple(index[moving] for index in pos)
-            g = reg_rows[:live][moving]
+            g = reg_rows[moving]
             step_reg = lr * weights.lambda_reg
             state.loc[cells] -= step_reg * g[:, 0:3]
             state.log_size[cells] -= step_reg * g[:, 3:6] * np.exp(state.log_size[cells])
@@ -898,30 +802,25 @@ def _fit_scenes(
 
             # Overlap confidence: raw channel moves through the tanh derivative.
             # Its gradient is 0.0 off the positives, and x - 0.0 == x there.
-            u = u[:live]
-            state.iou_conf_raw[pos] -= step_iou * iou_rows[:live] * (1.0 - u * u)
+            state.iou_conf_raw[pos] -= step_iou * iou_rows * (1.0 - u * u)
 
-        # An updated state that cannot be evaluated is a blow-up.
-        assignment = None
-        while stack.size:
-            try:
-                boxes = stack.decode(pos)
-                break
-            except _SceneFault as fault:
-                stack.drop(fault.scene, _unusable(step + 1, last[fault.scene], fault))
-                pos = tuple(index[:int(n_pos[:stack.size].sum())] for index in pos)
-        assignment = score_or_drop(
-            boxes, lambda fault, step=step: _unusable(step + 1, last[fault.scene], fault))
+        # An updated state that cannot be evaluated is a blow-up.  For a
+        # one-scene stack, ``report`` is its report of this step.
+        try:
+            boxes = stack.decode(pos)
+            assignment = stack.score(boxes, weights, alpha)
+        except (ValueError, ArithmeticError) as exc:
+            failure = _unusable(step + 1, report, exc)
+    if failure is not None:
+        return _fit_one_by_one(grid, scenes, init_seeds, states, failure, settings)
 
     elapsed = time.perf_counter() - started
+    readout = _true_iou_per_gt(assignment)
+    k_per_gt = assignment.k_per_gt
     reports = []
-    if stack.size:
-        readout = _true_iou_per_gt(assignment)
-        k_per_gt = assignment.k_per_gt
-    gt_starts = plan.gt_starts.tolist()
-    for scene in range(stack.size):
-        gts = slice(gt_starts[scene], gt_starts[scene + 1])
-        final_ious = readout[gts]
+    for scene, gts in enumerate(scenes):
+        own = slice(gt_starts[scene], gt_starts[scene + 1])
+        final_ious = readout[own]
         reports.append(ExperimentReport(
             seed=init_seeds[scene],
             regression=regression,
@@ -930,18 +829,36 @@ def _fit_scenes(
             final_iou_per_gt=final_ious,
             mean_final_iou=float(np.mean(final_ious)) if final_ious else 0.0,
             min_final_iou=float(np.min(final_ious)) if final_ious else 0.0,
-            k_by_class=_mean_k_by_class(k_per_gt[gts], scenes[scene]),
-            wall_clock_s=elapsed / stack.size,
+            k_by_class=_mean_k_by_class(k_per_gt[own], gts),
+            wall_clock_s=elapsed / len(scenes),
             final_state=stack.scene_state(scene),
         ))
-    return reports, stack.failure
+    return reports, None
 
 
-def _unusable(step: int, report: LossReport, fault: _SceneFault) -> DivergenceError:
-    error = DivergenceError(step, report, reason=(
-        f"update left an unusable state ({type(fault.error).__name__}: {fault.error})"))
-    error.__cause__ = fault.error
-    return error
+def _fit_one_by_one(grid: GridSpec, scenes: list[list[GroundTruth]], init_seeds: list[int],
+                    states: list[TrainState] | None, failure: Exception,
+                    settings: tuple) -> tuple[list[ExperimentReport], Exception | None]:
+    """What :func:`_fit_scenes` returns for a stack that met ``failure``:
+    a one-scene stack's failure is its own; a longer stack fits its scenes
+    alone, in order, up to the first that fails, which defines its failure."""
+    if len(scenes) == 1:
+        return [], failure
+    reports = []
+    for i, gts in enumerate(scenes):
+        done, failure = _fit_scenes(grid, [gts], init_seeds[i:i + 1], *settings,
+                                    states=None if states is None else states[i:i + 1])
+        reports += done
+        if failure is not None:
+            break
+    return reports, failure
+
+
+def _unusable(step: int, report: LossReport, error: Exception) -> DivergenceError:
+    failure = DivergenceError(step, report, reason=(
+        f"update left an unusable state ({type(error).__name__}: {error})"))
+    failure.__cause__ = error
+    return failure
 
 
 def _mean_k_by_class(k_per_gt: list[int], gts: list[GroundTruth]) -> dict[str, float]:

@@ -22,6 +22,7 @@ the assignment itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -306,6 +307,36 @@ def _regression_losses(assignment: "AssignmentResult") -> tuple[
         first += count
     return ([total * norm for total, norm in zip(_per_scene_sums(gt_sums, n_gts), norms.tolist())],
             box_grads, per_gt)
+
+
+def _smooth_l1_losses(assignment: "AssignmentResult", boxes: np.ndarray,
+                      gt_params: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """Per-channel smooth-L1 regression baseline on raw residuals, for every
+    scene of a stacked assignment.
+
+    Residuals per positive cell against its ground truth's ``gt_params`` row
+    (center, log-sizes, yaw sine/cosine), from the box rows ``boxes`` of the
+    assignment's slots: center offsets, log-size ratios, and yaw sine/cosine
+    differences.  Channel losses are summed per cell and averaged over the
+    scene's positive count, the usual box-regression normalization.  Returns
+    one loss per scene and the gradients in box-parameter space (per-size,
+    not per-log-size), as ``(N, 8)`` rows in positive order like
+    :func:`_regression_losses`.
+    """
+    n_pos = assignment.positives_per_scene()
+    n = np.repeat(np.maximum(n_pos, 1), n_pos)
+    slots = assignment.positive_slots
+    raw = boxes[slots]
+    pred = raw.copy()
+    # math.log, not np.log: the two differ in the last bit on some sizes.
+    pred[:, 3:6] = np.array(
+        [math.log(v) for v in raw[:, 3:6].ravel().tolist()]
+    ).reshape(-1, 3)
+    values, d_res = smooth_l1_with_grad(pred - gt_params[assignment.cand_gt[slots]])
+    d = d_res / n[:, None]
+    # The log-size residual differentiates through 1/size.
+    d[:, 3:6] /= raw[:, 3:6]
+    return _per_scene_sums((np.sum(values, axis=1) / n).tolist(), n_pos.tolist()), d
 
 
 def iou_prediction_loss(assignment: "AssignmentResult",

@@ -2,8 +2,9 @@
 
 Each test prints one ``[PASS]`` line (visible under ``pytest -s``) carrying
 the measured headline number; a failing criterion produces a normal pytest
-failure instead. Expensive multi-seed runs are shared through module-scoped
-fixtures so the whole gate stays inside its runtime budgets.
+failure instead. Expensive multi-seed runs are shared through fixtures
+(criterion 9's 20-seed fits with the digest checks, in ``conftest.py``) so
+the whole gate stays inside its runtime budgets.
 """
 
 import json
@@ -35,7 +36,6 @@ from bevbox import (
     regression_loss_scene,
     rotated_iou_exact,
     rwiou,
-    run_fit_config,
     total_loss,
 )
 from bevbox.harness import _scene_config_from_dict, balance_experiment
@@ -301,17 +301,10 @@ def test_criterion_08_loss_normalization_and_recomposition():
 
 
 @pytest.fixture(scope="module")
-def convergence_runs(tmp_path_factory):
-    out = tmp_path_factory.mktemp("acceptance_runs")
-    with open("configs/reference.json") as f:
-        reference_config = json.load(f)
-    with open("configs/baseline.json") as f:
-        baseline_config = json.load(f)
-    t0 = time.monotonic()
-    reference = run_fit_config(reference_config, out_dir=out / "reference")
-    baseline = run_fit_config(baseline_config, out_dir=out / "baseline")
-    elapsed = time.monotonic() - t0
-    return reference, baseline, elapsed
+def convergence_runs(config_fits):
+    # Shared with the digest checks (tests/conftest.py).
+    fits, elapsed = config_fits
+    return fits["reference"][0], fits["baseline"][0], elapsed
 
 
 def test_criterion_09_convergence_regression_thresholds(convergence_runs):

@@ -622,6 +622,27 @@ class TestDeterminism:
         assert all(len(pair) == 3 for pair in payload["owner"])
         assert all(len(item) == 4 for item in payload["heatmap"])
 
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_json_dict_equals_a_dense_walk(self, r):
+        # Many large boxes on a 128x128x3 map: contested cells, and
+        # cross-region negatives whose IoU is 0.
+        rng = np.random.default_rng(90 + r)
+        grid, gts, preds = random_scene(rng, n_rows=128, n_cols=128, n_gts=400)
+        result = assign_dcla(grid, gts, preds, r=r)
+        owner, heatmap = result.owner, result.heatmap
+        rows, cols, classes = heatmap.shape
+        payload = result.to_json_dict()
+        assert payload["owner"] == [
+            [row, col, int(owner[row, col])]
+            for row in range(rows) for col in range(cols) if owner[row, col] >= 0]
+        assert payload["heatmap"] == [
+            [row, col, k, float(heatmap[row, col, k])]
+            for row in range(rows) for col in range(cols) for k in range(classes)
+            if heatmap[row, col, k] != 0.0]
+        cells = list(zip(result.cand_rows.tolist(), result.cand_cols.tolist()))
+        assert len(set(cells)) < len(cells)
+        assert np.any(result.heat == 0.0)
+
 
 def _bits(value):
     """``value`` with every float replaced by its bytes, so that equality is

@@ -1,0 +1,115 @@
+"""Byte-identity of the fits and assignments the release gate and the
+benchmark run.
+
+``tests/digests.json`` pins sha256 prefixes (16 hex digits) of what the
+program writes, with the numpy version, Python version and machine they were
+recorded on:
+
+- csv: the seeds' ``trajectory_csv()`` concatenated;
+- report: ``json.dumps`` of the seeds' ``to_json_dict()`` without
+  ``wall_clock_s``;
+- state: the seeds' final ``TrainState`` arrays concatenated in field order;
+- the stdout of ``bevbox assign configs/example_scene.json --r R``;
+- one failing stack: its error, step, cause, last report and files.
+
+numpy's ufuncs and pairwise sums can round differently on another numpy or
+CPU, so there a mismatch skips, naming both environments and printing the
+current digests.  On the recorded environment a mismatch fails.  A change
+that moves a trajectory on purpose records the new digests here and says so.
+"""
+
+import hashlib
+import json
+import platform
+from dataclasses import fields
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from bevbox import DivergenceError, TrainState, run_fit_config
+from bevbox.cli import main
+from conftest import ROOT, load_config, run_recording
+
+RECORD = json.loads((Path(__file__).parent / "digests.json").read_text())
+ENVIRONMENT = {"numpy": np.__version__, "python": platform.python_version(),
+               "machine": platform.machine()}
+
+
+def sha(data) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()[:16]
+
+
+def fit_digests(reports) -> dict:
+    without_clock = [{key: value for key, value in report.to_json_dict().items()
+                      if key != "wall_clock_s"} for report in reports]
+    return {
+        "csv": sha("".join(report.trajectory_csv() for report in reports)),
+        "report": sha(json.dumps(without_clock)),
+        "state": sha(b"".join(getattr(report.final_state, f.name).tobytes()
+                              for report in reports for f in fields(TrainState))),
+    }
+
+
+def check(case: str, current) -> None:
+    recorded = RECORD["digests"][case]
+    if current == recorded:
+        return
+    message = (f"{case}: current digests {json.dumps(current)} differ from the recorded "
+               f"{json.dumps(recorded)}; recorded on {RECORD['environment']}, "
+               f"running on {ENVIRONMENT}")
+    if ENVIRONMENT != RECORD["environment"]:
+        pytest.skip(message)
+    pytest.fail(message)
+
+
+@pytest.mark.parametrize("case,config,n_seeds", [
+    ("reference seeds 0-4", "reference", 5),
+    ("baseline seeds 0-1", "baseline", 2),
+], ids=["reference", "baseline"])
+def test_config_fits(config_fits, case, config, n_seeds):
+    # Seeds 0-4 of the 20-seed stack are bitwise seeds 0-4 fitted alone.
+    fits, _ = config_fits
+    check(case, fit_digests(fits[config][1][:n_seeds]))
+
+
+@pytest.mark.parametrize("case,assigner", [
+    # The report holds the assigner as given: center with r = 0 gives the
+    # same csv and state but another report.
+    ("center seeds 0-1", {"kind": "center", "r": 1}),
+    ("r=2 seeds 0-1", {"kind": "dcla", "r": 2}),
+], ids=["center", "r2"])
+def test_assigner_variants(tmp_path, case, assigner):
+    config = dict(load_config("configs/reference.json"), assigner=assigner)
+    _, reports = run_recording(dict(config, seeds=[0, 1]), tmp_path)
+    check(case, fit_digests(reports))
+
+
+def test_dense_center(tmp_path):
+    config = load_config("perfbench/configs/dense_center.json")
+    _, reports = run_recording(config, tmp_path)
+    check("dense_center seed 0", fit_digests(reports))
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_assign_stdout(capsys, r):
+    assert main(["assign", str(ROOT / "configs/example_scene.json"), "--r", str(r)]) == 0
+    check(f"assign r={r}", sha(capsys.readouterr().out))
+
+
+def test_failing_stack(tmp_path):
+    # Seed 5 finishes and seed 4 blows up: seeds after it are never fitted.
+    config = load_config("configs/reference.json")
+    config["scene"] = dict(config["scene"], n_objects=3, grid={
+        "x_min": -8.0, "y_min": -8.0, "cell_size": 1.0, "n_rows": 16, "n_cols": 16})
+    config["optimizer"] = {"step_size": 300.0, "n_steps": 20}
+    with pytest.raises(DivergenceError) as info:
+        run_fit_config(dict(config, seeds=[5, 4, 6, 2, 3, 1, 0]), out_dir=tmp_path)
+    error = info.value
+    check("failing stack", {
+        "error": str(error),
+        "step": error.step,
+        "cause": f"{type(error.__cause__).__name__}: {error.__cause__}",
+        "report": sha(json.dumps(error.report.to_json_dict())),
+        "files": {path.name: sha(path.read_bytes()) for path in sorted(tmp_path.iterdir())},
+    })

@@ -985,11 +985,15 @@ class TestStackedFailureOrder:
             (own[0].step, own[0].report, str(own[0]))
 
     def test_first_unusable_scene_wins(self, monkeypatch):
-        # NaN logits in every scene but the first after step 0's update.
+        # NaN logits in every scene but the first after step 0's update,
+        # found by its ground truths, so a one-scene fit of it sees them too.
         real_decode = bevbox.harness._Stack.decode
 
         def nan_decode(stack, conf_cells):
-            stack.logits[stack.scenes >= 1] = math.nan
+            starts = stack.plan.gt_starts
+            for scene in range(len(starts) - 1):
+                if stack.plan.gts[starts[scene]:starts[scene + 1]] != scenes[0]:
+                    stack.logits[stack.scenes == scene] = math.nan
             return real_decode(stack, conf_cells)
 
         monkeypatch.setattr(bevbox.harness._Stack, "decode", nan_decode)
@@ -1006,6 +1010,43 @@ class TestStackedFailureOrder:
         own = fit_scene(GRID16, scenes[1], optimizer=OptimizerConfig(n_steps=0), init_seed=1,
                         n_classes=3)
         assert failure.report.total == own.steps[0].total
+
+    def test_first_unscorable_scene_wins(self):
+        # Scene 1's boxes sit 1e160 m away: its costs overflow at step 0.
+        gts = generate_scene(scene16())
+        assigner = AssignerConfig()
+        config = dict(assigner=assigner, optimizer=OptimizerConfig(n_steps=4), init=InitConfig(),
+                      weights=LossWeights(), regression="rwiou", n_classes=3)
+        states = [init_state(GRID16, gts, 3, InitConfig(), assigner, seed) for seed in range(3)]
+        states[1].loc[..., 0] = 1e160
+        reports, failure = _fit_scenes(GRID16, [gts] * 3, [0, 1, 2], states=states, **config)
+        assert [report.seed for report in reports] == [0]
+        assert type(failure) is ValueError
+        assert str(failure) == "candidate costs must be finite"
+        assert_same_fit(reports[0], fit_scene(GRID16, gts, state=states[0], **config))
+
+    def test_divergence_before_an_invalid_state(self):
+        # Scene 1 crosses the threshold at step 0; scene 2's state is rejected
+        # on entry, but a seed loop never reaches it.
+        gts = generate_scene(SceneConfig(grid=GRID32, n_objects=4, seed=2))
+        assigner = AssignerConfig()
+        optimizer = OptimizerConfig(n_steps=3)
+        states = [init_state(GRID32, gts, 3, InitConfig(kind="exact"), assigner, 0)
+                  for _ in range(3)]
+        states[1].score_logits[:] = SATURATED_LOGIT
+        states[2].score_logits[0, 0, 0] = math.nan
+        reports, failure = _fit_scenes(GRID32, [gts] * 3, [0, 1, 2], assigner, optimizer,
+                                       InitConfig(), LossWeights(), "rwiou", 3, states=states)
+        assert [report.seed for report in reports] == [0]
+        with pytest.raises(DivergenceError) as info:
+            fit_scene(GRID32, gts, assigner=assigner, optimizer=optimizer, n_classes=3,
+                      state=states[1])
+        assert isinstance(failure, DivergenceError)
+        assert (failure.step, failure.report, str(failure)) == \
+            (info.value.step, info.value.report, str(info.value))
+        with pytest.raises(ValueError, match="scores must be finite"):
+            fit_scene(GRID32, gts, assigner=assigner, optimizer=optimizer, n_classes=3,
+                      state=states[2])
 
     def test_unplaceable_seed_partway(self, tmp_path):
         # With five attempts per object, seed 5 cannot place its six objects.
