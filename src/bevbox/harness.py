@@ -36,11 +36,11 @@ from .assignment import (
     cross_region,
     world_to_cell,
 )
-from .geometry import Box3D, _check_volume, convex_intersection_area
+from .geometry import Box3D, _check_volume, _target_rows, convex_intersection_area
 from .losses import (
     LossReport,
     LossWeights,
-    _focal_entries,
+    _focal,
     _iou_prediction_losses,
     _norms,
     _regression_losses,
@@ -126,6 +126,8 @@ class SceneConfig:
             raise ValueError("at least one size class is required")
         if self.min_clearance < 0.0:
             raise ValueError("min_clearance must be >= 0")
+        if not math.isfinite(self.min_clearance):
+            raise ValueError("min_clearance must be finite")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
 
@@ -179,6 +181,8 @@ class InitConfig:
         for label in ("sigma_loc", "sigma_yaw", "sigma_log_size"):
             if getattr(self, label) < 0.0:
                 raise ValueError(f"{label} must be >= 0")
+            if not math.isfinite(getattr(self, label)):
+                raise ValueError(f"{label} must be finite")
 
 
 @dataclass
@@ -424,24 +428,6 @@ def generate_scene(config: SceneConfig) -> list[GroundTruth]:
     return placed
 
 
-def _gt_param_rows(gts: list[GroundTruth]) -> np.ndarray:
-    return np.array(
-        [
-            [
-                gt.box.x,
-                gt.box.y,
-                gt.box.z,
-                math.log(gt.box.l),
-                math.log(gt.box.w),
-                math.log(gt.box.h),
-                math.sin(gt.box.theta),
-                math.cos(gt.box.theta),
-            ]
-            for gt in gts
-        ]
-    ).reshape(-1, 8)
-
-
 def _nearest_gt_indices(grid: GridSpec, gts: list[GroundTruth]) -> np.ndarray:
     centers_x = grid.x_min + (np.arange(grid.n_cols) + 0.5) * grid.cell_size
     centers_y = grid.y_min + (np.arange(grid.n_rows) + 0.5) * grid.cell_size
@@ -477,9 +463,10 @@ def init_state(
 
     if gts:
         nearest = _nearest_gt_indices(grid, gts)
-        gathered = _gt_param_rows(gts)[nearest]
+        gathered = _target_rows([gt.box for gt in gts])[nearest]
         loc = gathered[..., 0:3].copy()
-        log_size = gathered[..., 3:6].copy()
+        log_size = np.array([[math.log(gt.box.l), math.log(gt.box.w), math.log(gt.box.h)]
+                             for gt in gts])[nearest]
         sin_cos = gathered[..., 6:8].copy()
     else:
         nearest = np.zeros((rows, cols), dtype=int)
@@ -598,6 +585,11 @@ class _Stack:
     its ``base`` unit everywhere but at the flat indices ``spread[s]``,
     which hold the units ``unit_of[s]``.  ``state.score_logits`` is
     written back only by :meth:`scene_state`.
+
+    A step runs :meth:`decode` (not at step 0), :meth:`score`,
+    :meth:`losses` and :meth:`update`.  ``scores`` are the units' scores
+    of the last decode; ``pos`` and ``conf`` the positives' cells and
+    confidences of the last :meth:`losses`, for :meth:`update`.
     """
 
     def __init__(self, state: TrainState, plan: _ScenePlan) -> None:
@@ -655,17 +647,64 @@ class _Stack:
         return self.plan.score_rows(boxes, self.scores[self.slot_unit],
                                     weights.lambda_reg, alpha)
 
-    def classification(self, assignment: AssignmentResult) -> tuple[list[float], np.ndarray]:
-        """:func:`~bevbox.losses.classification_loss` of every scene: the
-        focal terms of the units, each scene's loss as ``np.sum`` over its
-        map of them (so it equals the dense loss), and the units' gradients."""
+    def losses(self, assignment: AssignmentResult, boxes: np.ndarray,
+               regression: str) -> tuple[list[tuple], tuple[np.ndarray, ...]]:
+        """Every scene's ``(l_cls, l_reg, l_iou, per_gt)`` for ``assignment``
+        (scored from the box rows ``boxes``), and the ``(cls, reg, iou)``
+        gradients of the units, the positives' box rows and their
+        confidences.  Each
+        ``l_cls`` is ``np.sum`` over the scene's map of the units' focal
+        terms, so it equals the dense loss."""
+        if regression == "rwiou":
+            l_reg, reg, per_gt = _regression_losses(assignment)
+        else:
+            l_reg, reg = _smooth_l1_losses(assignment, boxes, self.plan.targets)
+            per_gt = [()] * self.plan.n_scenes
+        self.pos = assignment.positive_cells()
+        self.conf = np.tanh(self.state.iou_conf_raw[self.pos])
+        l_iou, iou = _iou_prediction_losses(assignment, self.conf)
         q = np.zeros(len(self.scores))
         q[self.entry_unit] = assignment.heat
-        values, grads = _focal_entries(self.scores, q, 2.0)
+        values, cls = _focal(self.scores, q, 2.0, with_grad=True)
         norms = _norms(assignment)
-        losses = [float(np.sum(self._scene_map(values, scene, self._map)) * norm)
-                  for scene, norm in enumerate(norms.tolist())]
-        return losses, grads * norms[self.scenes]
+        l_cls = [float(np.sum(self._scene_map(values, scene, self._map)) * norm)
+                 for scene, norm in enumerate(norms.tolist())]
+        return list(zip(l_cls, l_reg, l_iou, per_gt)), (cls * norms[self.scenes], reg, iou)
+
+    def update(self, assignment: AssignmentResult, boxes: np.ndarray,
+               grads: tuple[np.ndarray, ...], rates: tuple[float, float, float]) -> None:
+        """One descent step on the gradients of :meth:`losses`, at the
+        ``(cls, reg, iou)`` step sizes ``rates``."""
+        cls_grads, reg_rows, iou_rows = grads
+        step_cls, step_reg, step_iou = rates
+        state, pos, u = self.state, self.pos, self.conf
+        slots = assignment.positive_slots
+        # A blown-up update leaves inf or NaN, which the decode checks report
+        # as divergence; numpy's warnings would only repeat it.
+        with np.errstate(all="ignore"):
+            # Classification: logits move through the sigmoid derivative.
+            _descend_logits(self.logits, cls_grads, self.scores, step_cls)
+
+            # Regression: per-positive box gradient rows chained onto the raw
+            # parameterization. A cell whose eight box channels already match the
+            # target bitwise is frozen outright: the loss there sits at a kinked
+            # minimum where the one-sided conventions leave a nonzero yaw
+            # subgradient and roundoff can leave ulp-scale residue in the size
+            # channels, and nudging a converged cell by either would only knock it
+            # off the optimum. Short of full equality, only the yaw channels get
+            # the same treatment per channel.
+            target8 = self.plan.targets[slots]
+            moving = ~np.all(boxes[slots] == target8, axis=1)
+            cells = tuple(index[moving] for index in pos)
+            g = reg_rows[moving]
+            state.loc[cells] -= step_reg * g[:, 0:3]
+            state.log_size[cells] -= step_reg * g[:, 3:6] * np.exp(state.log_size[cells])
+            yaw = np.any(state.sin_cos[cells] != target8[moving, 6:8], axis=1)
+            state.sin_cos[tuple(index[yaw] for index in cells)] -= step_reg * g[yaw, 6:8]
+
+            # Overlap confidence: raw channel moves through the tanh derivative.
+            # Its gradient is 0.0 off the positives, and x - 0.0 == x there.
+            state.iou_conf_raw[pos] -= step_iou * iou_rows * (1.0 - u * u)
 
 
 def _descend_logits(logits: np.ndarray, grads: np.ndarray, scores: np.ndarray,
@@ -690,12 +729,11 @@ def _fit_scenes(
     """:func:`fit_scene` of every scene of ``scenes`` on one grid, in one pass.
 
     The states carry a leading scene axis, one plan holds every scene's
-    slots, the score logits are held per distinct unit (:class:`_Stack`),
-    and each step runs the kernel, the focal terms, the decode, the checks
-    and the update once over all scenes; each scene's losses are reduced
-    over its own slab, so every report and final state is bitwise the
-    scene's own fit.  ``wall_clock_s`` is the pass's wall time divided
-    evenly over the reports.
+    slots, the score logits are held per distinct unit, and each step runs
+    the phases of :class:`_Stack` once over all scenes; each scene's losses
+    are reduced over its own slab, so every report and final state is
+    bitwise the scene's own fit.  ``wall_clock_s`` is the pass's wall time
+    divided evenly over the reports.
 
     Returns the reports of the scenes before the first one that fails, and
     that failure (``None`` when every fit finishes): what fitting the scenes
@@ -704,10 +742,12 @@ def _fit_scenes(
     """
     if regression not in ("rwiou", "smooth_l1"):
         raise ValueError("regression must be 'rwiou' or 'smooth_l1'")
-    # Off the positives the confidence step is step_iou * 0.0, which the
-    # update skips; that is exact only while step_iou is finite.
-    step_iou = optimizer.step_size * weights.lambda_iou
-    if not math.isfinite(step_iou):
+    # The step sizes of the three terms.  Off the positives the confidence
+    # step is step_iou * 0.0, which the update skips; that is exact only
+    # while step_iou is finite.
+    lr = optimizer.step_size
+    rates = (lr * weights.lambda_cls, lr * weights.lambda_reg, lr * weights.lambda_iou)
+    if not math.isfinite(rates[2]):
         raise ValueError("step_size * lambda_iou must be finite")
     started = time.perf_counter()
     settings = (assigner, optimizer, init, weights, regression, n_classes)
@@ -730,92 +770,47 @@ def _fit_scenes(
             array[i] = getattr(state, f.name)
     if not scenes:
         return [], None
-    all_gts = [gt for gts in scenes for gt in gts]
     state = TrainState(*stacked)
     del stacked
-    stack = _Stack(state, _ScenePlan(grid, all_gts, assigner.effective_r,
-                                     state.score_logits.shape[-1], [len(g) for g in scenes]))
-    plan = stack.plan
-    gt_params = _gt_param_rows(all_gts)
+    stack = _Stack(state, _ScenePlan(grid, [gt for gts in scenes for gt in gts],
+                                     assigner.effective_r, state.score_logits.shape[-1],
+                                     [len(g) for g in scenes]))
 
     failure = None
-    boxes = state._boxes_at(plan.cells)
-    try:
-        assignment = stack.score(boxes, weights, alpha)
-    except (ValueError, ArithmeticError) as exc:
-        failure = exc
     steps: list[list[StepRecord]] = [[] for _ in scenes]
-    gt_starts = plan.gt_starts.tolist()
-    lr = optimizer.step_size
+    gt_starts = stack.plan.gt_starts.tolist()
     for step in range(optimizer.n_steps + 1):
-        if failure is not None:
+        # The initial state passed its checks above.  An updated state that
+        # cannot be evaluated is a blow-up; for a one-scene stack,
+        # ``report`` is its report of the step before.
+        try:
+            boxes = stack.decode(stack.pos) if step else state._boxes_at(stack.plan.cells)
+            assignment = stack.score(boxes, weights, alpha)
+        except (ValueError, ArithmeticError) as exc:
+            failure = _unusable(step, report, exc) if step else exc
             break
-        n_pos = assignment.positives_per_scene()
-        pos = assignment.positive_cells()
-        if regression == "rwiou":
-            l_reg, reg_rows, per_gt = _regression_losses(assignment)
-        else:
-            l_reg, reg_rows = _smooth_l1_losses(assignment, boxes, gt_params)
-            per_gt = [()] * len(scenes)
-        u = np.tanh(state.iou_conf_raw[pos])
-        l_iou, iou_rows = _iou_prediction_losses(assignment, u)
+        scene_losses, grads = stack.losses(assignment, boxes, regression)
+
+        n_pos = assignment.positives_per_scene().tolist()
         readout = _true_iou_per_gt(assignment)
-        l_cls, cls_grads = stack.classification(assignment)
-        for scene in range(len(scenes)):
-            report = total_loss(l_cls[scene], l_reg[scene], l_iou[scene], weights=weights,
-                                n_positives=int(n_pos[scene]), per_gt=per_gt[scene])
+        for scene, (l_cls, l_reg, l_iou, per_gt) in enumerate(scene_losses):
+            report = total_loss(l_cls, l_reg, l_iou, weights=weights,
+                                n_positives=n_pos[scene], per_gt=per_gt)
             ious = readout[gt_starts[scene]:gt_starts[scene + 1]]
             steps[scene].append(StepRecord(
-                step=step, l_cls=l_cls[scene], l_reg=l_reg[scene], l_iou=l_iou[scene],
-                total=report.total, mean_true_iou=float(np.mean(ious)) if ious else 0.0))
+                step=step, l_cls=l_cls, l_reg=l_reg, l_iou=l_iou, total=report.total,
+                mean_true_iou=float(np.mean(ious)) if ious else 0.0))
             # Written so that a NaN total also counts as divergence.
             if not report.total <= DIVERGENCE_THRESHOLD:
                 failure = DivergenceError(step, report)
                 break
         if failure is not None or step == optimizer.n_steps:
             break
-
-        slots = assignment.positive_slots
-        # A blown-up update leaves inf or NaN, which the decode checks report
-        # as divergence; numpy's warnings would only repeat it.
-        with np.errstate(all="ignore"):
-            # Classification: logits move through the sigmoid derivative.
-            _descend_logits(stack.logits, cls_grads, stack.scores, lr * weights.lambda_cls)
-
-            # Regression: per-positive box gradient rows chained onto the raw
-            # parameterization. A cell whose eight box channels already match the
-            # target bitwise is frozen outright: the loss there sits at a kinked
-            # minimum where the one-sided conventions leave a nonzero yaw
-            # subgradient and roundoff can leave ulp-scale residue in the size
-            # channels, and nudging a converged cell by either would only knock it
-            # off the optimum. Short of full equality, only the yaw channels get
-            # the same treatment per channel.
-            target8 = plan.targets[slots]
-            moving = ~np.all(boxes[slots] == target8, axis=1)
-            cells = tuple(index[moving] for index in pos)
-            g = reg_rows[moving]
-            step_reg = lr * weights.lambda_reg
-            state.loc[cells] -= step_reg * g[:, 0:3]
-            state.log_size[cells] -= step_reg * g[:, 3:6] * np.exp(state.log_size[cells])
-            yaw = np.any(state.sin_cos[cells] != target8[moving, 6:8], axis=1)
-            state.sin_cos[tuple(index[yaw] for index in cells)] -= step_reg * g[yaw, 6:8]
-
-            # Overlap confidence: raw channel moves through the tanh derivative.
-            # Its gradient is 0.0 off the positives, and x - 0.0 == x there.
-            state.iou_conf_raw[pos] -= step_iou * iou_rows * (1.0 - u * u)
-
-        # An updated state that cannot be evaluated is a blow-up.  For a
-        # one-scene stack, ``report`` is its report of this step.
-        try:
-            boxes = stack.decode(pos)
-            assignment = stack.score(boxes, weights, alpha)
-        except (ValueError, ArithmeticError) as exc:
-            failure = _unusable(step + 1, report, exc)
+        stack.update(assignment, boxes, grads, rates)
     if failure is not None:
         return _fit_one_by_one(grid, scenes, init_seeds, states, failure, settings)
 
     elapsed = time.perf_counter() - started
-    readout = _true_iou_per_gt(assignment)
     k_per_gt = assignment.k_per_gt
     reports = []
     for scene, gts in enumerate(scenes):
@@ -870,17 +865,23 @@ def _mean_k_by_class(k_per_gt: list[int], gts: list[GroundTruth]) -> dict[str, f
     }
 
 
-def _generate_scenes(scene: SceneConfig, seeds: list[int]) -> tuple[
-        list[list[GroundTruth]], PlacementError | None]:
+def _fit_seeds(scene: SceneConfig, seeds: list[int], assigner: AssignerConfig,
+               optimizer: OptimizerConfig, init: InitConfig, weights: LossWeights,
+               regression: str) -> tuple[list, list[ExperimentReport], Exception | None]:
     """The scene of each seed in turn, up to the first that cannot be
-    placed, and that seed's :class:`PlacementError` (``None`` if all are)."""
-    scenes = []
+    placed, fitted in one stack: the scenes, the reports of the seeds
+    before the first failure, and that failure (``None`` if none)."""
+    scenes, failure = [], None
     for seed in seeds:
         try:
             scenes.append(generate_scene(replace(scene, seed=seed)))
         except PlacementError as exc:
-            return scenes, exc
-    return scenes, None
+            failure = exc
+            break
+    reports, fit_failure = _fit_scenes(
+        scene.grid, scenes, [seed + INIT_SEED_OFFSET for seed in seeds[:len(scenes)]],
+        assigner, optimizer, init, weights, regression, scene.n_classes)
+    return scenes, reports, fit_failure or failure
 
 
 def balance_experiment(
@@ -898,13 +899,9 @@ def balance_experiment(
     then the final assignment's per-ground-truth positive counts are grouped
     by size class.  All scenes are fitted in one stacked pass.
     """
-    seeds = [base_seed + i for i in range(n_scenes)]
-    scenes, failure = _generate_scenes(scene, seeds)
-    reports, fit_failure = _fit_scenes(
-        scene.grid, scenes, [seed + INIT_SEED_OFFSET for seed in seeds[:len(scenes)]],
-        assigner, OptimizerConfig(step_size=0.05, n_steps=warmup_steps), init, weights,
-        "rwiou", scene.n_classes)
-    failure = fit_failure or failure
+    scenes, reports, failure = _fit_seeds(
+        scene, [base_seed + i for i in range(n_scenes)], assigner,
+        OptimizerConfig(step_size=0.05, n_steps=warmup_steps), init, weights, "rwiou")
     if failure is not None:
         raise failure
     sums: dict[str, float] = {}
@@ -976,11 +973,8 @@ def run_fit_config(config: dict, out_dir: Path | str | None = None) -> dict:
 
     # Seeds after a failing one are never fitted; the trajectories of the
     # seeds before it are written before the failure is raised.
-    scenes, failure = _generate_scenes(scene, seeds)
-    reports, fit_failure = _fit_scenes(
-        scene.grid, scenes, [seed + INIT_SEED_OFFSET for seed in seeds[:len(scenes)]],
-        assigner, optimizer, init, weights, regression, scene.n_classes)
-    failure = fit_failure or failure
+    _, reports, failure = _fit_seeds(scene, seeds, assigner, optimizer, init, weights,
+                                     regression)
     per_seed = []
     for seed, report in zip(seeds, reports):
         per_seed.append(

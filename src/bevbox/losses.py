@@ -67,6 +67,8 @@ class LossWeights:
         for name in ("lambda_cls", "lambda_reg", "lambda_iou"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"LossWeights.{name} must be non-negative")
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"LossWeights.{name} must be finite")
         _check_alpha(self.alpha)
 
 
@@ -167,26 +169,6 @@ def quality_focal(p, q, gamma: float = 2.0):
     return value
 
 
-def _focal_q0(p: np.ndarray, gamma: float):
-    """The formula at q == 0: value and derivative w.r.t. ``p``.
-
-    There ``q * log(p_safe)`` and ``q / p_safe`` are signed zeros that leave
-    their sums unchanged, ``|q - p|`` is ``|p|`` and ``sign(p - q)`` is
-    ``sign(p)``, so this is bitwise the full formula.
-    """
-    p_safe = np.clip(p, SCORE_EPS, 1.0 - SCORE_EPS)
-    diff = np.abs(p)
-    ce = -np.log1p(-p_safe)
-    mod = diff ** gamma
-    if gamma > 0.0:
-        d_mod = gamma * diff ** (gamma - 1.0) * np.sign(p)
-    else:
-        d_mod = np.zeros_like(p)
-    pass_band = (p >= SCORE_EPS) & (p <= 1.0 - SCORE_EPS)
-    d_ce = (1.0 / (1.0 - p_safe)) * pass_band
-    return mod * ce, d_mod * ce + mod * d_ce
-
-
 def quality_focal_with_grad(p, q, gamma: float = 2.0):
     """Quality focal value and its derivative w.r.t. ``p``.
 
@@ -196,32 +178,14 @@ def quality_focal_with_grad(p, q, gamma: float = 2.0):
     """
     p, q, scalar = _focal_arrays(p, q)
     p, q = np.broadcast_arrays(p, q)
-    value, grad = _focal_entries(p.reshape(-1), q.reshape(-1), gamma)
+    value, grad = _focal(p.reshape(-1), q.reshape(-1), gamma, with_grad=True)
     shape = () if scalar else p.shape
     return value.reshape(shape), grad.reshape(shape)
 
 
-def _focal_entries(p: np.ndarray, q: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`quality_focal_with_grad` of flat ``p`` and ``q``, each entry
-    evaluated in one form: the q == 0 form where ``q == 0``, the full
-    formula elsewhere."""
-    zero = q == 0.0
-    if zero.all():
-        return _focal_q0(p, gamma)
-    if not zero.any():
-        return _focal(p, q, gamma, with_grad=True)
-    value, grad = np.empty((2, p.size))
-    value[zero], grad[zero] = _focal_q0(p[zero], gamma)
-    general = ~zero
-    value[general], grad[general] = _focal(p[general], q[general], gamma, with_grad=True)
-    return value, grad
-
-
 def smooth_l1(d, beta: float = 1.0):
     """Huber-style smooth L1: quadratic within ``beta``, linear outside."""
-    d = np.asarray(d, dtype=float)
-    a = np.abs(d)
-    value = np.where(a < beta, 0.5 * d * d / beta, a - 0.5 * beta)
+    value, _ = smooth_l1_with_grad(d, beta)
     if value.ndim == 0:
         return float(value)
     return value
@@ -268,7 +232,7 @@ def classification_loss(assignment: "AssignmentResult", preds: "PredictionMap",
     q = assignment.heatmap
     if preds.scores.shape != q.shape:
         raise ValueError(f"scores shape {preds.scores.shape} does not match heatmap {q.shape}")
-    values, grads = _focal_entries(preds.scores.reshape(-1), q.reshape(-1), gamma)
+    values, grads = _focal(preds.scores.reshape(-1), q.reshape(-1), gamma, with_grad=True)
     (norm,) = _norms(assignment).tolist()
     return float(np.sum(values) * norm), (grads * norm).reshape(q.shape)
 
@@ -310,32 +274,32 @@ def _regression_losses(assignment: "AssignmentResult") -> tuple[
 
 
 def _smooth_l1_losses(assignment: "AssignmentResult", boxes: np.ndarray,
-                      gt_params: np.ndarray) -> tuple[list[float], np.ndarray]:
+                      targets: np.ndarray) -> tuple[list[float], np.ndarray]:
     """Per-channel smooth-L1 regression baseline on raw residuals, for every
     scene of a stacked assignment.
 
-    Residuals per positive cell against its ground truth's ``gt_params`` row
-    (center, log-sizes, yaw sine/cosine), from the box rows ``boxes`` of the
-    assignment's slots: center offsets, log-size ratios, and yaw sine/cosine
-    differences.  Channel losses are summed per cell and averaged over the
-    scene's positive count, the usual box-regression normalization.  Returns
-    one loss per scene and the gradients in box-parameter space (per-size,
-    not per-log-size), as ``(N, 8)`` rows in positive order like
-    :func:`_regression_losses`.
+    Residuals per positive cell between its box row in ``boxes`` and its
+    target row in ``targets`` (both per slot of the assignment, channels
+    center, sizes, yaw sine/cosine): center offsets, log-size ratios, and
+    yaw sine/cosine differences.  Channel losses are summed per cell and
+    averaged over the scene's positive count, the usual box-regression
+    normalization.  Returns one loss per scene and the gradients in
+    box-parameter space (per-size, not per-log-size), as ``(N, 8)`` rows in
+    positive order like :func:`_regression_losses`.
     """
     n_pos = assignment.positives_per_scene()
     n = np.repeat(np.maximum(n_pos, 1), n_pos)
     slots = assignment.positive_slots
-    raw = boxes[slots]
-    pred = raw.copy()
+    rows = np.stack([boxes[slots], targets[slots]])
+    logged = rows.copy()
     # math.log, not np.log: the two differ in the last bit on some sizes.
-    pred[:, 3:6] = np.array(
-        [math.log(v) for v in raw[:, 3:6].ravel().tolist()]
-    ).reshape(-1, 3)
-    values, d_res = smooth_l1_with_grad(pred - gt_params[assignment.cand_gt[slots]])
+    logged[..., 3:6] = np.array(
+        [math.log(v) for v in rows[..., 3:6].ravel().tolist()]
+    ).reshape(2, -1, 3)
+    values, d_res = smooth_l1_with_grad(logged[0] - logged[1])
     d = d_res / n[:, None]
     # The log-size residual differentiates through 1/size.
-    d[:, 3:6] /= raw[:, 3:6]
+    d[:, 3:6] /= rows[0, :, 3:6]
     return _per_scene_sums((np.sum(values, axis=1) / n).tolist(), n_pos.tolist()), d
 
 

@@ -375,6 +375,24 @@ class TestFitCommand:
         assert "fit diverged" in err
         assert "config:" not in err
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("section,field", [
+        ("weights", "lambda_cls"), ("weights", "lambda_reg"), ("weights", "lambda_iou"),
+        ("weights", "alpha"), ("init", "sigma_loc"), ("init", "sigma_yaw"),
+        ("init", "sigma_log_size"), ("scene", "min_clearance")])
+    def test_non_finite_number_is_a_config_error(self, tmp_path, capsys, section, field,
+                                                  value):
+        # JSON's NaN and Infinity parse; a non-finite config number is the
+        # config's error, not a divergence or a later scene error.
+        config = json.loads(json.dumps(FIT_CONFIG))
+        config.setdefault(section, {"kind": "noisy"} if section == "init" else {})[field] = value
+        path = tmp_path / "non_finite.json"
+        path.write_text(json.dumps(config))
+        assert main(["fit", str(path), "--out", str(tmp_path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: config: ")
+        assert field in line
+
 
 class TestConsoleScript:
     def test_installed_entry_point(self):
