@@ -247,10 +247,12 @@ class AssignmentResult:
     exactly 1.0 on a positive's owner channel, the true-IoU weight on
     cross-region negatives, 0 elsewhere.
 
-    A stack of scenes numbers its ground truths scene after scene, so the
-    slots are in scene order too; ``cand_scene`` is each slot's scene and
-    ``map_shape`` gains a leading scene axis.  A single scene has
-    ``cand_scene=None``.
+    A stack of ``n_scenes`` scenes lays them along the rows: scene ``s``
+    takes rows ``s * n_rows`` to ``(s + 1) * n_rows - 1`` of every map, so
+    ``map_shape`` is ``(n_scenes * n_rows, cols, n_classes)`` and
+    ``cand_rows`` count the rows of the whole stack.  Its ground truths are
+    numbered scene after scene, so the slots are in scene order too.  A
+    single scene is a stack of one.
     """
 
     requested_k: list[int]
@@ -266,15 +268,11 @@ class AssignmentResult:
     regression_grads: np.ndarray
     positive_slots: np.ndarray
     best_slots: np.ndarray
-    cand_scene: np.ndarray | None = None
+    n_scenes: int = 1
 
     @property
     def n_positives(self) -> int:
         return len(self.positive_slots)
-
-    @property
-    def n_scenes(self) -> int:
-        return 1 if self.cand_scene is None else self.map_shape[0]
 
     @property
     def heatmap(self) -> np.ndarray:
@@ -303,8 +301,7 @@ class AssignmentResult:
 
     @property
     def owner(self) -> np.ndarray:
-        """The heatmap's cells (with its scene axis, if any) holding the
-        owning ground-truth index, or -1."""
+        """The heatmap's cells holding the owning ground-truth index, or -1."""
         owner = np.full(self.map_shape[:-1], -1, dtype=int)
         owner[self.positive_cells()] = self.cand_gt[self.positive_slots]
         return owner
@@ -316,18 +313,14 @@ class AssignmentResult:
         slots = self.positive_slots
         return self.cand_rows[slots], self.cand_cols[slots], self.cand_gt[slots]
 
-    def positive_cells(self) -> tuple[np.ndarray, ...]:
-        """Every positive's index into the maps, in ``positive_slots``
-        order: ``(rows, cols)``, led by the scenes for a stack."""
-        rows, cols, _ = self.positive_index()
-        if self.cand_scene is None:
-            return rows, cols
-        return self.cand_scene[self.positive_slots], rows, cols
+    def positive_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every positive's ``(rows, cols)`` index into the maps, in
+        ``positive_slots`` order."""
+        return self.positive_index()[:2]
 
     def _per_scene(self, slots: np.ndarray) -> np.ndarray:
-        scenes = np.zeros(len(slots), dtype=np.intp) if self.cand_scene is None \
-            else self.cand_scene[slots]
-        return np.bincount(scenes, minlength=self.n_scenes)
+        scene_rows = self.map_shape[0] // self.n_scenes
+        return np.bincount(self.cand_rows[slots] // scene_rows, minlength=self.n_scenes)
 
     def positives_per_scene(self) -> np.ndarray:
         return self._per_scene(self.positive_slots)
@@ -456,17 +449,19 @@ class _ScenePlan:
     it has computed.
 
     With ``scene_sizes`` the plan serves a stack of scenes: ``gts`` lists
-    each scene's ground truths in turn (``scene_sizes`` of them), ``scenes``
-    is each slot's scene, and :attr:`cells` indexes maps with a leading
-    scene axis.  Without it, ``gts`` is one scene and maps have no scene
-    axis.
+    each scene's ground truths in turn (scene ``s`` holds
+    ``gts[gt_starts[s]:gt_starts[s + 1]]``), and the scenes lie along the
+    rows of the maps, as in :class:`AssignmentResult`.  Each cross region
+    is cut on its scene's own grid and then moved down to the scene's rows,
+    so it never reaches into another scene.  ``cells`` is every slot's
+    ``(rows, cols)`` index into the maps.  Without ``scene_sizes``, ``gts``
+    is one scene.
     """
 
     def __init__(self, grid: GridSpec, gts: Sequence[GroundTruth], r: int, n_classes: int,
                  scene_sizes: Sequence[int] | None = None) -> None:
         self.grid = grid
         self.gts = list(gts)
-        self.stacked = scene_sizes is not None
         if scene_sizes is None:
             scene_sizes = [len(self.gts)]
         self.gt_starts = np.cumsum([0, *scene_sizes])
@@ -476,15 +471,16 @@ class _ScenePlan:
         self.starts = np.cumsum([0, *sizes])
         self.gt_of = np.repeat(np.arange(len(sizes)), np.array(sizes, dtype=np.intp))
         self.offsets = np.arange(len(self.gt_of)) - self.starts[self.gt_of]
-        gt_scene = np.repeat(np.arange(len(scene_sizes)), np.array(scene_sizes, dtype=np.intp))
-        self.scenes = gt_scene[self.gt_of]
-        self.rows = np.array([cell.row for region in regions for cell in region], dtype=np.intp)
+        # Each ground truth's scene starts at row scene * n_rows.
+        gt_rows = grid.n_rows * np.repeat(np.arange(len(scene_sizes)),
+                                          np.array(scene_sizes, dtype=np.intp))
+        self.rows = gt_rows[self.gt_of] + np.array(
+            [cell.row for region in regions for cell in region], dtype=np.intp)
         self.cols = np.array([cell.col for region in regions for cell in region], dtype=np.intp)
+        self.cells = (self.rows, self.cols)
         self.class_ids = np.array([gt.class_id for gt in self.gts], dtype=np.intp)[self.gt_of]
-        shape = (grid.n_rows, grid.n_cols, n_classes)
-        self.map_shape = (len(scene_sizes), *shape) if self.stacked else shape
-        keys = ((self.scenes * grid.n_rows + self.rows) * grid.n_cols + self.cols) * n_classes \
-            + self.class_ids
+        self.map_shape = (len(scene_sizes) * grid.n_rows, grid.n_cols, n_classes)
+        keys = (self.rows * grid.n_cols + self.cols) * n_classes + self.class_ids
         self.entries, self.slot_entry = np.unique(keys, return_inverse=True)
         self.targets = _target_rows([gt.box for gt in self.gts])[self.gt_of]
         self.gt_feet = [_footprint(*gt.box.as_tuple()) for gt in self.gts]
@@ -495,12 +491,6 @@ class _ScenePlan:
     @property
     def n_scenes(self) -> int:
         return len(self.gt_starts) - 1
-
-    @property
-    def cells(self) -> tuple[np.ndarray, ...]:
-        """Each slot's index into the maps: ``(rows, cols)``, led by the
-        scenes for a stack."""
-        return (self.scenes, self.rows, self.cols) if self.stacked else (self.rows, self.cols)
 
     def _exact_ious(self, boxes: np.ndarray) -> list[float]:
         """``rotated_iou_exact(gt.box, pred)`` per slot, from footprints of
@@ -554,10 +544,9 @@ class _ScenePlan:
         rank[order] = self.offsets
         shortlist = np.flatnonzero(rank < np.array(requested_k, dtype=np.intp)[gt_of])
 
-        # Conflict resolution: per cell of a scene, the first claimant by
-        # (cost, gt) wins.
-        n_rows, n_cols = self.grid.n_rows, self.grid.n_cols
-        keys = (self.scenes[shortlist] * n_rows + rows[shortlist]) * n_cols + cols[shortlist]
+        # Conflict resolution: per cell, the first claimant by (cost, gt)
+        # wins.
+        keys = rows[shortlist] * self.grid.n_cols + cols[shortlist]
         by_cell = np.lexsort((gt_of[shortlist], costs[shortlist], keys))
         _, first = np.unique(keys[by_cell], return_index=True)
         positive_slots = np.sort(shortlist[by_cell[first]])
@@ -575,7 +564,7 @@ class _ScenePlan:
                                 costs=costs, ious=ious,
                                 regression_values=reg_values, regression_grads=reg_grads,
                                 positive_slots=positive_slots, best_slots=order[starts[:-1]],
-                                cand_scene=self.scenes if self.stacked else None)
+                                n_scenes=self.n_scenes)
 
 
 def assign_dcla(grid: GridSpec, gts: Sequence[GroundTruth], preds: PredictionMap,

@@ -95,8 +95,8 @@ class SizeClass:
 
     def __post_init__(self) -> None:
         for label in ("length", "width", "height"):
-            if not getattr(self, label) > 0.0:
-                raise ValueError(f"{label} must be positive")
+            if not 0.0 < getattr(self, label) < math.inf:
+                raise ValueError(f"{label} must be finite and positive")
         if not 0.0 <= self.spread < 1.0:
             raise ValueError("spread must be in [0, 1)")
 
@@ -242,11 +242,6 @@ class TrainState:
         _check_cell_values(boxes, scores)
         _check_iou_conf(conf)
         return boxes, scores, conf
-
-    def _slab(self, index) -> "TrainState":
-        """Scene ``index`` (an int, or a slice of scenes) of a stacked
-        state, as views."""
-        return TrainState(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -573,8 +568,9 @@ def fit_scene(
 
 
 class _Stack:
-    """The scenes of a stacked fit: their stacked state, the plan of their
-    slots and their score logits.
+    """The scenes of a fit as one stack: their state, with the scenes along
+    its rows as in :class:`AssignmentResult`, the plan of their slots and
+    their score logits.
 
     Score logits are held per unit, scene after scene (``scenes`` is each
     unit's scene).  A scene's units are its entries of
@@ -632,8 +628,10 @@ class _Stack:
         return out
 
     def scene_state(self, scene: int) -> TrainState:
-        """Scene ``scene``'s state, with its score logits written back."""
-        state = self.state._slab(scene)
+        """Scene ``scene``'s state, as views of its rows, with its score
+        logits written back."""
+        rows = slice(scene * self.plan.grid.n_rows, (scene + 1) * self.plan.grid.n_rows)
+        state = TrainState(*(getattr(self.state, f.name)[rows] for f in fields(TrainState)))
         self._scene_map(self.logits, scene, state.score_logits.reshape(-1))
         return state
 
@@ -649,27 +647,28 @@ class _Stack:
 
     def losses(self, assignment: AssignmentResult, boxes: np.ndarray,
                regression: str) -> tuple[list[tuple], tuple[np.ndarray, ...]]:
-        """Every scene's ``(l_cls, l_reg, l_iou, per_gt)`` for ``assignment``
-        (scored from the box rows ``boxes``), and the ``(cls, reg, iou)``
-        gradients of the units, the positives' box rows and their
-        confidences.  Each
-        ``l_cls`` is ``np.sum`` over the scene's map of the units' focal
-        terms, so it equals the dense loss."""
+        """Every scene's ``(l_cls, l_reg, l_iou, per_gt, n_positives)`` for
+        ``assignment`` (scored from the box rows ``boxes``), and the
+        ``(cls, reg, iou)`` gradients of the units, the positives' box rows
+        and their confidences.  Each ``l_cls`` is ``np.sum`` over the
+        scene's map of the units' focal terms, so it equals the dense loss."""
+        n_pos = assignment.positives_per_scene()
         if regression == "rwiou":
-            l_reg, reg, per_gt = _regression_losses(assignment)
+            l_reg, reg, per_gt = _regression_losses(assignment, n_pos)
         else:
-            l_reg, reg = _smooth_l1_losses(assignment, boxes, self.plan.targets)
+            l_reg, reg = _smooth_l1_losses(assignment, boxes, self.plan.targets, n_pos)
             per_gt = [()] * self.plan.n_scenes
         self.pos = assignment.positive_cells()
         self.conf = np.tanh(self.state.iou_conf_raw[self.pos])
-        l_iou, iou = _iou_prediction_losses(assignment, self.conf)
+        l_iou, iou = _iou_prediction_losses(assignment, self.conf, n_pos)
         q = np.zeros(len(self.scores))
         q[self.entry_unit] = assignment.heat
         values, cls = _focal(self.scores, q, 2.0, with_grad=True)
-        norms = _norms(assignment)
+        norms = _norms(n_pos)
         l_cls = [float(np.sum(self._scene_map(values, scene, self._map)) * norm)
                  for scene, norm in enumerate(norms.tolist())]
-        return list(zip(l_cls, l_reg, l_iou, per_gt)), (cls * norms[self.scenes], reg, iou)
+        return (list(zip(l_cls, l_reg, l_iou, per_gt, n_pos.tolist())),
+                (cls * norms[self.scenes], reg, iou))
 
     def update(self, assignment: AssignmentResult, boxes: np.ndarray,
                grads: tuple[np.ndarray, ...], rates: tuple[float, float, float]) -> None:
@@ -728,12 +727,13 @@ def _fit_scenes(
 ) -> tuple[list[ExperimentReport], Exception | None]:
     """:func:`fit_scene` of every scene of ``scenes`` on one grid, in one pass.
 
-    The states carry a leading scene axis, one plan holds every scene's
-    slots, the score logits are held per distinct unit, and each step runs
-    the phases of :class:`_Stack` once over all scenes; each scene's losses
-    are reduced over its own slab, so every report and final state is
-    bitwise the scene's own fit.  ``wall_clock_s`` is the pass's wall time
-    divided evenly over the reports.
+    The states lie along the rows of one state (scene ``s`` takes rows
+    ``s * n_rows`` to ``(s + 1) * n_rows - 1``), one plan holds every
+    scene's slots, the score logits are held per distinct unit, and each
+    step runs the phases of :class:`_Stack` once over all scenes; each
+    scene's losses are reduced over its own rows, so every report and final
+    state is bitwise the scene's own fit.  ``wall_clock_s`` is the pass's
+    wall time divided evenly over the reports.
 
     Returns the reports of the scenes before the first one that fails, and
     that failure (``None`` when every fit finishes): what fitting the scenes
@@ -753,7 +753,7 @@ def _fit_scenes(
     settings = (assigner, optimizer, init, weights, regression, n_classes)
 
     # Each scene's initial state is user input, checked on its own.
-    stacked: list[np.ndarray] = []
+    arrays: list[np.ndarray] = []
     alpha = weights.alpha
     for i, gts in enumerate(scenes):
         try:
@@ -763,15 +763,15 @@ def _fit_scenes(
                                     weights.lambda_reg, weights.alpha)
         except ValueError as exc:
             return _fit_one_by_one(grid, scenes, init_seeds, states, exc, settings)
-        if not stacked:
-            stacked = [np.empty((len(scenes), *getattr(state, f.name).shape))
-                       for f in fields(TrainState)]
-        for array, f in zip(stacked, fields(TrainState)):
+        if not arrays:
+            arrays = [np.empty((len(scenes), *getattr(state, f.name).shape))
+                      for f in fields(TrainState)]
+        for array, f in zip(arrays, fields(TrainState)):
             array[i] = getattr(state, f.name)
     if not scenes:
         return [], None
-    state = TrainState(*stacked)
-    del stacked
+    # The scenes along the rows: a view of the same memory.
+    state = TrainState(*(array.reshape(-1, *array.shape[2:]) for array in arrays))
     stack = _Stack(state, _ScenePlan(grid, [gt for gts in scenes for gt in gts],
                                      assigner.effective_r, state.score_logits.shape[-1],
                                      [len(g) for g in scenes]))
@@ -791,11 +791,10 @@ def _fit_scenes(
             break
         scene_losses, grads = stack.losses(assignment, boxes, regression)
 
-        n_pos = assignment.positives_per_scene().tolist()
         readout = _true_iou_per_gt(assignment)
-        for scene, (l_cls, l_reg, l_iou, per_gt) in enumerate(scene_losses):
+        for scene, (l_cls, l_reg, l_iou, per_gt, n_pos) in enumerate(scene_losses):
             report = total_loss(l_cls, l_reg, l_iou, weights=weights,
-                                n_positives=n_pos[scene], per_gt=per_gt)
+                                n_positives=n_pos, per_gt=per_gt)
             ious = readout[gt_starts[scene]:gt_starts[scene + 1]]
             steps[scene].append(StepRecord(
                 step=step, l_cls=l_cls, l_reg=l_reg, l_iou=l_iou, total=report.total,
@@ -897,7 +896,7 @@ def balance_experiment(
 
     Each scene is warmed up with a short fit so the scores are informative,
     then the final assignment's per-ground-truth positive counts are grouped
-    by size class.  All scenes are fitted in one stacked pass.
+    by size class.  All scenes are fitted in one pass, as one stack.
     """
     scenes, reports, failure = _fit_seeds(
         scene, [base_seed + i for i in range(n_scenes)], assigner,

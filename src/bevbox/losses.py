@@ -200,9 +200,9 @@ def smooth_l1_with_grad(d, beta: float = 1.0):
     return value, grad
 
 
-def _norms(assignment: "AssignmentResult") -> np.ndarray:
-    """``1 / max(N, 1)`` per scene, ``N`` its positive count."""
-    return 1.0 / np.maximum(assignment.positives_per_scene(), 1)
+def _norms(n_pos: np.ndarray) -> np.ndarray:
+    """``1 / max(N, 1)`` per scene, ``N`` its positive count in ``n_pos``."""
+    return 1.0 / np.maximum(n_pos, 1)
 
 
 def _per_scene_sums(values: list[float], counts: list[int]) -> list[float]:
@@ -233,7 +233,7 @@ def classification_loss(assignment: "AssignmentResult", preds: "PredictionMap",
     if preds.scores.shape != q.shape:
         raise ValueError(f"scores shape {preds.scores.shape} does not match heatmap {q.shape}")
     values, grads = _focal(preds.scores.reshape(-1), q.reshape(-1), gamma, with_grad=True)
-    (norm,) = _norms(assignment).tolist()
+    (norm,) = _norms(assignment.positives_per_scene()).tolist()
     return float(np.sum(values) * norm), (grads * norm).reshape(q.shape)
 
 
@@ -246,19 +246,19 @@ def regression_loss_scene(assignment: "AssignmentResult") -> RegressionSceneLoss
     ``degenerate=True``.  Each positive's value and gradient are read from
     the assignment's regression rows (computed at its alpha).
     """
-    values, box_grads, per_gt = _regression_losses(assignment)
+    values, box_grads, per_gt = _regression_losses(assignment, assignment.positives_per_scene())
     return RegressionSceneLoss(values[0], box_grads, per_gt[0],
                                degenerate=assignment.n_positives == 0)
 
 
-def _regression_losses(assignment: "AssignmentResult") -> tuple[
+def _regression_losses(assignment: "AssignmentResult", n_pos: np.ndarray) -> tuple[
         list[float], np.ndarray, list[list[PerGtRegression]]]:
-    """:func:`regression_loss_scene` of every scene of a stacked assignment:
-    the per-scene losses, the ``(N, 8)`` gradient rows of all positives
-    (each scaled by its scene's ``1 / N``) and the per-scene
-    :class:`PerGtRegression` lists, indexed within the scene."""
-    norms = _norms(assignment)
-    n_pos = assignment.positives_per_scene()
+    """:func:`regression_loss_scene` of every scene of an assignment, whose
+    per-scene positive counts are ``n_pos``: the per-scene losses, the
+    ``(N, 8)`` gradient rows of all positives (each scaled by its scene's
+    ``1 / N``) and the per-scene :class:`PerGtRegression` lists, indexed
+    within the scene."""
+    norms = _norms(n_pos)
     slots = assignment.positive_slots
     box_grads = assignment.regression_grads[slots] * np.repeat(norms, n_pos)[:, None]
     ks = assignment.k_per_gt
@@ -274,9 +274,9 @@ def _regression_losses(assignment: "AssignmentResult") -> tuple[
 
 
 def _smooth_l1_losses(assignment: "AssignmentResult", boxes: np.ndarray,
-                      targets: np.ndarray) -> tuple[list[float], np.ndarray]:
+                      targets: np.ndarray, n_pos: np.ndarray) -> tuple[list[float], np.ndarray]:
     """Per-channel smooth-L1 regression baseline on raw residuals, for every
-    scene of a stacked assignment.
+    scene of an assignment, whose per-scene positive counts are ``n_pos``.
 
     Residuals per positive cell between its box row in ``boxes`` and its
     target row in ``targets`` (both per slot of the assignment, channels
@@ -287,7 +287,6 @@ def _smooth_l1_losses(assignment: "AssignmentResult", boxes: np.ndarray,
     box-parameter space (per-size, not per-log-size), as ``(N, 8)`` rows in
     positive order like :func:`_regression_losses`.
     """
-    n_pos = assignment.positives_per_scene()
     n = np.repeat(np.maximum(n_pos, 1), n_pos)
     slots = assignment.positive_slots
     rows = np.stack([boxes[slots], targets[slots]])
@@ -314,17 +313,18 @@ def iou_prediction_loss(assignment: "AssignmentResult",
     ``(N,)`` gradient rows w.r.t. the confidence channel, one per positive
     in positive order.
     """
-    values, d = _iou_prediction_losses(assignment, preds.iou_conf[assignment.positive_cells()])
+    values, d = _iou_prediction_losses(assignment, preds.iou_conf[assignment.positive_cells()],
+                                       assignment.positives_per_scene())
     return values[0], d
 
 
-def _iou_prediction_losses(assignment: "AssignmentResult",
-                          conf: np.ndarray) -> tuple[list[float], np.ndarray]:
-    """:func:`iou_prediction_loss` of every scene of a stacked assignment,
-    from each positive's confidence ``conf`` (positive order): the
-    per-scene losses and the ``(N,)`` gradient rows."""
-    norms = _norms(assignment)
-    n_pos = assignment.positives_per_scene()
+def _iou_prediction_losses(assignment: "AssignmentResult", conf: np.ndarray,
+                           n_pos: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """:func:`iou_prediction_loss` of every scene of an assignment, whose
+    per-scene positive counts are ``n_pos``, from each positive's
+    confidence ``conf`` (positive order): the per-scene losses and the
+    ``(N,)`` gradient rows."""
+    norms = _norms(n_pos)
     targets = 2.0 * assignment.ious[assignment.positive_slots] - 1.0
     values, d = smooth_l1_with_grad(conf - targets)
     return ([total * norm for total, norm in

@@ -729,9 +729,8 @@ class TestScenePlanMemo:
             fresh = assign_dcla(stack.plan.grid, stack.plan.gts,
                                 stack.scene_state(0).prediction_map(), r=r,
                                 lambda_reg=weights.lambda_reg, alpha=alpha)
-            # A one-scene stack: its result with the scene axis taken off.
-            assert_bitwise_equal(dataclasses.replace(
-                planned, map_shape=planned.map_shape[1:], cand_scene=None), fresh)
+            # A one-scene stack's result is the scene's own, field by field.
+            assert_bitwise_equal(planned, fresh)
             scored.append(len(plan_cells(stack.plan)))
             return planned
 

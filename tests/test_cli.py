@@ -379,13 +379,19 @@ class TestFitCommand:
     @pytest.mark.parametrize("section,field", [
         ("weights", "lambda_cls"), ("weights", "lambda_reg"), ("weights", "lambda_iou"),
         ("weights", "alpha"), ("init", "sigma_loc"), ("init", "sigma_yaw"),
-        ("init", "sigma_log_size"), ("scene", "min_clearance")])
+        ("init", "sigma_log_size"), ("scene", "min_clearance"),
+        ("size_class", "length"), ("size_class", "width"), ("size_class", "height")])
     def test_non_finite_number_is_a_config_error(self, tmp_path, capsys, section, field,
                                                   value):
         # JSON's NaN and Infinity parse; a non-finite config number is the
         # config's error, not a divergence or a later scene error.
         config = json.loads(json.dumps(FIT_CONFIG))
-        config.setdefault(section, {"kind": "noisy"} if section == "init" else {})[field] = value
+        if section == "size_class":
+            size_class = {"name": "vehicle", "length": 4.7, "width": 2.1, "height": 1.7}
+            config["scene"]["size_classes"] = [dict(size_class, **{field: value})]
+        else:
+            config.setdefault(section, {"kind": "noisy"} if section == "init" else {})[field] = \
+                value
         path = tmp_path / "non_finite.json"
         path.write_text(json.dumps(config))
         assert main(["fit", str(path), "--out", str(tmp_path)]) == 2

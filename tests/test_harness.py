@@ -489,7 +489,7 @@ class TestSparseScoreMap:
             # -0.0 == 0.0, yet they are two groups.
             assert n_groups == len(np.unique(np.delete(state.score_logits, plan.entries))) + 1
             stacked = bevbox.harness.TrainState(
-                *(getattr(state, name)[None].copy() for name in STATE_FIELDS))
+                *(getattr(state, name).copy() for name in STATE_FIELDS))
             stack = bevbox.harness._Stack(stacked, plan)
             assert len(stack.logits) == len(plan.entries) + n_groups
             # Written back, the units give the state's own logits.
@@ -569,17 +569,28 @@ class TestSparseScoreMap:
     def test_stacked_heatmap_matches_brute_force(self):
         rng = np.random.default_rng(77)
         grid, gts, preds = random_scene(rng, n_rows=7, n_cols=9, n_gts=4)
-        scenes = [gts, gts[:1], [], gts[::-1]]
-        plan = _ScenePlan(grid, [gt for g in scenes for gt in g], 1, 3,
-                          [len(g) for g in scenes])
-        stacked = np.stack([preds.boxes] * len(scenes))
-        scores = np.stack([preds.scores] * len(scenes))
-        result = plan.score_rows(stacked[plan.cells], scores[(*plan.cells, plan.class_ids)],
-                                 3.0, 0.5)
-        assert result.heatmap.shape == (len(scenes), 7, 9, 3)
-        for scene, scene_gts in enumerate(scenes):
-            expected = brute_force_assign(grid, scene_gts, preds, 1)[3]
-            assert result.heatmap[scene].tobytes() == expected.tobytes()
+        # Ground truths in the scene's first and last row: at r = 2 their
+        # crosses are clipped at borders between scenes of the stack.
+        border = [GroundTruth(dataclasses.replace(
+            gt.box, y=grid.y_min + (row + 0.5) * grid.cell_size), gt.class_id)
+            for gt, row in zip(gts, (0, 6, 0, 6))]
+        cases = [(1, [gts, gts[:1], [], gts[::-1]]),
+                 (2, [gts, border, border[::-1], [], border[:1]])]
+        for r, scenes in cases:
+            plan = _ScenePlan(grid, [gt for g in scenes for gt in g], r, 3,
+                              [len(g) for g in scenes])
+            n = len(scenes)
+            slot_scene = np.repeat(np.arange(n), [len(g) for g in scenes])[plan.gt_of]
+            assert np.array_equal(plan.rows // 7, slot_scene)
+            boxes = np.concatenate([preds.boxes] * n)
+            scores = np.concatenate([preds.scores] * n)
+            result = plan.score_rows(boxes[plan.cells], scores[(*plan.cells, plan.class_ids)],
+                                     3.0, 0.5)
+            assert result.heatmap.shape == (n * 7, 9, 3)
+            for scene, scene_gts in enumerate(scenes):
+                expected = brute_force_assign(grid, scene_gts, preds, r)[3]
+                rows = slice(scene * 7, (scene + 1) * 7)
+                assert result.heatmap[rows].tobytes() == expected.tobytes()
 
 
 class TestRowRefresh:

@@ -415,6 +415,8 @@ class TestIouPredictionLoss:
         row = np.arange(1.0, 9.0)
         assignment.regression_values = np.array([7.0, 0.125])
         assignment.regression_grads = np.stack([-row, row])
+        assignment.cand_rows = np.array([1, 1])
+        assignment.cand_cols = np.array([1, 1])
         assignment.cand_gt = np.array([0, 0])
         assignment.positive_slots = np.array([1])
         result = regression_loss_scene(assignment)
