@@ -25,15 +25,26 @@ def _require_list(value, context: str) -> list:
 
 
 def _scalar(kind, value, context: str):
-    """``kind(value)`` for ``kind`` ``float``, ``int`` or ``str``, where a
-    number with a fractional part for an ``int`` and a value ``kind``
-    cannot take (``null``, a list or an object) raise ``ValueError``."""
+    """``kind(value)`` for ``kind`` ``float``, ``int`` or ``str``.  A value
+    ``kind`` cannot take (``null``, a list or an object), a boolean for a
+    number and a number with a fractional part for an ``int`` raise
+    ``ValueError``."""
+    if kind is not str and isinstance(value, bool):
+        raise ValueError(f"{context}: expected {kind.__name__}, got bool")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{context}: expected an integer, got {value!r}")
     try:
         return kind(value)
     except (TypeError, OverflowError):
         raise ValueError(f"{context}: expected {kind.__name__}, got {type(value).__name__}") from None
+
+
+def _seed(value, context: str) -> int:
+    """A random seed: an ``int`` by :func:`_scalar` that is not negative."""
+    seed = _scalar(int, value, context)
+    if seed < 0:
+        raise ValueError(f"{context}: expected a non-negative integer, got {seed}")
+    return seed
 
 
 def _from_dict(cls, mapping: dict, context: str, required=(),

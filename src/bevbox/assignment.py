@@ -21,7 +21,7 @@ identical inputs reproduce bit-identical results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -31,6 +31,7 @@ from .geometry import (
     Box3D,
     BoxParams8,
     _check_alpha,
+    _check_volume,
     _footprint,
     _iou_footprints,
     _target_rows,
@@ -99,10 +100,7 @@ class GridSpec:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "x_min": self.x_min, "y_min": self.y_min, "cell_size": self.cell_size,
-            "n_rows": self.n_rows, "n_cols": self.n_cols,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GridSpec":
@@ -425,6 +423,7 @@ def _validate_scene(grid: GridSpec, gts: Sequence[GroundTruth], preds: Predictio
             )
         if not grid.contains(gt.box.x, gt.box.y):
             raise ValueError(f"gt {i} center ({gt.box.x}, {gt.box.y}) is off-grid")
+        _check_volume(gt.box, f"gt {i}")
     if lambda_reg <= 0.0:
         raise ValueError(f"lambda_reg must be positive, got {lambda_reg!r}")
     return _check_alpha(alpha)

@@ -124,7 +124,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     try:
         aggregate = run_fit_config(config, out_dir=args.out)
     except (ValueError, PlacementError) as exc:
-        raise CliError(f"config: {exc}") from None
+        # Messages about the config's own keys already name it.
+        raise CliError(f"config: {str(exc).removeprefix('config: ')}") from None
     except OSError as exc:
         raise CliError(f"output: {exc}") from None
     except DivergenceError as exc:

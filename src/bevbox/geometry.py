@@ -192,12 +192,13 @@ def volume(box: Box3D | BoxParams8) -> float:
     return box.l * box.w * box.h
 
 
-def _check_volume(box: Box3D) -> None:
+def _check_volume(box: Box3D, context: str = "") -> None:
     """Reject a box whose volume ``l * w * h`` overflows or underflows (as
     it does whenever its footprint ``l * w`` does): its overlaps would come
-    out wrong instead of failing."""
+    out wrong instead of failing.  A ``context`` prefixes the message."""
     if not 0.0 < volume(box) < math.inf:
-        raise ValueError(f"box volume l*w*h = {volume(box)!r} must be finite and positive")
+        message = f"box volume l*w*h = {volume(box)!r} must be finite and positive"
+        raise ValueError(f"{context}: {message}" if context else message)
 
 
 def _axis_bounds(box: Box3D | BoxParams8):

@@ -27,13 +27,14 @@ them without re-running the audits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .geometry import (
     Box3D,
     BoxParams8,
+    _FIELDS8,
     _axis_bounds,
     _channel_factor,
     _check_alpha,
@@ -316,9 +317,6 @@ def regression_sample_grad_batch(pred: np.ndarray, target: np.ndarray,
     return values, grads
 
 
-_PARAM_NAMES = ("x", "y", "z", "l", "w", "h", "s", "c")
-
-
 def finite_difference_grad(pred: BoxParams8, target: BoxParams8, alpha: float,
                            loss_fn=rwiou_loss, rel_step: float = 1e-6) -> np.ndarray:
     """Central finite differences of ``loss_fn(pred, target, alpha)``.
@@ -332,7 +330,7 @@ def finite_difference_grad(pred: BoxParams8, target: BoxParams8, alpha: float,
     """
     values = pred.as_array().tolist()
     grad = np.empty(8)
-    for i, name in enumerate(_PARAM_NAMES):
+    for i, name in enumerate(_FIELDS8):
         h = rel_step * max(1.0, abs(values[i]))
         hi = list(values)
         lo = list(values)
@@ -426,18 +424,7 @@ class GradientCheckReport:
         return self.n_failures == 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "alpha": self.alpha,
-            "rel_tol": self.rel_tol,
-            "abs_floor": self.abs_floor,
-            "max_abs_err": self.max_abs_err,
-            "max_rel_err": self.max_rel_err,
-            "n_failures": self.n_failures,
-            "worst": self.worst,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def gradient_check(n_samples: int = 10_000, seed: int = 0, alpha: float = 0.5,
@@ -459,7 +446,7 @@ def gradient_check(n_samples: int = 10_000, seed: int = 0, alpha: float = 0.5,
         pred, target = random_overlapping_pair(rng, alpha=alpha, margin=margin)
         analytic = rwiou_loss_grad(pred, target, alpha).as_array()
         numeric = finite_difference_grad(pred, target, alpha)
-        for i, name in enumerate(_PARAM_NAMES):
+        for i, name in enumerate(_FIELDS8):
             err = abs(analytic[i] - numeric[i])
             scale = max(abs(analytic[i]), abs(numeric[i]))
             rel = err / scale if scale > 0.0 else 0.0
@@ -508,16 +495,7 @@ class BoundRegimeReport:
         return self.n_violations == 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "bound": self.bound,
-            "max_observed": self.max_observed,
-            "n_violations": self.n_violations,
-            "n_samples": self.n_samples,
-            "violations": self.violations,
-            "note": self.note,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 @dataclass
@@ -534,13 +512,8 @@ class GradientBoundAudit:
         return all(r.passed for r in self.regimes)
 
     def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "seed": self.seed,
-            "n_samples": self.n_samples,
-            "regimes": [r.to_json_dict() for r in self.regimes],
-            "passed": self.passed,
-        }
+        return {**asdict(self), "regimes": [r.to_json_dict() for r in self.regimes],
+                "passed": self.passed}
 
 
 def _left_overlap_pair(rng: np.random.Generator) -> tuple[BoxParams8, BoxParams8]:

@@ -17,12 +17,12 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from ._config import _from_dict, _require_keys, _require_list, _scalar
+from ._config import _from_dict, _require_keys, _require_list, _scalar, _seed
 from .assignment import (
     AssignmentResult,
     CellIndex,
@@ -33,10 +33,9 @@ from .assignment import (
     _check_iou_conf,
     _ScenePlan,
     _validate_scene,
-    cross_region,
     world_to_cell,
 )
-from .geometry import Box3D, _check_volume, _target_rows, convex_intersection_area
+from .geometry import Box3D, _bev_corners, _check_volume, _target_rows, convex_intersection_area
 from .losses import (
     LossReport,
     LossWeights,
@@ -122,6 +121,8 @@ class SceneConfig:
     def __post_init__(self) -> None:
         if self.n_objects < 0:
             raise ValueError("n_objects must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not self.size_classes:
             raise ValueError("at least one size class is required")
         if self.min_clearance < 0.0:
@@ -201,13 +202,7 @@ class TrainState:
     iou_conf_raw: np.ndarray  # (rows, cols)
 
     def copy(self) -> "TrainState":
-        return TrainState(
-            loc=self.loc.copy(),
-            log_size=self.log_size.copy(),
-            sin_cos=self.sin_cos.copy(),
-            score_logits=self.score_logits.copy(),
-            iou_conf_raw=self.iou_conf_raw.copy(),
-        )
+        return TrainState(*(getattr(self, f.name).copy() for f in fields(TrainState)))
 
     def prediction_map(self) -> PredictionMap:
         return PredictionMap(
@@ -277,7 +272,7 @@ class ExperimentReport:
         return {
             "seed": self.seed,
             "regression": self.regression,
-            "assigner": {"kind": self.assigner.kind, "r": self.assigner.r},
+            "assigner": asdict(self.assigner),
             "n_steps": len(self.steps),
             "final_iou_per_gt": list(self.final_iou_per_gt),
             "mean_final_iou": self.mean_final_iou,
@@ -306,11 +301,7 @@ class BalanceReport:
     max_min_ratio: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "mean_k_by_class": dict(self.mean_k_by_class),
-            "n_scenes": self.n_scenes,
-            "max_min_ratio": self.max_min_ratio,
-        }
+        return asdict(self)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -343,26 +334,13 @@ def _snap_size(value: float) -> float:
     # The store path takes math.log, the decode path applies numpy's exp,
     # whose SIMD implementation can land 1 ulp away from libm's. Snap to a
     # fixed point of exactly that composition.
-    return _roundtrip_fixed_point(value, lambda v: float(np.exp(math.log(v))))
+    return float(_roundtrip_fixed_point(value, lambda v: float(np.exp(math.log(v)))))
 
 
 def _snap_yaw(theta: float) -> float:
     return _roundtrip_fixed_point(
         theta, lambda t: math.atan2(math.sin(t), math.cos(t))
     )
-
-
-def _dilated_corners(box: Box3D, clearance: float) -> list[tuple[float, float]]:
-    grown = Box3D(
-        x=box.x,
-        y=box.y,
-        z=box.z,
-        l=box.l + clearance,
-        w=box.w + clearance,
-        h=box.h,
-        theta=box.theta,
-    )
-    return grown.bev_corners()
 
 
 def generate_scene(config: SceneConfig) -> list[GroundTruth]:
@@ -373,7 +351,7 @@ def generate_scene(config: SceneConfig) -> list[GroundTruth]:
     dilated by half the clearance per side, stays disjoint from every accepted
     box's dilated footprint and its center falls in a previously unused cell.
     """
-    grid = config.grid
+    grid, clearance = config.grid, config.min_clearance
     rng = np.random.default_rng(config.seed)
     placed: list[GroundTruth] = []
     placed_corners: list[list[tuple[float, float]]] = []
@@ -397,18 +375,18 @@ def generate_scene(config: SceneConfig) -> list[GroundTruth]:
                 continue
             x = rng.uniform(x_lo, x_hi)
             y = rng.uniform(y_lo, y_hi)
-            box = Box3D(x=x, y=y, z=0.5 * h, l=l, w=w, h=h, theta=theta)
 
             cell = world_to_cell(grid, x, y)
             if cell in used_cells:
                 continue
-            corners = _dilated_corners(box, config.min_clearance)
+            corners = _bev_corners(x, y, l + clearance, w + clearance, theta)
             if any(
                 convex_intersection_area(corners, other) > 0.0
                 for other in placed_corners
             ):
                 continue
 
+            box = Box3D(x=x, y=y, z=0.5 * h, l=l, w=w, h=h, theta=theta)
             placed.append(GroundTruth(box=box, class_id=index % config.n_classes))
             placed_corners.append(corners)
             used_cells.add(cell)
@@ -503,16 +481,13 @@ def init_state(
             sin_cos = np.stack([np.sin(yaw), np.cos(yaw)], axis=-1)
     elif init.kind == "exact":
         # Saturate logits so the scores reproduce the heatmap the assignment
-        # derives from these exact boxes: 1 on region cells carrying the
-        # owning ground truth's parameters, 0 elsewhere.
+        # derives from these exact boxes: 1 at the plan's slots whose cell
+        # carries the slot's own ground truth's parameters, 0 elsewhere.
         score_logits = np.full((rows, cols, n_classes), -SATURATED_LOGIT)
         iou_conf_raw = np.full((rows, cols), SATURATED_CONFIDENCE_RAW)
-        r = assigner.effective_r
-        for gt_index, gt in enumerate(gts):
-            center = world_to_cell(grid, gt.box.x, gt.box.y)
-            for cell in cross_region(grid, center, r):
-                if nearest[cell.row, cell.col] == gt_index:
-                    score_logits[cell.row, cell.col, gt.class_id] = SATURATED_LOGIT
+        plan = _ScenePlan(grid, gts, assigner.effective_r, n_classes)
+        own = nearest[plan.cells] == plan.gt_of
+        score_logits[plan.rows[own], plan.cols[own], plan.class_ids[own]] = SATURATED_LOGIT
 
     return TrainState(
         loc=loc,
@@ -572,11 +547,11 @@ class _Stack:
     its rows as in :class:`AssignmentResult`, the plan of their slots and
     their score logits.
 
-    Score logits are held per unit, scene after scene (``scenes`` is each
-    unit's scene).  A scene's units are its entries of
-    ``plan.entries`` (the only ones whose classification target can be
-    nonzero), in order, then its other entries grouped by logit bits, so
-    ``-0.0`` and ``0.0`` stay apart.  A group's entries have target 0 and
+    Score logits are held per unit (``scenes`` is each unit's scene).
+    Unit ``j < len(plan.entries)`` is the entry ``plan.entries[j]`` (the
+    only entries whose classification target can be nonzero); each
+    scene's other entries follow, scene after scene, grouped by logit bits,
+    so ``-0.0`` and ``0.0`` stay apart.  A group's entries have target 0 and
     one logit, so the descent moves them as one value.  A scene's map holds
     its ``base`` unit everywhere but at the flat indices ``spread[s]``,
     which hold the units ``unit_of[s]``.  ``state.score_logits`` is
@@ -592,32 +567,32 @@ class _Stack:
         self.state, self.plan = state, plan
         maps = state.score_logits.reshape(plan.n_scenes, -1)
         size = maps.shape[1]
-        bounds = np.searchsorted(plan.entries, np.arange(plan.n_scenes + 1) * size)
-        logits, entry_units, self.base, self.spread, self.unit_of = [], [], [], [], []
-        starts = [0]
+        entries = plan.entries
+        bounds = np.searchsorted(entries, np.arange(plan.n_scenes + 1) * size)
+        logits, scenes = [maps.reshape(-1)[entries]], [entries // size]
+        self.base, self.spread, self.unit_of = [], [], []
+        first = len(entries)
         for scene, flat in enumerate(maps):
-            cells = plan.entries[bounds[scene]:bounds[scene + 1]] - scene * size
+            own = np.arange(bounds[scene], bounds[scene + 1])
+            cells = entries[own] - scene * size
             background = np.ones(size, dtype=bool)
             background[cells] = False
             background = np.flatnonzero(background)
             bits, group_of, counts = np.unique(flat.view(np.uint64)[background],
                                                return_inverse=True, return_counts=True)
-            # The largest group is the base; with no background, the last
-            # entry is, and it is spread like every entry.
+            # The largest group is the base.  With no background every cell
+            # is spread, and the unit before the scene's groups stands in.
             base = int(np.argmax(counts)) if len(counts) else -1
             other = group_of != base
-            first = len(cells) + starts[-1]
-            entry_units.append(np.arange(starts[-1], first))
             self.base.append(first + base)
             self.spread.append(np.concatenate([cells, background[other]]))
-            self.unit_of.append(np.concatenate([entry_units[-1], first + group_of[other]]))
-            logits += [flat[cells], bits.view(np.float64)]
-            starts.append(first + len(bits))
+            self.unit_of.append(np.concatenate([own, first + group_of[other]]))
+            logits.append(bits.view(np.float64))
+            scenes.append(np.full(len(bits), scene))
+            first += len(bits)
         self.logits = np.concatenate(logits)
         self.scores = _sigmoid(self.logits)
-        self.scenes = np.repeat(np.arange(plan.n_scenes), np.diff(starts))
-        self.entry_unit = np.concatenate(entry_units)
-        self.slot_unit = self.entry_unit[plan.slot_entry]
+        self.scenes = np.concatenate(scenes)
         self._map = np.empty(size)
 
     def _scene_map(self, values: np.ndarray, scene: int, out: np.ndarray) -> np.ndarray:
@@ -642,7 +617,7 @@ class _Stack:
         return boxes
 
     def score(self, boxes: np.ndarray, weights: LossWeights, alpha: float) -> AssignmentResult:
-        return self.plan.score_rows(boxes, self.scores[self.slot_unit],
+        return self.plan.score_rows(boxes, self.scores[self.plan.slot_entry],
                                     weights.lambda_reg, alpha)
 
     def losses(self, assignment: AssignmentResult, boxes: np.ndarray,
@@ -662,7 +637,7 @@ class _Stack:
         self.conf = np.tanh(self.state.iou_conf_raw[self.pos])
         l_iou, iou = _iou_prediction_losses(assignment, self.conf, n_pos)
         q = np.zeros(len(self.scores))
-        q[self.entry_unit] = assignment.heat
+        q[:len(assignment.heat)] = assignment.heat
         values, cls = _focal(self.scores, q, 2.0, with_grad=True)
         norms = _norms(n_pos)
         l_cls = [float(np.sum(self._scene_map(values, scene, self._map)) * norm)
@@ -952,7 +927,7 @@ def run_fit_config(config: dict, out_dir: Path | str | None = None) -> dict:
     regression = str(config.get("regression", "rwiou"))
     if regression not in ("rwiou", "smooth_l1"):
         raise ValueError("regression must be 'rwiou' or 'smooth_l1'")
-    seeds = [_scalar(int, s, "config: seeds")
+    seeds = [_seed(s, "config: seeds")
              for s in _require_list(config.get("seeds", [scene.seed]), "config: seeds")]
     if not seeds:
         raise ValueError("config: seeds must be non-empty")
@@ -993,7 +968,7 @@ def run_fit_config(config: dict, out_dir: Path | str | None = None) -> dict:
 
     aggregate = {
         "regression": regression,
-        "assigner": {"kind": assigner.kind, "r": assigner.r},
+        "assigner": asdict(assigner),
         "seeds": seeds,
         "per_seed": per_seed,
         "mean_final_iou": float(np.mean([r.mean_final_iou for r in reports])),
@@ -1030,10 +1005,7 @@ def load_scene(
             raise ValueError("ground truth box must have 7 values: x,y,z,l,w,h,yaw")
         class_id = _scalar(int, entry["class_id"], "ground truth: class_id")
         box = Box3D(*values)
-        try:
-            _check_volume(box)
-        except ValueError as exc:
-            raise ValueError(f"gt {len(gts)}: {exc}") from None
+        _check_volume(box, f"gt {len(gts)}")
         gts.append(GroundTruth(box=box, class_id=class_id))
         if not grid.contains(values[0], values[1]):
             raise ValueError(f"gt {len(gts) - 1} center ({values[0]}, {values[1]}) is off-grid")
@@ -1070,6 +1042,6 @@ def load_scene(
         n_classes,
         init,
         AssignerConfig(kind="dcla", r=r),
-        _scalar(int, pred_spec.get("seed", 0), "predictions: seed"),
+        _seed(pred_spec.get("seed", 0), "predictions: seed"),
     )
     return grid, gts, state.prediction_map()

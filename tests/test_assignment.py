@@ -276,6 +276,17 @@ class TestPredictionMapValidation:
         with pytest.raises(ValueError):
             assign_dcla(GRID, [off], preds, r=1)
 
+    @pytest.mark.parametrize("size,volume", [(1e200, "inf"), (1e-200, "0.0")])
+    def test_ground_truth_volume_checked_where_it_enters(self, size, volume):
+        # Not "candidate costs must be finite", which would blame the
+        # predictions: the ground truth's volume is out of range.
+        gt = GroundTruth(Box3D(2.5, 2.5, 0.5, size, size, 1.0, 0.0), 0)
+        message = f"^gt 0: box volume l\\*w\\*h = {volume} must be finite and positive$"
+        with pytest.raises(ValueError, match=message):
+            assign_dcla(GRID, [gt], uniform_map(GRID, gt.box), r=1)
+        with pytest.raises(ValueError, match=message):
+            fit_scene(GRID, [gt], optimizer=OptimizerConfig(n_steps=1))
+
 
 class TestAssignHandBuilt:
     def test_perfect_predictions_fill_region(self):

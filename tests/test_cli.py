@@ -321,6 +321,16 @@ class TestFitCommand:
         assert main(["fit", str(path)]) == 2
         assert "config:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra,message", [
+        ({"bogus": 1}, "config: unknown keys ['bogus']"),
+        ({"seeds": []}, "config: seeds must be non-empty"),
+    ])
+    def test_config_prefix_printed_once(self, tmp_path, capsys, extra, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(FIT_CONFIG, **extra)))
+        assert main(["fit", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_missing_config_file(self, capsys):
         assert main(["fit", "/nonexistent/fit.json"]) == 2
         assert "cannot read" in capsys.readouterr().err

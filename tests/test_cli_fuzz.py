@@ -1,8 +1,8 @@
 """Mutated scene files and fit configs through ``bevbox.cli.main``.
 
-Every key of a valid document, at any depth, gets a ``null``, a list, an
-object, a string, a NaN, an infinity, or a huge, negative or fractional
-number.  Whatever the input, ``main`` returns 0, 1 or 2 without raising,
+Every key of a valid document, at any depth, gets a ``null``, a boolean, a
+list, an object, a string, a NaN, an infinity, or a huge, negative or
+fractional number.  Whatever the input, ``main`` returns 0, 1 or 2 without raising,
 and an exit of 2 comes with an ``error:`` line.  Fits are kept small: a 16x16 grid, two objects and
 at most two steps, and the keys that size the work (grid shape, step and
 object counts, placement attempts, class count) get no huge values.
@@ -41,7 +41,7 @@ FIT = {
 # Keys whose value sets how much work a run does.
 SIZING = {"n_rows", "n_cols", "n_steps", "n_objects", "max_attempts", "n_classes"}
 HUGE = [10**12, 1e308]
-VALUES = [None, [], [1, 2], {}, {"x": 1}, "text", -1, -2.5, 0.5, 0, 3,
+VALUES = [None, True, False, [], [1, 2], {}, {"x": 1}, "text", -1, -2.5, 0.5, 0, 3,
           float("nan"), float("inf"), -float("inf")]
 
 

@@ -300,6 +300,39 @@ class TestCoercion:
         assert message == "invalid literal for int() with base 10: 'many'"
 
 
+class TestSeedsAndBooleans:
+    """A seed is a non-negative integer and a number is not a JSON boolean,
+    each checked where it enters, naming its field."""
+
+    def test_negative_fit_seed_before_any_output(self, tmp_path):
+        out = tmp_path / "out"
+        config = dict(CONFIG, seeds=[0, 1, -1], output={"dir": str(out)})
+        assert fit_message(config) == "config: seeds: expected a non-negative integer, got -1"
+        assert not out.exists()
+
+    def test_negative_scene_seed(self):
+        assert fit_message(with_scene(seed=-3)) == "seed must be >= 0"
+
+    def test_negative_predictions_seed(self):
+        scene = dict(SCENE_FILE, predictions={"kind": "noisy", "seed": -1})
+        message = "predictions: seed: expected a non-negative integer, got -1"
+        assert scene_message(scene) == message
+
+    @pytest.mark.parametrize("section,key,value,kind", [
+        ("optimizer", "n_steps", True, "int"),
+        ("optimizer", "step_size", True, "float"),
+        ("assigner", "r", False, "int"),
+    ])
+    def test_boolean_is_not_a_number(self, section, key, value, kind):
+        fields = {"kind": "dcla"} if section == "assigner" else {}
+        config = dict(CONFIG, **{section: dict(fields, **{key: value})})
+        assert fit_message(config) == f"{section}: {key}: expected {kind}, got bool"
+
+    def test_boolean_string_is_coerced(self, capture_fit):
+        seen = capture_fit(with_scene(size_classes=[dict(SIZE_CLASS, name=True)]))
+        assert seen["scene"].size_classes[0].name == "True"
+
+
 def expected_scene(section):
     """The scene section built by direct construction, without a parser."""
     values = dict(section, grid=GridSpec(**section["grid"]))

@@ -800,8 +800,10 @@ def strip_wall_clock(aggregate):
 class TestRunFitConfig:
     def test_writes_outputs(self, tmp_path):
         aggregate = run_fit_config(dict(BASE_CONFIG), out_dir=tmp_path)
-        assert (tmp_path / "fit_seed0.csv").exists()
-        assert (tmp_path / "fit_seed1.csv").exists()
+        # The config's seeds, not the init seeds the fits are drawn from.
+        assert [p["seed"] for p in aggregate["per_seed"]] == BASE_CONFIG["seeds"] == [0, 1]
+        assert sorted(path.name for path in tmp_path.glob("*.csv")) == \
+            ["fit_seed0.csv", "fit_seed1.csv"]
         report = json.loads((tmp_path / "fit_report.json").read_text())
         assert report["seeds"] == [0, 1]
         assert strip_wall_clock(report) == strip_wall_clock(aggregate)
