@@ -32,8 +32,8 @@ from .geometry import (
     BoxParams8,
     _check_alpha,
     _check_volume,
-    _footprint,
-    _iou_footprints,
+    _iou_quads,
+    _Quads,
     _target_rows,
     rotated_iou_exact,
 )
@@ -403,6 +403,16 @@ def dynamic_k(gt: GroundTruth, candidate_boxes: Sequence[Box3D | BoxParams8]) ->
     return dynamic_k_from_ious(ious)
 
 
+def _check_class_id(i: int, gt: GroundTruth, n_classes: int) -> None:
+    """Reject ground truth ``i`` when maps of ``n_classes`` channels have no
+    channel for its class."""
+    if gt.class_id >= n_classes:
+        raise ValueError(
+            f"gt {i} has class_id {gt.class_id} but predictions carry "
+            f"{n_classes} class channels"
+        )
+
+
 def _validate_scene(grid: GridSpec, gts: Sequence[GroundTruth], preds: PredictionMap,
                     lambda_reg: float, alpha: float) -> float:
     """:func:`assign_dcla`'s input checks; returns the checked ``alpha``.
@@ -416,11 +426,7 @@ def _validate_scene(grid: GridSpec, gts: Sequence[GroundTruth], preds: Predictio
             f"grid {grid.n_rows}x{grid.n_cols}"
         )
     for i, gt in enumerate(gts):
-        if gt.class_id >= preds.n_classes:
-            raise ValueError(
-                f"gt {i} has class_id {gt.class_id} but predictions carry "
-                f"{preds.n_classes} class channels"
-            )
+        _check_class_id(i, gt, preds.n_classes)
         if not grid.contains(gt.box.x, gt.box.y):
             raise ValueError(f"gt {i} center ({gt.box.x}, {gt.box.y}) is off-grid")
         _check_volume(gt.box, f"gt {i}")
@@ -482,30 +488,45 @@ class _ScenePlan:
         keys = (self.rows * grid.n_cols + self.cols) * n_classes + self.class_ids
         self.entries, self.slot_entry = np.unique(keys, return_inverse=True)
         self.targets = _target_rows([gt.box for gt in self.gts])[self.gt_of]
-        self.gt_feet = [_footprint(*gt.box.as_tuple()) for gt in self.gts]
+        self.quads = _Quads.of([gt.box for gt in self.gts])
         self._bits: np.ndarray | None = None
-        self._ious = [0.0] * len(self.gt_of)
+        # Each slot's last IoU, then a 0.0 that pads the regions' table
+        # (region i's slots down column i, then the pad) to one width.
+        self._ious = np.zeros(len(self.gt_of) + 1)
+        self._regions = np.full((max([1, *sizes]), len(sizes)), len(self.gt_of))
+        self._regions[self.offsets, self.gt_of] = np.arange(len(self.gt_of))
+        self._sizes = np.array(sizes, dtype=float)
         self.iou_runs = 0
 
     @property
     def n_scenes(self) -> int:
         return len(self.gt_starts) - 1
 
-    def _exact_ious(self, boxes: np.ndarray) -> list[float]:
-        """``rotated_iou_exact(gt.box, pred)`` per slot, from footprints of
-        the validated row floats; only rows whose bits changed are clipped."""
+    def _exact_ious(self, boxes: np.ndarray) -> np.ndarray:
+        """``rotated_iou_exact(gt.box, pred)`` per slot, from the validated
+        box rows; only rows whose bits changed are clipped, in one batch."""
         bits = boxes.view(np.uint64)
         if self._bits is None:
             changed = np.arange(len(boxes))
         else:
             changed = np.flatnonzero(np.any(bits != self._bits, axis=1))
-        for slot, i, (x, y, z, l, w, h, s, c) in zip(
-                changed.tolist(), self.gt_of[changed].tolist(), boxes[changed].tolist()):
-            self._ious[slot] = _iou_footprints(
-                self.gt_feet[i], _footprint(x, y, z, l, w, h, math.atan2(s, c)))
+        if len(changed):
+            self._ious[changed] = _iou_quads(self.quads, self.gt_of[changed], boxes[changed])
         self._bits = bits
         self.iou_runs += len(changed)
-        return self._ious
+        return self._ious[:-1]
+
+    def _requested_k(self) -> np.ndarray:
+        """:func:`dynamic_k_from_ious` of each region's last IoUs, bitwise:
+        each column of the regions' table summed in slot order, the pad
+        adding 0.0.  A sum that is not finite makes ``math.floor`` raise,
+        region by region, as the scalar form does."""
+        totals = self._ious.take(self._regions).cumsum(axis=0)[-1]
+        if not np.isfinite(totals).all():
+            starts = self.starts.tolist()
+            for a, b in zip(starts, starts[1:]):
+                dynamic_k_from_ious(self._ious[a:b].tolist())
+        return np.minimum(np.maximum(np.floor(totals), 1.0), self._sizes).astype(np.intp)
 
     def score(self, preds: PredictionMap, lambda_reg: float, alpha: float) -> AssignmentResult:
         """The assignment of :func:`assign_dcla` for ``preds``, whose inputs
@@ -529,19 +550,18 @@ class _ScenePlan:
         with np.errstate(all="ignore"):
             reg_values, reg_grads = regression_sample_grad_batch(boxes, self.targets, alpha)
             costs = quality_focal(scores, 1.0, 2.0) + lambda_reg * reg_values
-        iou_list = self._exact_ious(boxes)
+        ious = self._exact_ious(boxes).copy()
         # Sorts order NaN keys unlike comparisons; no cost reaches them.
         if not np.all(np.isfinite(costs)):
             raise ValueError("candidate costs must be finite")
-        requested_k = [dynamic_k_from_ious(iou_list[a:b])
-                       for a, b in zip(starts[:-1].tolist(), starts[1:].tolist())]
+        requested_k = self._requested_k()
 
         # Rank within each region by cost; the stable sort breaks cost ties
         # in slot order, row-major.  The k cheapest are shortlisted.
         order = np.lexsort((costs, gt_of))
         rank = np.empty_like(order)
         rank[order] = self.offsets
-        shortlist = np.flatnonzero(rank < np.array(requested_k, dtype=np.intp)[gt_of])
+        shortlist = np.flatnonzero(rank < requested_k[gt_of])
 
         # Conflict resolution: per cell, the first claimant by (cost, gt)
         # wins.
@@ -553,11 +573,10 @@ class _ScenePlan:
         # Targets: the IoU (max over same-class regions), then 1.0 at the
         # positives.
         heat = np.zeros(len(self.entries))
-        ious = np.array(iou_list)
         np.maximum.at(heat, self.slot_entry, ious)
         heat[self.slot_entry[positive_slots]] = 1.0
 
-        return AssignmentResult(requested_k=requested_k, map_shape=self.map_shape,
+        return AssignmentResult(requested_k=requested_k.tolist(), map_shape=self.map_shape,
                                 heat_entries=self.entries, heat=heat,
                                 cand_rows=rows, cand_cols=cols, cand_gt=gt_of,
                                 costs=costs, ious=ious,

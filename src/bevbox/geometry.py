@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -370,6 +371,186 @@ def _iou_footprints(f1, f2) -> float:
     v_inter = area_inter * dz
     v_union = v1 + v2 - v_inter
     return v_inter / v_union
+
+
+# The batched clipper's arithmetic is the scalar one's as long as nothing
+# overflows and no NaN appears: then numpy and Python floats round alike and
+# every comparison agrees.  Inputs below this bound guarantee that (four clip
+# passes grow a coordinate at most 5**4-fold, and the products of two such
+# coordinates and a z face stay far below the float range); rows past it, or
+# not finite, take the scalar path.
+_BATCH_BOUND = 1e75
+
+# A clip pass at most doubles a polygon, so four passes on a quad leave at
+# most 64 vertices.  _NEXT[i, n] is vertex i's successor in an n-gon; a
+# padding slot i >= n is its own successor, so it never crosses.
+_MAX_VERTICES = 64
+_NEXT = np.tile(np.arange(_MAX_VERTICES)[:, None], (1, _MAX_VERTICES + 1))
+for _n in range(1, _MAX_VERTICES + 1):
+    _NEXT[:_n, _n] = np.roll(np.arange(_n), -1)
+_NEXT4 = _NEXT[:4, 4].copy()
+# _bev_corners' (x + cos * ax) - sin * ay and (y + sin * ax) - cos * -ay for
+# (ax, ay) = (_SIGN_A * dx, _SIGN_B[0] * dy): a sign flip commutes with
+# rounding.
+_SIGN_A = np.array([1.0, -1.0, -1.0, 1.0])[None, :, None]
+_SIGN_B = np.outer([1.0, -1.0], [1.0, 1.0, -1.0, -1.0])[:, :, None]
+_SIGN_Z = np.array([-1.0, 1.0])[:, None]
+# Below this many rows the batch's fixed cost per call (some 170 numpy calls)
+# outweighs the scalar clipper's cost per pair.  Measured inside fits: a
+# pass of 18-row calls ran 14% slower batched, one of 38-row calls about
+# 30% faster; the cost difference per call crosses zero near 24 rows.
+_BATCH_MIN_ROWS = 24
+
+
+class _Quads(NamedTuple):
+    """Box footprints, the subjects of :func:`_iou_quads`.
+
+    Per box ``j``, its :func:`_footprint` tuple ``feet[j]`` and the same
+    values as arrays: the corners ``x + 1j * y`` as ``corners[:, j]``, the
+    z faces as ``(-z_lo, z_hi)`` in ``faces[:, j]``, the volume, and whether
+    every value lies below ``_BATCH_BOUND`` (and whether all do).
+    """
+
+    feet: list
+    corners: np.ndarray
+    faces: np.ndarray
+    volume: np.ndarray
+    bounded: np.ndarray
+    all_bounded: bool
+
+    @classmethod
+    def of(cls, boxes: Sequence[Box3D]) -> "_Quads":
+        feet = [_footprint(*box.as_tuple()) for box in boxes]
+        corners = np.array([[complex(x, y) for x, y in foot[0]] for foot in feet],
+                           dtype=complex).reshape(-1, 4).T.copy()
+        faces = np.array([(-lo, hi) for _, lo, hi, _ in feet]).reshape(-1, 2).T.copy()
+        values = np.concatenate([corners.real, corners.imag, faces])
+        bounded = np.all(np.abs(values) < _BATCH_BOUND, axis=0)
+        return cls(feet, corners, faces, np.array([foot[3] for foot in feet]), bounded,
+                   bool(bounded.all()))
+
+
+def _iou_quads(quads: _Quads, index: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``_iou_footprints(quads.feet[index[k]], _footprint(x, y, z, l, w, h,
+    math.atan2(s, c)))`` for every row ``k`` ``(x, y, z, l, w, h, s, c)`` of
+    ``rows``: by :func:`_iou_quads_batch` from ``_BATCH_MIN_ROWS`` rows on,
+    else pair by pair.  A live pair whose union is 0.0 raises the scalar's
+    ``ZeroDivisionError``."""
+    if len(rows) < _BATCH_MIN_ROWS:
+        return _iou_quads_scalar(quads, index, rows)
+    return _iou_quads_batch(quads, index, rows)
+
+
+def _iou_quads_scalar(quads: _Quads, index: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """:func:`_iou_quads` pair by pair."""
+    return np.array([
+        _iou_footprints(quads.feet[j], _footprint(x, y, z, l, w, h, math.atan2(s, c)))
+        for j, (x, y, z, l, w, h, s, c) in zip(index.tolist(), rows.tolist())
+    ])
+
+
+def _iou_quads_batch(quads: _Quads, index: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """:func:`_iou_quads` of every row, bitwise, by one Sutherland-Hodgman
+    clip of all rows at once.
+
+    Polygons are held vertex-major, ``(vertices, rows)``, as complex
+    ``x + 1j * y``, so one gather or scatter moves both coordinates; the
+    arithmetic runs on their real and imaginary parts.  Each row is padded
+    past its vertex count with NaN, which is never inside and never
+    crosses.  A row with fewer than 3 vertices after a pass scores 0.0, and
+    areas are sequential shoelace sums from vertex 0.  Rows past
+    ``_BATCH_BOUND`` take the scalar path.
+    """
+    n = len(rows)
+    cols = rows.T.copy()
+    with np.errstate(all="ignore"):
+        bounded = quads.all_bounded and np.abs(rows).max(initial=0.0) < _BATCH_BOUND
+        theta = list(map(math.atan2, cols[6].tolist(), cols[7].tolist()))
+        trig = np.array([*map(math.cos, theta), *map(math.sin, theta)]).reshape(2, 1, n)
+        half = 0.5 * cols[3:6]
+        prods = trig * half[:2]                            # [[c dx, c dy], [s dx, s dy]]
+        corners = np.empty((4, n), dtype=complex)
+        np.subtract(cols[0:2, None] + prods[:, None, 0] * _SIGN_A,
+                    prods[::-1, None, 1] * _SIGN_B,
+                    out=corners.view(float).reshape(4, n, 2).transpose(2, 0, 1))
+        faces = half[2] + cols[2] * _SIGN_Z                # (-z_lo, z_hi)
+        # min(hi1, hi2) - max(lo1, lo2); without NaN only a zero's sign
+        # could differ, and a zero dz scores 0.0 either way.
+        lowest = np.minimum(quads.faces.take(index, axis=1), faces)
+        dz = lowest[1] + lowest[0]
+        rowpos = np.arange(n)
+        succ = corners.take(_NEXT4, axis=0)
+        v_pred = _half_shoelace(corners, succ) * (faces[1] + faces[0])
+        edges = succ - corners
+        poly = quads.corners.take(index, axis=1)
+        nxt = _NEXT4[:, None] * n + rowpos
+        next_rows = _NEXT * n
+        before = rowpos - n
+        fewest = None
+        for e in range(4):
+            # The last pass pads with zeros, whose shoelace terms are 0.0.
+            poly, counts = _clip_pass(poly, nxt, corners[e], edges[e], before,
+                                      0.0 if e == 3 else complex(math.nan, math.nan))
+            fewest = counts if fewest is None else np.minimum(fewest, counts)
+            nxt = next_rows[:len(poly)].take(counts, axis=1) + rowpos
+        area = _half_shoelace(poly, poly.take(nxt))
+        v_inter = area * dz
+        v_union = quads.volume.take(index) + v_pred - v_inter
+        live = (dz > 0.0) & (fewest >= 3) & (area > 0.0)
+        if not bounded:
+            fallback = ~(np.all(np.abs(rows) < _BATCH_BOUND, axis=1) & quads.bounded[index])
+            live &= ~fallback
+        if (live & (v_union == 0.0)).any():
+            raise ZeroDivisionError("float division by zero")
+        ious = np.where(live, v_inter / v_union, 0.0)
+    if not bounded:
+        ious[fallback] = _iou_quads_scalar(quads, index[fallback], rows[fallback])
+    return ious
+
+
+def _half_shoelace(poly: np.ndarray, succ: np.ndarray) -> np.ndarray:
+    """``abs(0.5 * total)`` per row, the total summing the shoelace terms
+    ``x_i * y_next - x_next * y_i`` of the vertices ``poly`` and their
+    successors ``succ`` (both ``(vertices, rows)``) one after another from
+    vertex 0, as a cumulative sum adds them."""
+    terms = poly.real * succ.imag - succ.real * poly.imag
+    return np.abs(0.5 * terms.cumsum(axis=0)[-1])
+
+
+def _clip_pass(poly: np.ndarray, nxt: np.ndarray, start: np.ndarray, edge: np.ndarray,
+               before: np.ndarray, fill: complex) -> tuple[np.ndarray, np.ndarray]:
+    """One Sutherland-Hodgman pass of :func:`_iou_quads_batch`: each row's
+    polygon clipped to the left of its edge from ``start`` along ``edge``.
+    ``nxt`` is each vertex's successor as a flat index, and ``before`` each
+    row's index less the row count.  Returns the clipped polygons, padded
+    with ``fill``, and their vertex counts."""
+    m, n = poly.shape
+    rel = poly - start
+    sides = edge.real * rel.imag - edge.imag * rel.real   # ex * (py - ay) - ey * (px - ax)
+    side_next = sides.take(nxt)
+    gap = sides - side_next
+    # Candidates in output order: vertex i, then the crossing from i to i + 1.
+    keep = np.empty((m, 2, n), dtype=bool)
+    cand = np.empty((m, 2, n), dtype=complex)
+    inside = np.greater_equal(sides, -CLIP_EPS, out=keep[:, 0]).view(np.int8)
+    # A side change (+-1) times the gap exceeds CLIP_EPS exactly when the
+    # scalar's inside_p != inside_q and abs(side_p - side_q) > CLIP_EPS do.
+    np.greater((inside - (side_next >= -CLIP_EPS).view(np.int8)) * gap, CLIP_EPS,
+               out=keep[:, 1])
+    cand[:, 0] = poly
+    # p + t * (q - p): t multiplies both parts of q - p as a complex with a
+    # zero imaginary part, where the extra products are exact zeros.
+    np.add(poly, (sides / gap) * (poly.take(nxt) - poly), out=cand[:, 1])
+    keep = keep.reshape(2 * m, n)
+    pos = np.add.accumulate(keep, axis=0, dtype=np.intp)
+    counts = pos[-1]
+    width = max(int(counts.max()), 1)
+    # Kept candidates go to their place in the output, the others to one
+    # spare slot past its end.
+    out = np.empty(width * n + 1, dtype=complex)
+    out.fill(fill)
+    out[np.where(keep, pos * n + before, width * n)] = cand.reshape(2 * m, n)
+    return out[:-1].reshape(width, n), counts
 
 
 def _points_inside(box: Box3D, pts: np.ndarray) -> np.ndarray:

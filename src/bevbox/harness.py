@@ -30,6 +30,7 @@ from .assignment import (
     GroundTruth,
     PredictionMap,
     _check_cell_values,
+    _check_class_id,
     _check_iou_conf,
     _ScenePlan,
     _validate_scene,
@@ -431,6 +432,7 @@ def init_state(
     """
     if n_classes < 1:
         raise ValueError("n_classes must be >= 1")
+    _seed(seed, "seed")
     rows, cols = grid.n_rows, grid.n_cols
     rng = np.random.default_rng(seed)
 
@@ -483,6 +485,8 @@ def init_state(
         # Saturate logits so the scores reproduce the heatmap the assignment
         # derives from these exact boxes: 1 at the plan's slots whose cell
         # carries the slot's own ground truth's parameters, 0 elsewhere.
+        for i, gt in enumerate(gts):
+            _check_class_id(i, gt, n_classes)
         score_logits = np.full((rows, cols, n_classes), -SATURATED_LOGIT)
         iou_conf_raw = np.full((rows, cols), SATURATED_CONFIDENCE_RAW)
         plan = _ScenePlan(grid, gts, assigner.effective_r, n_classes)
@@ -532,6 +536,7 @@ def fit_scene(
     size whose product with ``weights.lambda_iou`` is not finite, raises
     ``ValueError``.  This is the one-scene case of :func:`_fit_scenes`.
     """
+    _seed(init_seed, "init_seed")
     if n_classes is None:
         n_classes = max((gt.class_id for gt in gts), default=0) + 1
     reports, failure = _fit_scenes(grid, [gts], [init_seed], assigner, optimizer, init,

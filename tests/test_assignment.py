@@ -756,3 +756,107 @@ class TestScenePlanMemo:
                       optimizer=OptimizerConfig(step_size=0.05, n_steps=30), n_classes=3)
         assert len(scored) == 3 * 31
         assert overlapping >= 1
+
+
+def stack_plan(rng, n_scenes, r, n_gts=6):
+    """A plan over ``n_scenes`` scenes of random ground truths on one grid,
+    the first in a corner, so some regions are cut at the grid's edge."""
+    grid = GridSpec(x_min=-4.0, y_min=-3.0, cell_size=1.0, n_rows=8, n_cols=9)
+    gts = [GroundTruth(Box3D(rng.uniform(grid.x_min, grid.x_max),
+                             rng.uniform(grid.y_min, grid.y_max), rng.uniform(-1.0, 2.0),
+                             *rng.uniform(0.6, 5.0, 3), rng.uniform(0.0, 2 * np.pi)),
+                       int(rng.integers(0, 3)))
+           for _ in range(n_scenes * n_gts)]
+    gts[0] = GroundTruth(dataclasses.replace(gts[0].box, x=-3.99, y=-2.99), gts[0].class_id)
+    return _ScenePlan(grid, gts, r, 3, [n_gts] * n_scenes)
+
+
+def slot_rows(rng, plan):
+    """Box rows for every slot: a random box near the slot's cell, or the
+    slot's own ground truth scaled by a hair (near-collinear edges)."""
+    n = len(plan.gt_of)
+    centers = np.column_stack([plan.cols - 3.5, plan.rows % plan.grid.n_rows - 2.5])
+    yaw = rng.uniform(-np.pi, np.pi, n)
+    boxes = np.column_stack([centers + rng.normal(0, 0.4, (n, 2)), rng.uniform(-0.5, 1.5, n),
+                             rng.uniform(0.5, 5.0, (n, 3)), np.sin(yaw), np.cos(yaw)])
+    near = rng.random(n) < 0.3
+    boxes[near] = plan.targets[near] * (1.0 + rng.normal(0, 1e-13, (near.sum(), 8)))
+    return boxes
+
+
+class TestScenePlanIous:
+    """The plan's batched IoUs equal ``rotated_iou_exact`` slot by slot."""
+
+    def expected(self, plan, boxes):
+        return [rotated_iou_exact(plan.gts[i].box, BoxParams8.from_array(row).to_box()).hex()
+                for i, row in zip(plan.gt_of.tolist(), boxes)]
+
+    @pytest.mark.parametrize("n_scenes", [1, 3, 20])
+    def test_stacks_equal_the_scalar_per_slot(self, n_scenes):
+        rng = np.random.default_rng(60 + n_scenes)
+        plan = stack_plan(rng, n_scenes, r=1)
+        boxes = slot_rows(rng, plan)
+        assert [v.hex() for v in plan._exact_ious(boxes).tolist()] == self.expected(plan, boxes)
+        # Move a few slots: only they are clipped again, and every IoU holds.
+        moved = rng.choice(len(boxes), size=min(5, len(boxes)), replace=False)
+        boxes = boxes.copy()
+        boxes[moved, 0] += 0.125
+        before = plan.iou_runs
+        assert [v.hex() for v in plan._exact_ious(boxes).tolist()] == self.expected(plan, boxes)
+        assert plan.iou_runs - before == len(moved)
+
+    def test_no_changed_slot_calls_no_kernel(self, monkeypatch):
+        calls = []
+        real = bevbox.assignment._iou_quads
+
+        def counted(quads, index, rows):
+            calls.append(len(rows))
+            return real(quads, index, rows)
+
+        monkeypatch.setattr(bevbox.assignment, "_iou_quads", counted)
+        rng = np.random.default_rng(70)
+        plan = stack_plan(rng, 3, r=2)
+        boxes = slot_rows(rng, plan)
+        first = plan._exact_ious(boxes).copy()
+        assert calls == [len(boxes)] and plan.iou_runs == len(boxes)
+        assert plan._exact_ious(boxes.copy()).tobytes() == first.tobytes()
+        assert calls == [len(boxes)] and plan.iou_runs == len(boxes)
+
+
+class TestRequestedK:
+    """The plan's padded per-region sums give :func:`dynamic_k_from_ious`."""
+
+    def scalar(self, plan):
+        ious = plan._ious[:-1].tolist()
+        starts = plan.starts.tolist()
+        return [dynamic_k_from_ious(ious[a:b]) for a, b in zip(starts, starts[1:])]
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_random_plans(self, r):
+        rng = np.random.default_rng(80 + r)
+        for n_scenes in (1, 3):
+            plan = stack_plan(rng, n_scenes, r)
+            assert len(set(np.diff(plan.starts).tolist())) > 1 or r == 0  # cut regions
+            for values in (rng.random(len(plan.gt_of)),
+                           rng.choice([0.0, 0.2, 0.5, 1.0], len(plan.gt_of)),
+                           rng.random(len(plan.gt_of)) ** 8):
+                plan._ious[:-1] = values
+                assert plan._requested_k().tolist() == self.scalar(plan)
+
+    def test_ten_fifths_request_one(self):
+        grid = GridSpec(x_min=0.0, y_min=0.0, cell_size=1.0, n_rows=9, n_cols=9)
+        plan = _ScenePlan(grid, [GroundTruth(Box3D(4.5, 4.5, 0.5, 2.0, 1.0, 1.0, 0.0), 0)], 2, 1)
+        assert len(plan.gt_of) == 13
+        plan._ious[:-1] = [0.2] * 10 + [0.0] * 3
+        # Summed in order ten 0.2s give 1.9999999999999998, so k is 1.
+        assert plan._requested_k().tolist() == [1] == self.scalar(plan)
+
+    @pytest.mark.parametrize("bad,error", [(math.nan, ValueError), (math.inf, OverflowError)])
+    def test_non_finite_sums_raise_like_the_scalar(self, bad, error):
+        plan = stack_plan(np.random.default_rng(90), 2, 1)
+        plan._ious[:-1] = 0.5
+        plan._ious[plan.starts[3] + 1] = bad
+        with pytest.raises(error) as scalar:
+            self.scalar(plan)
+        with pytest.raises(error, match=f"^{str(scalar.value)}$"):
+            plan._requested_k()

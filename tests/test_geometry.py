@@ -18,7 +18,14 @@ from bevbox import (
     rotation_weight,
     rwiou,
 )
-from bevbox.geometry import MC_CHUNK
+from bevbox.geometry import (
+    MC_CHUNK,
+    _footprint,
+    _iou_footprints,
+    _iou_quads_batch,
+    _iou_quads_scalar,
+    _Quads,
+)
 from helpers import axis_aligned_iou, polygon_area, reference_rotated_iou
 
 
@@ -317,6 +324,104 @@ class TestRotatedIouAgainstTextbookClipper:
         touching = values[3::8]
         assert identical == [1.0] * 50
         assert touching == [0.0] * 50
+
+
+def yaw_rows(boxes) -> np.ndarray:
+    """``(n, 8)`` rows ``(x, y, z, l, w, h, sin, cos)`` of the boxes."""
+    return np.array([(b.x, b.y, b.z, b.l, b.w, b.h, math.sin(b.theta), math.cos(b.theta))
+                     for b in boxes]).reshape(-1, 8)
+
+
+def scalar_iou(gt: Box3D, row) -> float:
+    """The scalar IoU of a ground truth and an ``(x, ..., h, s, c)`` row."""
+    x, y, z, l, w, h, s, c = (float(v) for v in row)
+    return _iou_footprints(_footprint(*gt.as_tuple()),
+                           _footprint(x, y, z, l, w, h, math.atan2(s, c)))
+
+
+def outcome(call):
+    """A call's value bits, or its exception's type and message."""
+    try:
+        value = call()
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+    return np.asarray(value, dtype=float).tobytes()
+
+
+# Both sides of the size cutover in _iou_quads, under the same bitwise checks.
+IOU_PATHS = {"batch": _iou_quads_batch, "scalar": _iou_quads_scalar}
+
+
+class TestBatchedIou:
+    """Both sides of ``_iou_quads`` equal the scalar clipper row by row,
+    bitwise: the batched clip of every row at once and the pair-by-pair
+    loop."""
+
+    @pytest.mark.parametrize("path", IOU_PATHS)
+    def test_bitwise_equal_to_textbook_clipper_on_pair_families(self, path):
+        pairs = iou_pair_families(np.random.default_rng(5), 2_500)
+        pairs = [(b, a) if i % 2 else (a, b) for i, (a, b) in enumerate(pairs)]
+        rows = yaw_rows([b for _, b in pairs])
+        got = IOU_PATHS[path](_Quads.of([a for a, _ in pairs]), np.arange(len(pairs)), rows)
+        # The batch decodes each row's yaw as atan2(sin, cos).
+        want = [reference_rotated_iou(a, Box3D(*row[:6].tolist(), math.atan2(row[6], row[7])))
+                for (a, _), row in zip(pairs, rows)]
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+
+    @given(gts=st.lists(box_strategy(), min_size=1, max_size=3),
+           rows=st.lists(st.tuples(st.integers(0, 2), box_strategy(),
+                                   st.floats(-1e-9, 1e-9), st.floats(-1, 1)),
+                         min_size=1, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_property_equals_scalar(self, gts, rows):
+        # Each row is a box or, with a tiny offset and turn, its own ground
+        # truth: the near-collinear edges the clip tolerance decides.
+        index = np.array([i % len(gts) for i, *_ in rows])
+        boxes = [box if pick < 2 else Box3D(gts[j].x + tiny, gts[j].y, gts[j].z, gts[j].l,
+                                            gts[j].w, gts[j].h, gts[j].theta + tiny * turn)
+                 for (pick, box, tiny, turn), j in zip(rows, index.tolist())]
+        table = yaw_rows(boxes)
+        want = [scalar_iou(gts[j], row).hex() for j, row in zip(index.tolist(), table)]
+        for path in IOU_PATHS.values():
+            assert [v.hex() for v in path(_Quads.of(gts), index, table).tolist()] == want
+
+    def test_blown_up_rows_fail_like_the_scalar(self):
+        gt = Box3D(0.3, -0.2, 0.1, 3.0, 1.5, 1.2, 0.4)
+        tiny_gt = Box3D(7.408958139051086e-163, 5.4917424332166046e-163, 0.0,
+                        2.2216068672753338e-162, 2.4086952834763095e-162, 1.0,
+                        -0.6083632276973661)
+        yaw = 2.9307954562474032
+        base = [0.5, 0.0, 0.2, 2.5, 1.4, 1.0, 0.3, 0.95]
+        blown = []
+        for channel in range(8):
+            for value in (math.inf, -math.inf, math.nan, 1e200, -1e200, 1e-200):
+                row = list(base)
+                row[channel] = value
+                blown.append((gt, row))
+        for size in (1e200, 1e155, 1e-200):
+            blown.append((gt, base[:3] + [size, size, size] + base[6:]))
+            blown.append((Box3D(0.0, 0.0, 0.0, size, 1.0 / size, 1.0, 0.2), base))
+        # A pair whose union rounds to 0.0: the scalar's only raise point.
+        zero_union = (tiny_gt, [1.8731140618546237e-163, 1.0112284708303366e-162, 0.0,
+                                1.479876716788997e-162, 2.2346654263747713e-162, 1.0,
+                                math.sin(yaw), math.cos(yaw)])
+        blown.append(zero_union)
+        assert outcome(lambda: scalar_iou(*zero_union)) == (
+            ZeroDivisionError, "float division by zero")
+        for box, row in blown:
+            quads, table = _Quads.of([box]), np.array([row])
+            want = outcome(lambda: scalar_iou(box, row))
+            for path in IOU_PATHS.values():
+                assert outcome(lambda: path(quads, np.array([0]), table)) == want, row
+        # Together in one batch, the rows that do not raise keep their bits.
+        fine = [(box, row) for box, row in blown if not isinstance(
+            outcome(lambda: scalar_iou(box, row)), tuple)]
+        got = _iou_quads_batch(_Quads.of([box for box, _ in fine]), np.arange(len(fine)),
+                               np.array([row for _, row in fine]))
+        assert [v.hex() for v in got.tolist()] == [scalar_iou(*pair).hex() for pair in fine]
+        with pytest.raises(ZeroDivisionError, match="^float division by zero$"):
+            _iou_quads_batch(_Quads.of([gt] * 30 + [tiny_gt]), np.arange(31),
+                             np.array([base] * 30 + [zero_union[1]]))
 
 
 class TestMcOracle:

@@ -219,6 +219,24 @@ class TestInitState:
         with pytest.raises(ValueError):
             init_state(GRID16, [], 0, InitConfig(kind="noisy"), AssignerConfig(), 0)
 
+    @pytest.mark.parametrize("kind", ["exact", "noisy", "random"])
+    def test_class_without_a_channel_is_a_value_error(self, kind):
+        gts = [GroundTruth(Box3D(0.5, 0.5, 0.8, 3.0, 1.6, 1.5, 0.3), class_id=5)]
+        message = "^gt 0 has class_id 5 but predictions carry 3 class channels$"
+        with pytest.raises(ValueError, match=message):
+            fit_scene(GRID16, gts, init=InitConfig(kind=kind), n_classes=3,
+                      optimizer=OptimizerConfig(n_steps=1))
+        if kind == "exact":
+            with pytest.raises(ValueError, match=message):
+                init_state(GRID16, gts, 3, InitConfig(kind=kind), AssignerConfig(), 0)
+
+    def test_negative_seed_named(self):
+        gts = generate_scene(scene16())
+        with pytest.raises(ValueError, match="^init_seed: expected a non-negative integer, got -1$"):
+            fit_scene(GRID16, gts, init_seed=-1, optimizer=OptimizerConfig(n_steps=1))
+        with pytest.raises(ValueError, match="^seed: expected a non-negative integer, got -1$"):
+            init_state(GRID16, gts, 3, InitConfig(), AssignerConfig(), -1)
+
 
 class TestExactInitFixedPoint:
     def test_trajectory_identically_zero_and_state_frozen(self):
