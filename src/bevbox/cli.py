@@ -49,6 +49,11 @@ def _parse_box(text: str, label: str) -> Box3D:
     return box
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise CliError(f"--seed must be >= 0, got {seed}")
+
+
 def _load_json(path: str, label: str) -> dict:
     p = Path(path)
     try:
@@ -75,6 +80,7 @@ def _cmd_iou(args: argparse.Namespace) -> int:
     elif args.mode == "mc":
         if args.samples < 10_000:
             raise CliError(f"--samples must be >= 10000 for mc, got {args.samples}")
+        _check_seed(args.seed)
         estimate = mc_iou_oracle(
             box1, box2, n_samples=args.samples, seed=args.seed
         )
@@ -88,6 +94,7 @@ def _cmd_iou(args: argparse.Namespace) -> int:
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
     if args.samples < 100:
         raise CliError(f"--samples must be >= 100, got {args.samples}")
+    _check_seed(args.seed)
     if not 0.0 <= args.alpha <= 1.0:
         raise CliError(f"--alpha must lie in [0, 1], got {args.alpha}")
     check = gradient_check(n_samples=args.samples, seed=args.seed, alpha=args.alpha)

@@ -31,8 +31,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from ._config import _seed
 from .geometry import (
-    Box3D,
     BoxParams8,
     _FIELDS8,
     _axis_bounds,
@@ -345,31 +345,52 @@ def finite_difference_grad(pred: BoxParams8, target: BoxParams8, alpha: float,
     return grad
 
 
+def _uniform(rng: np.random.Generator, *bounds: tuple[float, float]) -> list[float]:
+    """``[float(rng.uniform(low, high)) for low, high in bounds]`` from one
+    ``rng.random`` call: the generator maps each draw ``u`` to
+    ``low + (high - low) * u``, taking the draws in the same order."""
+    return [low + (high - low) * u
+            for (low, high), u in zip(bounds, rng.random(len(bounds)).tolist())]
+
+
+def _normal(rng: np.random.Generator, *scales: float) -> list[float]:
+    """``[float(rng.normal(0.0, scale)) for scale in scales]`` from one
+    ``rng.standard_normal`` call, mapped by the generator's ``loc + scale * z``."""
+    return [0.0 + scale * z for scale, z in zip(scales, rng.standard_normal(len(scales)).tolist())]
+
+
+def _jittered_yaw(rng: np.random.Generator, target: BoxParams8) -> float:
+    """The target's yaw ``atan2(s, c)`` plus a normal draw of scale 0.6."""
+    (d_yaw,) = _normal(rng, 0.6)
+    return math.atan2(target.s, target.c) + d_yaw
+
+
+# Center, size and yaw ranges of a sampled target box.
+_BOX_BOUNDS = ((-5.0, 5.0), (-5.0, 5.0), (-2.0, 2.0),
+               (0.6, 5.0), (0.6, 5.0), (0.6, 5.0), (0.0, 2.0 * math.pi))
+
+
 def _random_box_params(rng: np.random.Generator) -> BoxParams8:
-    box = Box3D(
-        float(rng.uniform(-5.0, 5.0)),
-        float(rng.uniform(-5.0, 5.0)),
-        float(rng.uniform(-2.0, 2.0)),
-        float(rng.uniform(0.6, 5.0)),
-        float(rng.uniform(0.6, 5.0)),
-        float(rng.uniform(0.6, 5.0)),
-        float(rng.uniform(0.0, 2.0 * math.pi)),
-    )
-    return BoxParams8.from_box(box)
+    # Bounded draws are finite with positive sizes, so the samplers build
+    # their boxes unchecked.
+    x, y, z, l, w, h, theta = _uniform(rng, *_BOX_BOUNDS)
+    return BoxParams8._unchecked([x, y, z, l, w, h, math.sin(theta), math.cos(theta)])
 
 
 def _perturbed_params(rng: np.random.Generator, target: BoxParams8) -> BoxParams8:
-    yaw = math.atan2(target.s, target.c) + float(rng.normal(0.0, 0.6))
-    return BoxParams8(
-        target.x + float(rng.uniform(-0.5, 0.5)) * target.l,
-        target.y + float(rng.uniform(-0.5, 0.5)) * target.w,
-        target.z + float(rng.uniform(-0.5, 0.5)) * target.h,
-        target.l * float(rng.uniform(0.6, 1.6)),
-        target.w * float(rng.uniform(0.6, 1.6)),
-        target.h * float(rng.uniform(0.6, 1.6)),
-        math.sin(yaw) + float(rng.normal(0.0, 0.05)),
-        math.cos(yaw) + float(rng.normal(0.0, 0.05)),
-    )
+    yaw = _jittered_yaw(rng, target)
+    f_x, f_y, f_z, f_l, f_w, f_h = _uniform(rng, *[(-0.5, 0.5)] * 3, *[(0.6, 1.6)] * 3)
+    d_s, d_c = _normal(rng, 0.05, 0.05)
+    return BoxParams8._unchecked([
+        target.x + f_x * target.l,
+        target.y + f_y * target.w,
+        target.z + f_z * target.h,
+        target.l * f_l,
+        target.w * f_w,
+        target.h * f_h,
+        math.sin(yaw) + d_s,
+        math.cos(yaw) + d_c,
+    ])
 
 
 def _margin_ok(pred: BoxParams8, target: BoxParams8, alpha: float, margin: float) -> bool:
@@ -437,6 +458,7 @@ def gradient_check(n_samples: int = 10_000, seed: int = 0, alpha: float = 0.5,
     by more than ``abs_floor`` absolutely and ``rel_tol`` relatively.
     """
     alpha = _check_alpha(alpha)
+    _seed(seed, "seed")
     rng = np.random.default_rng(seed)
     max_abs = 0.0
     max_rel = 0.0
@@ -524,19 +546,20 @@ def _left_overlap_pair(rng: np.random.Generator) -> tuple[BoxParams8, BoxParams8
     """
     while True:
         target = _random_box_params(rng)
-        l_p = target.l * float(rng.uniform(0.7, 1.3))
-        w_p = target.w * float(rng.uniform(0.7, 1.3))
-        h_p = target.h * float(rng.uniform(0.7, 1.3))
+        f_l, f_w, f_h, f_shift = _uniform(rng, *[(0.7, 1.3)] * 3, (0.05, 0.95))
+        l_p = target.l * f_l
+        w_p = target.w * f_w
+        h_p = target.h * f_h
         # Slide in from the left: right face inside, left face outside.
-        shift = 0.5 * (target.l + l_p) * float(rng.uniform(0.05, 0.95))
+        shift = 0.5 * (target.l + l_p) * f_shift
         x_p = target.x - 0.5 * target.l - 0.5 * l_p + shift
         if not (x_p + 0.5 * l_p < target.x + 0.5 * target.l
                 and x_p - 0.5 * l_p < target.x - 0.5 * target.l):
             continue
-        y_p = target.y + float(rng.uniform(-0.3, 0.3)) * target.w
-        z_p = target.z + float(rng.uniform(-0.3, 0.3)) * target.h
-        yaw = math.atan2(target.s, target.c) + float(rng.normal(0.0, 0.6))
-        pred = BoxParams8(x_p, y_p, z_p, l_p, w_p, h_p, math.sin(yaw), math.cos(yaw))
+        f_y, f_z = _uniform(rng, (-0.3, 0.3), (-0.3, 0.3))
+        yaw = _jittered_yaw(rng, target)
+        pred = BoxParams8._unchecked([x_p, target.y + f_y * target.w, target.z + f_z * target.h,
+                                      l_p, w_p, h_p, math.sin(yaw), math.cos(yaw)])
         # The x faces overlap by construction; this checks y and z.
         if aabb_intersection_volume(pred, target) <= 0.0:
             continue
@@ -546,14 +569,11 @@ def _left_overlap_pair(rng: np.random.Generator) -> tuple[BoxParams8, BoxParams8
 def _center_aligned_pair(rng: np.random.Generator) -> tuple[BoxParams8, BoxParams8]:
     """Pair sharing the exact center, sizes independently rescaled."""
     target = _random_box_params(rng)
-    yaw = math.atan2(target.s, target.c) + float(rng.normal(0.0, 0.6))
-    pred = BoxParams8(
-        target.x, target.y, target.z,
-        target.l * float(rng.uniform(0.5, 2.0)),
-        target.w * float(rng.uniform(0.5, 2.0)),
-        target.h * float(rng.uniform(0.5, 2.0)),
-        math.sin(yaw), math.cos(yaw),
-    )
+    yaw = _jittered_yaw(rng, target)
+    f_l, f_w, f_h = _uniform(rng, *[(0.5, 2.0)] * 3)
+    pred = BoxParams8._unchecked([target.x, target.y, target.z,
+                                  target.l * f_l, target.w * f_w, target.h * f_h,
+                                  math.sin(yaw), math.cos(yaw)])
     return pred, target
 
 
@@ -574,6 +594,7 @@ def gradient_bound_audit(n_samples: int = 10_000, seed: int = 0,
     raising.
     """
     alpha = _check_alpha(alpha)
+    _seed(seed, "seed")
     n_samples = int(n_samples)
     rng = np.random.default_rng(seed)
 

@@ -103,6 +103,10 @@ class TestIouCommand:
             main(["iou", "--exact", "--mc", BOX_A, BOX_B])
         assert exc_info.value.code == 2
 
+    def test_mc_negative_seed(self, capsys):
+        assert main(["iou", "--mc", "--seed", "-1", BOX_A, BOX_B]) == 2
+        assert capsys.readouterr() == ("", "error: --seed must be >= 0, got -1\n")
+
 
 class TestGradcheckCommand:
     def test_passing_run_emits_json(self, capsys):
@@ -123,6 +127,10 @@ class TestGradcheckCommand:
     def test_alpha_range(self, capsys):
         assert main(["gradcheck", "--samples", "200", "--alpha", "-1"]) == 2
         assert "--alpha" in capsys.readouterr().err
+
+    def test_negative_seed(self, capsys):
+        assert main(["gradcheck", "--samples", "100", "--seed", "-1"]) == 2
+        assert capsys.readouterr() == ("", "error: --seed must be >= 0, got -1\n")
 
 
 @pytest.fixture

@@ -10,7 +10,9 @@ recorded on:
   ``wall_clock_s``;
 - state: the seeds' final ``TrainState`` arrays concatenated in field order;
 - the stdout of ``bevbox assign configs/example_scene.json --r R``;
-- one failing stack: its error, step, cause, last report and files.
+- one failing stack: its error, step, cause, last report and files;
+- the stdout of ``bevbox gradcheck --samples 1000 --seed 0 --alpha 0.5``;
+- the ``(n_union_hits, n_inter_hits)`` of 20 seeded Monte Carlo estimates.
 
 numpy's ufuncs and pairwise sums can round differently on another numpy or
 CPU, so there a mismatch skips, naming both environments and printing the
@@ -27,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bevbox import DivergenceError, TrainState, run_fit_config
+from bevbox import Box3D, DivergenceError, TrainState, mc_iou_oracle, run_fit_config
 from bevbox.cli import main
 from conftest import ROOT, load_config, run_recording
 
@@ -113,3 +115,22 @@ def test_failing_stack(tmp_path):
         "report": sha(json.dumps(error.report.to_json_dict())),
         "files": {path.name: sha(path.read_bytes()) for path in sorted(tmp_path.iterdir())},
     })
+
+
+def test_gradcheck_stdout(capsys):
+    assert main(["gradcheck", "--samples", "1000", "--seed", "0", "--alpha", "0.5"]) == 0
+    check("gradcheck samples=1000 seed=0", sha(capsys.readouterr().out))
+
+
+def test_mc_hit_counts():
+    # Criterion 2's pair family, each pair with its own estimator seed.
+    rng = np.random.default_rng(22)
+    hits = []
+    for seed in range(20):
+        center, size = rng.uniform(-3.0, 3.0, 3), rng.uniform(0.8, 5.0, 3)
+        b1 = Box3D(*center, *size, rng.uniform(-np.pi, np.pi))
+        b2 = Box3D(*(center + rng.uniform(-0.4, 0.4, 3) * size),
+                   *(size * rng.uniform(0.7, 1.4, 3)), rng.uniform(-np.pi, np.pi))
+        est = mc_iou_oracle(b1, b2, n_samples=200_000, seed=seed)
+        hits.append([est.n_union_hits, est.n_inter_hits])
+    check("mc hits 20 pairs at 200k", hits)

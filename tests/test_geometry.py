@@ -18,6 +18,7 @@ from bevbox import (
     rotation_weight,
     rwiou,
 )
+from bevbox import geometry
 from bevbox.geometry import (
     MC_CHUNK,
     _footprint,
@@ -25,6 +26,7 @@ from bevbox.geometry import (
     _iou_quads_batch,
     _iou_quads_scalar,
     _Quads,
+    _uniform_rows,
 )
 from helpers import axis_aligned_iou, polygon_area, reference_rotated_iou
 
@@ -423,6 +425,25 @@ class TestBatchedIou:
             _iou_quads_batch(_Quads.of([gt] * 30 + [tiny_gt]), np.arange(31),
                              np.array([base] * 30 + [zero_union[1]]))
 
+    @pytest.mark.parametrize("value,routed", [(1e75, True), (9.9e74, False)])
+    def test_rows_past_the_bound_take_the_scalar_path(self, monkeypatch, value, routed):
+        # A finite row holding a value at _BATCH_BOUND goes to the scalar
+        # clipper; one just below it stays in the batch.  Both give the
+        # scalar's bits.
+        gt = Box3D(0.3, -0.2, 0.1, 3.0, 1.5, 1.2, 0.4)
+        base = [0.5, 0.0, 0.2, 2.5, 1.4, 1.0, 0.3, 0.95]
+        table = np.array([base] * 29 + [base[:5] + [value] + base[6:]])
+        spied = []
+
+        def spy(quads, index, rows):
+            spied.append(rows.copy())
+            return _iou_quads_scalar(quads, index, rows)
+
+        monkeypatch.setattr(geometry, "_iou_quads_scalar", spy)
+        got = geometry._iou_quads(_Quads.of([gt]), np.zeros(30, dtype=np.intp), table)
+        assert [rows.tolist() for rows in spied] == ([[table[-1].tolist()]] if routed else [])
+        assert [v.hex() for v in got.tolist()] == [scalar_iou(gt, row).hex() for row in table]
+
 
 class TestMcOracle:
     def test_agrees_with_exact_on_rotated_pair(self):
@@ -437,6 +458,24 @@ class TestMcOracle:
         with pytest.raises(ValueError):
             mc_iou_oracle(b, b, n_samples=100, seed=0)
 
+    def test_rejects_negative_seed(self):
+        b = Box3D(0, 0, 0, 2, 2, 2, 0.0)
+        with pytest.raises(ValueError, match="^seed: expected a non-negative integer, got -1$"):
+            mc_iou_oracle(b, b, n_samples=10_000, seed=-1)
+
+    @pytest.mark.parametrize("k", [MC_CHUNK, 1_234])
+    def test_chunk_equals_the_generators_uniform_draw(self, k):
+        # The estimator maps rng.random draws by the generator's own
+        # formula; a numpy that changes it fails here, bit for bit.
+        rng = np.random.default_rng(3)
+        for seed in range(20):
+            lo = rng.uniform(-10.0, 0.0, 3)
+            hi = lo + rng.uniform(1e-3, 10.0, 3)
+            got = _uniform_rows(np.random.default_rng(seed), lo, hi, k)
+            want = np.random.default_rng(seed).uniform(lo, hi, size=(k, 3))
+            assert got.flags.c_contiguous
+            assert got.T.tobytes() == want.tobytes()
+
     def test_deterministic_per_seed(self):
         b1 = Box3D(0, 0, 0, 3, 2, 1, 0.4)
         b2 = Box3D(0.5, 0.2, 0.1, 2, 2, 1.5, -0.3)
@@ -448,11 +487,16 @@ class TestMcOracle:
         (Box3D(0, 0, 0, 4, 2, 1, 0), Box3D(1, 0.5, 0.2, 3, 2, 1.5, 0.7),
          200_000, 3, 104_762, 31_582),
         (Box3D(-1, 2, 0.5, 2.5, 1.2, 1.8, 1.1), Box3D(-0.4, 2.3, 0.1, 2.0, 2.0, 1.0, -0.6),
-         2 * MC_CHUNK, 11, 56_611, 14_881),
+         131_072, 11, 56_611, 14_881),
         (Box3D(0, 0, 0, 1, 1, 1, 0.25), Box3D(0.3, 0, 0, 1, 1, 1, 0.25),
          10_000, 0, 7_303, 3_582),
         (Box3D(0, 0, 0, 4, 2, 1, 0), Box3D(0.5, 0.3, 0, 4, 2, 1, 0.4),
          1_000_000, 7, 634_395, 360_100),
+        # An exact multiple of a 16,384-sample chunk, and one past it.
+        (Box3D(0.3, -0.2, 0.5, 3.0, 1.4, 1.2, 0.7), Box3D(0.8, 0.4, 0.9, 2.2, 1.8, 1.5, -1.1),
+         3 * 16_384, 4, 20_596, 5_265),
+        (Box3D(0.3, -0.2, 0.5, 3.0, 1.4, 1.2, 0.7), Box3D(0.8, 0.4, 0.9, 2.2, 1.8, 1.5, -1.1),
+         5 * 16_384 + 1_234, 6, 34_863, 8_998),
     ])
     def test_hit_counts_pinned(self, b1, b2, n_samples, seed, n_union, n_inter):
         # Recorded from a single (n_samples, 3) draw; drawing in chunks from

@@ -17,6 +17,7 @@ from bevbox import (
     Box3D,
     BoxParams8,
     Grad8,
+    aabb_intersection_volume,
     center_distance_term,
     finite_difference_grad,
     gradient_bound_audit,
@@ -28,6 +29,13 @@ from bevbox import (
     rwiou_loss_grad,
 )
 from bevbox.gradients import (
+    _center_aligned_pair,
+    _left_overlap_pair,
+    _margin_ok,
+    _normal,
+    _perturbed_params,
+    _random_box_params,
+    _uniform,
     center_term_grad,
     random_overlapping_pair,
     regression_sample_grad_batch,
@@ -319,11 +327,125 @@ class TestFiniteDifferenceAgreement:
             "max_abs_err", "max_rel_err", "n_failures", "worst", "passed",
         }
 
+    @pytest.mark.parametrize("check", [gradient_check, gradient_bound_audit])
+    def test_rejects_negative_seed(self, check):
+        with pytest.raises(ValueError, match="^seed: expected a non-negative integer, got -1$"):
+            check(n_samples=10, seed=-1)
+
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             gradient_check(n_samples=10, seed=0, alpha=1.5)
         with pytest.raises(ValueError):
             rwiou_loss_grad(PROBE, PROBE, -0.1)
+
+
+def scalar_box_params(rng):
+    return BoxParams8.from_box(Box3D(
+        float(rng.uniform(-5.0, 5.0)), float(rng.uniform(-5.0, 5.0)),
+        float(rng.uniform(-2.0, 2.0)), float(rng.uniform(0.6, 5.0)),
+        float(rng.uniform(0.6, 5.0)), float(rng.uniform(0.6, 5.0)),
+        float(rng.uniform(0.0, 2.0 * math.pi)),
+    ))
+
+
+def scalar_perturbed_params(rng, target):
+    yaw = math.atan2(target.s, target.c) + float(rng.normal(0.0, 0.6))
+    return BoxParams8(
+        target.x + float(rng.uniform(-0.5, 0.5)) * target.l,
+        target.y + float(rng.uniform(-0.5, 0.5)) * target.w,
+        target.z + float(rng.uniform(-0.5, 0.5)) * target.h,
+        target.l * float(rng.uniform(0.6, 1.6)),
+        target.w * float(rng.uniform(0.6, 1.6)),
+        target.h * float(rng.uniform(0.6, 1.6)),
+        math.sin(yaw) + float(rng.normal(0.0, 0.05)),
+        math.cos(yaw) + float(rng.normal(0.0, 0.05)),
+    )
+
+
+def scalar_left_overlap_pair(rng):
+    while True:
+        target = scalar_box_params(rng)
+        l_p = target.l * float(rng.uniform(0.7, 1.3))
+        w_p = target.w * float(rng.uniform(0.7, 1.3))
+        h_p = target.h * float(rng.uniform(0.7, 1.3))
+        shift = 0.5 * (target.l + l_p) * float(rng.uniform(0.05, 0.95))
+        x_p = target.x - 0.5 * target.l - 0.5 * l_p + shift
+        if not (x_p + 0.5 * l_p < target.x + 0.5 * target.l
+                and x_p - 0.5 * l_p < target.x - 0.5 * target.l):
+            continue
+        y_p = target.y + float(rng.uniform(-0.3, 0.3)) * target.w
+        z_p = target.z + float(rng.uniform(-0.3, 0.3)) * target.h
+        yaw = math.atan2(target.s, target.c) + float(rng.normal(0.0, 0.6))
+        pred = BoxParams8(x_p, y_p, z_p, l_p, w_p, h_p, math.sin(yaw), math.cos(yaw))
+        if aabb_intersection_volume(pred, target) <= 0.0:
+            continue
+        return pred, target
+
+
+def scalar_center_aligned_pair(rng):
+    target = scalar_box_params(rng)
+    yaw = math.atan2(target.s, target.c) + float(rng.normal(0.0, 0.6))
+    pred = BoxParams8(
+        target.x, target.y, target.z,
+        target.l * float(rng.uniform(0.5, 2.0)),
+        target.w * float(rng.uniform(0.5, 2.0)),
+        target.h * float(rng.uniform(0.5, 2.0)),
+        math.sin(yaw), math.cos(yaw),
+    )
+    return pred, target
+
+
+def scalar_overlapping_pair(rng, margin):
+    # random_overlapping_pair's loop over the scalar draws.
+    while True:
+        target = scalar_box_params(rng)
+        pred = scalar_perturbed_params(rng, target)
+        if aabb_intersection_volume(pred, target) <= 0.0:
+            continue
+        if margin > 0.0 and not _margin_ok(pred, target, 0.5, margin):
+            continue
+        return pred, target
+
+
+class TestSamplerDraws:
+    """The samplers draw each box's values with one generator call per kind
+    and map them by the generator's own formulas; these references make one
+    ``rng.uniform`` or ``rng.normal`` call per value, as the samplers did.
+    Each sampler must give the reference's boxes bit for bit and leave the
+    generator where the reference leaves it."""
+
+    @staticmethod
+    def bits(boxes):
+        return [box.as_array().tobytes() for box in boxes]
+
+    @pytest.mark.parametrize("sampler,reference", [
+        (lambda rng: [_random_box_params(rng)], lambda rng: [scalar_box_params(rng)]),
+        (lambda rng: [_perturbed_params(rng, PROBE)],
+         lambda rng: [scalar_perturbed_params(rng, PROBE)]),
+        (_left_overlap_pair, scalar_left_overlap_pair),
+        (_center_aligned_pair, scalar_center_aligned_pair),
+        (lambda rng: random_overlapping_pair(rng, alpha=0.5),
+         lambda rng: scalar_overlapping_pair(rng, 0.0)),
+        (lambda rng: random_overlapping_pair(rng, alpha=0.5, margin=0.05),
+         lambda rng: scalar_overlapping_pair(rng, 0.05)),
+    ], ids=["box", "perturbed", "left_overlap", "center_aligned", "overlapping",
+            "overlapping_margin"])
+    def test_sampler_equals_scalar_draws(self, sampler, reference):
+        for seed in range(200):
+            rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                assert self.bits(sampler(rng)) == self.bits(reference(rng_ref)), seed
+            assert rng.bit_generator.state == rng_ref.bit_generator.state, seed
+
+    def test_draws_equal_per_value_calls(self):
+        bounds = [(-5.0, 5.0), (0.6, 5.0), (0.0, 2.0 * math.pi), (0.05, 0.95), (-1e3, 1e-3)]
+        scales = [0.6, 0.05, 1.0, 3.7]
+        for seed in range(200):
+            rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _uniform(rng, *bounds) + _normal(rng, *scales)
+            want = ([float(rng_ref.uniform(low, high)) for low, high in bounds]
+                    + [float(rng_ref.normal(0.0, scale)) for scale in scales])
+            assert [v.hex() for v in got] == [v.hex() for v in want], seed
 
 
 class TestMagnitudeBounds:
