@@ -245,12 +245,12 @@ class AssignmentResult:
     exactly 1.0 on a positive's owner channel, the true-IoU weight on
     cross-region negatives, 0 elsewhere.
 
-    A stack of ``n_scenes`` scenes lays them along the rows: scene ``s``
-    takes rows ``s * n_rows`` to ``(s + 1) * n_rows - 1`` of every map, so
-    ``map_shape`` is ``(n_scenes * n_rows, cols, n_classes)`` and
-    ``cand_rows`` count the rows of the whole stack.  Its ground truths are
-    numbered scene after scene, so the slots are in scene order too.  A
-    single scene is a stack of one.
+    A stack of ``n_scenes`` scenes of equally many ground truths lays them
+    along the rows: scene ``s`` takes rows ``s * n_rows`` to
+    ``(s + 1) * n_rows - 1`` of every map, so ``map_shape`` is
+    ``(n_scenes * n_rows, cols, n_classes)`` and ``cand_rows`` count the
+    rows of the whole stack.  Its ground truths are numbered scene after
+    scene, so the slots are in scene order too.  A scene is a stack of one.
     """
 
     requested_k: list[int]
@@ -316,16 +316,10 @@ class AssignmentResult:
         ``positive_slots`` order."""
         return self.positive_index()[:2]
 
-    def _per_scene(self, slots: np.ndarray) -> np.ndarray:
-        scene_rows = self.map_shape[0] // self.n_scenes
-        return np.bincount(self.cand_rows[slots] // scene_rows, minlength=self.n_scenes)
-
     def positives_per_scene(self) -> np.ndarray:
-        return self._per_scene(self.positive_slots)
-
-    def gts_per_scene(self) -> np.ndarray:
-        # Every region holds its center cell, so each ground truth has a best slot.
-        return self._per_scene(self.best_slots)
+        scene_rows = self.map_shape[0] // self.n_scenes
+        return np.bincount(self.cand_rows[self.positive_slots] // scene_rows,
+                           minlength=self.n_scenes)
 
     def to_json_dict(self) -> dict:
         # A cell has at most one owner, so sorting orders the owners row-major,
@@ -453,23 +447,20 @@ class _ScenePlan:
     tells them apart.  A plan serves one fit; ``iou_runs`` counts the IoUs
     it has computed.
 
-    With ``scene_sizes`` the plan serves a stack of scenes: ``gts`` lists
-    each scene's ground truths in turn (scene ``s`` holds
-    ``gts[gt_starts[s]:gt_starts[s + 1]]``), and the scenes lie along the
-    rows of the maps, as in :class:`AssignmentResult`.  Each cross region
-    is cut on its scene's own grid and then moved down to the scene's rows,
-    so it never reaches into another scene.  ``cells`` is every slot's
-    ``(rows, cols)`` index into the maps.  Without ``scene_sizes``, ``gts``
-    is one scene.
+    With ``n_scenes`` the plan serves a stack of scenes with equally many
+    ground truths: ``gts`` lists each scene's ground truths in turn, and
+    the scenes lie along the rows of the maps, as in
+    :class:`AssignmentResult`.  Each cross region is cut on its scene's own
+    grid and then moved down to the scene's rows, so it never reaches into
+    another scene.  ``cells`` is every slot's ``(rows, cols)`` index into
+    the maps.
     """
 
     def __init__(self, grid: GridSpec, gts: Sequence[GroundTruth], r: int, n_classes: int,
-                 scene_sizes: Sequence[int] | None = None) -> None:
+                 n_scenes: int = 1) -> None:
         self.grid = grid
         self.gts = list(gts)
-        if scene_sizes is None:
-            scene_sizes = [len(self.gts)]
-        self.gt_starts = np.cumsum([0, *scene_sizes])
+        self.n_scenes = n_scenes
         regions = [cross_region(grid, world_to_cell(grid, gt.box.x, gt.box.y), r)
                    for gt in self.gts]
         sizes = [len(region) for region in regions]
@@ -477,17 +468,21 @@ class _ScenePlan:
         self.gt_of = np.repeat(np.arange(len(sizes)), np.array(sizes, dtype=np.intp))
         self.offsets = np.arange(len(self.gt_of)) - self.starts[self.gt_of]
         # Each ground truth's scene starts at row scene * n_rows.
-        gt_rows = grid.n_rows * np.repeat(np.arange(len(scene_sizes)),
-                                          np.array(scene_sizes, dtype=np.intp))
+        gt_rows = grid.n_rows * np.repeat(np.arange(n_scenes), len(self.gts) // n_scenes)
         self.rows = gt_rows[self.gt_of] + np.array(
             [cell.row for region in regions for cell in region], dtype=np.intp)
         self.cols = np.array([cell.col for region in regions for cell in region], dtype=np.intp)
         self.cells = (self.rows, self.cols)
         self.class_ids = np.array([gt.class_id for gt in self.gts], dtype=np.intp)[self.gt_of]
-        self.map_shape = (len(scene_sizes) * grid.n_rows, grid.n_cols, n_classes)
+        self.map_shape = (n_scenes * grid.n_rows, grid.n_cols, n_classes)
         keys = (self.rows * grid.n_cols + self.cols) * n_classes + self.class_ids
         self.entries, self.slot_entry = np.unique(keys, return_inverse=True)
-        self.targets = _target_rows([gt.box for gt in self.gts])[self.gt_of]
+        targets = _target_rows([gt.box for gt in self.gts])
+        self.targets = targets[self.gt_of]
+        # math.log, not np.log: the two differ in the last bit on some sizes.
+        targets[:, 3:6] = np.array([math.log(v) for v in targets[:, 3:6].ravel().tolist()]
+                                   ).reshape(-1, 3)
+        self.log_targets = targets[self.gt_of]
         self.quads = _Quads.of([gt.box for gt in self.gts])
         self._bits: np.ndarray | None = None
         # Each slot's last IoU, then a 0.0 that pads the regions' table
@@ -497,10 +492,6 @@ class _ScenePlan:
         self._regions[self.offsets, self.gt_of] = np.arange(len(self.gt_of))
         self._sizes = np.array(sizes, dtype=float)
         self.iou_runs = 0
-
-    @property
-    def n_scenes(self) -> int:
-        return len(self.gt_starts) - 1
 
     def _exact_ious(self, boxes: np.ndarray) -> np.ndarray:
         """``rotated_iou_exact(gt.box, pred)`` per slot, from the validated

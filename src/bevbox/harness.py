@@ -43,6 +43,7 @@ from .losses import (
     _focal,
     _iou_prediction_losses,
     _norms,
+    _per_gt,
     _regression_losses,
     _smooth_l1_losses,
     total_loss,
@@ -502,14 +503,14 @@ def init_state(
     )
 
 
-def _true_iou_per_gt(assignment: AssignmentResult) -> list[float]:
+def _true_iou_per_gt(assignment: AssignmentResult) -> np.ndarray:
     """IoU between each ground truth and its best-matching region cell.
 
     The readout cell is the lowest selection cost over the cross region
     (ties broken row-major), the assignment's own ranking, so the IoU is
     read off the assignment's table at ``best_slots``.
     """
-    return assignment.ious[assignment.best_slots].tolist()
+    return assignment.ious[assignment.best_slots]
 
 
 def fit_scene(
@@ -626,29 +627,28 @@ class _Stack:
                                     weights.lambda_reg, alpha)
 
     def losses(self, assignment: AssignmentResult, boxes: np.ndarray,
-               regression: str) -> tuple[list[tuple], tuple[np.ndarray, ...]]:
-        """Every scene's ``(l_cls, l_reg, l_iou, per_gt, n_positives)`` for
-        ``assignment`` (scored from the box rows ``boxes``), and the
+               regression: str) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """Every scene's ``(l_cls, l_reg, l_iou)`` for ``assignment`` (scored
+        from the box rows ``boxes``), as an ``(n_scenes, 3)`` array, and the
         ``(cls, reg, iou)`` gradients of the units, the positives' box rows
         and their confidences.  Each ``l_cls`` is ``np.sum`` over the
         scene's map of the units' focal terms, so it equals the dense loss."""
         n_pos = assignment.positives_per_scene()
+        losses = np.empty((self.plan.n_scenes, 3))
         if regression == "rwiou":
-            l_reg, reg, per_gt = _regression_losses(assignment, n_pos)
+            losses[:, 1], reg = _regression_losses(assignment, n_pos)
         else:
-            l_reg, reg = _smooth_l1_losses(assignment, boxes, self.plan.targets, n_pos)
-            per_gt = [()] * self.plan.n_scenes
+            losses[:, 1], reg = _smooth_l1_losses(assignment, boxes, self.plan.log_targets, n_pos)
         self.pos = assignment.positive_cells()
         self.conf = np.tanh(self.state.iou_conf_raw[self.pos])
-        l_iou, iou = _iou_prediction_losses(assignment, self.conf, n_pos)
+        losses[:, 2], iou = _iou_prediction_losses(assignment, self.conf, n_pos)
         q = np.zeros(len(self.scores))
         q[:len(assignment.heat)] = assignment.heat
         values, cls = _focal(self.scores, q, 2.0, with_grad=True)
         norms = _norms(n_pos)
-        l_cls = [float(np.sum(self._scene_map(values, scene, self._map)) * norm)
-                 for scene, norm in enumerate(norms.tolist())]
-        return (list(zip(l_cls, l_reg, l_iou, per_gt, n_pos.tolist())),
-                (cls * norms[self.scenes], reg, iou))
+        for scene, norm in enumerate(norms.tolist()):
+            losses[scene, 0] = np.sum(self._scene_map(values, scene, self._map)) * norm
+        return losses, (cls * norms[self.scenes], reg, iou)
 
     def update(self, assignment: AssignmentResult, boxes: np.ndarray,
                grads: tuple[np.ndarray, ...], rates: tuple[float, float, float]) -> None:
@@ -707,13 +707,15 @@ def _fit_scenes(
 ) -> tuple[list[ExperimentReport], Exception | None]:
     """:func:`fit_scene` of every scene of ``scenes`` on one grid, in one pass.
 
-    The states lie along the rows of one state (scene ``s`` takes rows
-    ``s * n_rows`` to ``(s + 1) * n_rows - 1``), one plan holds every
-    scene's slots, the score logits are held per distinct unit, and each
-    step runs the phases of :class:`_Stack` once over all scenes; each
+    The scenes hold equally many ground truths.  Their states lie along the
+    rows of one state (scene ``s`` takes rows ``s * n_rows`` to
+    ``(s + 1) * n_rows - 1``), one plan holds every scene's slots, the
+    score logits are held per distinct unit, and each step runs the phases
+    of :class:`_Stack` once over all scenes into one row of a table; each
     scene's losses are reduced over its own rows, so every report and final
-    state is bitwise the scene's own fit.  ``wall_clock_s`` is the pass's
-    wall time divided evenly over the reports.
+    state is bitwise the scene's own fit.  The :class:`StepRecord` lists
+    are built from the table after the loop.  ``wall_clock_s`` is the
+    pass's wall time divided evenly over the reports.
 
     Returns the reports of the scenes before the first one that fails, and
     that failure (``None`` when every fit finishes): what fitting the scenes
@@ -722,6 +724,8 @@ def _fit_scenes(
     """
     if regression not in ("rwiou", "smooth_l1"):
         raise ValueError("regression must be 'rwiou' or 'smooth_l1'")
+    if len({len(gts) for gts in scenes}) > 1:
+        raise ValueError("a stack's scenes must hold equally many ground truths")
     # The step sizes of the three terms.  Off the positives the confidence
     # step is step_iou * 0.0, which the update skips; that is exact only
     # while step_iou is finite.
@@ -750,61 +754,60 @@ def _fit_scenes(
             array[i] = getattr(state, f.name)
     if not scenes:
         return [], None
+    n_scenes, n_gts = len(scenes), len(scenes[0])
     # The scenes along the rows: a view of the same memory.
     state = TrainState(*(array.reshape(-1, *array.shape[2:]) for array in arrays))
     stack = _Stack(state, _ScenePlan(grid, [gt for gts in scenes for gt in gts],
                                      assigner.effective_r, state.score_logits.shape[-1],
-                                     [len(g) for g in scenes]))
+                                     n_scenes))
 
+    # Per step and scene: l_cls, l_reg, l_iou, total, mean_true_iou.
+    table = np.empty((optimizer.n_steps + 1, n_scenes, 5))
     failure = None
-    steps: list[list[StepRecord]] = [[] for _ in scenes]
-    gt_starts = stack.plan.gt_starts.tolist()
     for step in range(optimizer.n_steps + 1):
         # The initial state passed its checks above.  An updated state that
-        # cannot be evaluated is a blow-up; for a one-scene stack,
-        # ``report`` is its report of the step before.
+        # cannot be evaluated is a blow-up; for a one-scene stack, its
+        # report is the step before's.
         try:
             boxes = stack.decode(stack.pos) if step else state._boxes_at(stack.plan.cells)
             assignment = stack.score(boxes, weights, alpha)
         except (ValueError, ArithmeticError) as exc:
-            failure = _unusable(step, report, exc) if step else exc
+            failure = (_divergence(step, table[step - 1], 0, assignment, regression, weights, exc)
+                       if step else exc)
             break
-        scene_losses, grads = stack.losses(assignment, boxes, regression)
-
-        readout = _true_iou_per_gt(assignment)
-        for scene, (l_cls, l_reg, l_iou, per_gt, n_pos) in enumerate(scene_losses):
-            report = total_loss(l_cls, l_reg, l_iou, weights=weights,
-                                n_positives=n_pos, per_gt=per_gt)
-            ious = readout[gt_starts[scene]:gt_starts[scene + 1]]
-            steps[scene].append(StepRecord(
-                step=step, l_cls=l_cls, l_reg=l_reg, l_iou=l_iou, total=report.total,
-                mean_true_iou=float(np.mean(ious)) if ious else 0.0))
-            # Written so that a NaN total also counts as divergence.
-            if not report.total <= DIVERGENCE_THRESHOLD:
-                failure = DivergenceError(step, report)
-                break
-        if failure is not None or step == optimizer.n_steps:
+        row = table[step]
+        row[:, :3], grads = stack.losses(assignment, boxes, regression)
+        # An overflowing total diverges below; numpy's warning would repeat it.
+        with np.errstate(all="ignore"):
+            row[:, 3] = (weights.lambda_cls * row[:, 0] + weights.lambda_reg * row[:, 1]
+                         + weights.lambda_iou * row[:, 2])
+        readout = _true_iou_per_gt(assignment).reshape(n_scenes, n_gts)
+        row[:, 4] = readout.mean(axis=1) if n_gts else 0.0
+        # Written so that a NaN total also counts as divergence.
+        diverged = np.flatnonzero(~(row[:, 3] <= DIVERGENCE_THRESHOLD))
+        if len(diverged):
+            failure = _divergence(step, row, diverged[0], assignment, regression, weights)
             break
-        stack.update(assignment, boxes, grads, rates)
+        if step < optimizer.n_steps:
+            stack.update(assignment, boxes, grads, rates)
     if failure is not None:
         return _fit_one_by_one(grid, scenes, init_seeds, states, failure, settings)
 
     elapsed = time.perf_counter() - started
     k_per_gt = assignment.k_per_gt
+    records = table.transpose(1, 0, 2).tolist()
     reports = []
-    for scene, gts in enumerate(scenes):
-        own = slice(gt_starts[scene], gt_starts[scene + 1])
-        final_ious = readout[own]
+    for scene, (gts, final_ious) in enumerate(zip(scenes, readout.tolist())):
         reports.append(ExperimentReport(
             seed=init_seeds[scene],
             regression=regression,
             assigner=assigner,
-            steps=steps[scene],
+            steps=[StepRecord(step, *values) for step, values in enumerate(records[scene])],
             final_iou_per_gt=final_ious,
-            mean_final_iou=float(np.mean(final_ious)) if final_ious else 0.0,
+            mean_final_iou=records[scene][-1][4],
             min_final_iou=float(np.min(final_ious)) if final_ious else 0.0,
-            k_by_class=_mean_k_by_class(k_per_gt[own], gts),
-            wall_clock_s=elapsed / len(scenes),
+            k_by_class=_mean_k_by_class(k_per_gt[scene * n_gts:(scene + 1) * n_gts], gts),
+            wall_clock_s=elapsed / n_scenes,
             final_state=stack.scene_state(scene),
         ))
     return reports, None
@@ -828,8 +831,17 @@ def _fit_one_by_one(grid: GridSpec, scenes: list[list[GroundTruth]], init_seeds:
     return reports, failure
 
 
-def _unusable(step: int, report: LossReport, error: Exception) -> DivergenceError:
-    failure = DivergenceError(step, report, reason=(
+def _divergence(step: int, losses: np.ndarray, scene: int, assignment: AssignmentResult,
+                regression: str, weights: LossWeights,
+                error: Exception | None = None) -> DivergenceError:
+    """Scene ``scene``'s :class:`DivergenceError` at ``step`` (``error``: an
+    unusable update's cause), reporting ``total_loss`` of its row of the
+    step's table ``losses`` (``l_cls, l_reg, l_iou`` first) and ``assignment``."""
+    l_cls, l_reg, l_iou = losses[scene, :3].tolist()
+    report = total_loss(l_cls, l_reg, l_iou, weights,
+                        n_positives=assignment.positives_per_scene()[scene],
+                        per_gt=_per_gt(assignment, scene) if regression == "rwiou" else ())
+    failure = DivergenceError(step, report, reason=None if error is None else (
         f"update left an unusable state ({type(error).__name__}: {error})"))
     failure.__cause__ = error
     return failure
@@ -956,15 +968,9 @@ def run_fit_config(config: dict, out_dir: Path | str | None = None) -> dict:
                                      regression)
     per_seed = []
     for seed, report in zip(seeds, reports):
-        per_seed.append(
-            {
-                "seed": seed,
-                "mean_final_iou": report.mean_final_iou,
-                "min_final_iou": report.min_final_iou,
-                "final_total": report.steps[-1].total if report.steps else 0.0,
-                "wall_clock_s": report.wall_clock_s,
-            }
-        )
+        summary = report.to_json_dict()
+        per_seed.append({"seed": seed, **{key: summary[key] for key in (
+            "mean_final_iou", "min_final_iou", "final_total", "wall_clock_s")}})
         if directory is not None:
             csv_path = directory / f"{prefix}_seed{seed}.csv"
             csv_path.write_text(report.trajectory_csv())

@@ -246,59 +246,61 @@ def regression_loss_scene(assignment: "AssignmentResult") -> RegressionSceneLoss
     ``degenerate=True``.  Each positive's value and gradient are read from
     the assignment's regression rows (computed at its alpha).
     """
-    values, box_grads, per_gt = _regression_losses(assignment, assignment.positives_per_scene())
-    return RegressionSceneLoss(values[0], box_grads, per_gt[0],
+    values, box_grads = _regression_losses(assignment, assignment.positives_per_scene())
+    return RegressionSceneLoss(values[0], box_grads, _per_gt(assignment),
                                degenerate=assignment.n_positives == 0)
 
 
-def _regression_losses(assignment: "AssignmentResult", n_pos: np.ndarray) -> tuple[
-        list[float], np.ndarray, list[list[PerGtRegression]]]:
+def _per_gt(assignment: "AssignmentResult", scene: int = 0) -> list[PerGtRegression]:
+    """Scene ``scene``'s :class:`PerGtRegression` list, indexed within it."""
+    n_gts = len(assignment.requested_k) // assignment.n_scenes
+    own = slice(scene * n_gts, (scene + 1) * n_gts)
+    ks = assignment.k_per_gt
+    sums = _per_scene_sums(assignment.regression_values[assignment.positive_slots].tolist(), ks)
+    return [PerGtRegression(i, k, total / k if k else 0.0)
+            for i, (k, total) in enumerate(zip(ks[own], sums[own]))]
+
+
+def _regression_losses(assignment: "AssignmentResult",
+                       n_pos: np.ndarray) -> tuple[list[float], np.ndarray]:
     """:func:`regression_loss_scene` of every scene of an assignment, whose
-    per-scene positive counts are ``n_pos``: the per-scene losses, the
+    per-scene positive counts are ``n_pos``: the per-scene losses and the
     ``(N, 8)`` gradient rows of all positives (each scaled by its scene's
-    ``1 / N``) and the per-scene :class:`PerGtRegression` lists, indexed
-    within the scene."""
+    ``1 / N``)."""
     norms = _norms(n_pos)
     slots = assignment.positive_slots
     box_grads = assignment.regression_grads[slots] * np.repeat(norms, n_pos)[:, None]
-    ks = assignment.k_per_gt
+    ks, n_scenes = assignment.k_per_gt, assignment.n_scenes
     gt_sums = _per_scene_sums(assignment.regression_values[slots].tolist(), ks)
-    n_gts = assignment.gts_per_scene().tolist()
-    per_gt, first = [], 0
-    for count in n_gts:
-        per_gt.append([PerGtRegression(i, ks[first + i], gt_sums[first + i] / ks[first + i]
-                                       if ks[first + i] else 0.0) for i in range(count)])
-        first += count
-    return ([total * norm for total, norm in zip(_per_scene_sums(gt_sums, n_gts), norms.tolist())],
-            box_grads, per_gt)
+    totals = _per_scene_sums(gt_sums, [len(ks) // n_scenes] * n_scenes)
+    return [total * norm for total, norm in zip(totals, norms.tolist())], box_grads
 
 
 def _smooth_l1_losses(assignment: "AssignmentResult", boxes: np.ndarray,
-                      targets: np.ndarray, n_pos: np.ndarray) -> tuple[list[float], np.ndarray]:
+                      log_targets: np.ndarray, n_pos: np.ndarray) -> tuple[list[float], np.ndarray]:
     """Per-channel smooth-L1 regression baseline on raw residuals, for every
     scene of an assignment, whose per-scene positive counts are ``n_pos``.
 
     Residuals per positive cell between its box row in ``boxes`` and its
-    target row in ``targets`` (both per slot of the assignment, channels
-    center, sizes, yaw sine/cosine): center offsets, log-size ratios, and
-    yaw sine/cosine differences.  Channel losses are summed per cell and
-    averaged over the scene's positive count, the usual box-regression
-    normalization.  Returns one loss per scene and the gradients in
-    box-parameter space (per-size, not per-log-size), as ``(N, 8)`` rows in
-    positive order like :func:`_regression_losses`.
+    target row in ``log_targets`` (both per slot of the assignment, channels
+    center, sizes, yaw sine/cosine; the targets' sizes logged): center
+    offsets, log-size ratios, and yaw sine/cosine differences.  Channel
+    losses are summed per cell and averaged over the scene's positive count.
+    Returns one loss per scene and the gradients in box-parameter space
+    (per-size, not per-log-size), as ``(N, 8)`` rows in positive order like
+    :func:`_regression_losses`.
     """
     n = np.repeat(np.maximum(n_pos, 1), n_pos)
     slots = assignment.positive_slots
-    rows = np.stack([boxes[slots], targets[slots]])
-    logged = rows.copy()
+    pred = boxes[slots]
+    logged = pred.copy()
     # math.log, not np.log: the two differ in the last bit on some sizes.
-    logged[..., 3:6] = np.array(
-        [math.log(v) for v in rows[..., 3:6].ravel().tolist()]
-    ).reshape(2, -1, 3)
-    values, d_res = smooth_l1_with_grad(logged[0] - logged[1])
+    logged[:, 3:6] = np.array([math.log(v) for v in pred[:, 3:6].ravel().tolist()]
+                              ).reshape(-1, 3)
+    values, d_res = smooth_l1_with_grad(logged - log_targets[slots])
     d = d_res / n[:, None]
     # The log-size residual differentiates through 1/size.
-    d[:, 3:6] /= rows[0, :, 3:6]
+    d[:, 3:6] /= pred[:, 3:6]
     return _per_scene_sums((np.sum(values, axis=1) / n).tolist(), n_pos.tolist()), d
 
 

@@ -485,7 +485,7 @@ class TestOracleParity:
             assert np.array_equal(result.owner, owner)
             assert np.array_equal(result.heatmap, heatmap)
             assert result.unassigned == unassigned
-            assert _true_iou_per_gt(result) == scan_readout(grid, gts, preds, r)
+            assert _true_iou_per_gt(result).tolist() == scan_readout(grid, gts, preds, r)
             contested += sum(result.requested_k) > result.n_positives
             cheapest = [min(result.costs[result.cand_gt == i]) for i in range(len(gts))]
             tied += sum(np.sum(result.costs[result.cand_gt == i] == c) > 1
@@ -768,7 +768,7 @@ def stack_plan(rng, n_scenes, r, n_gts=6):
                        int(rng.integers(0, 3)))
            for _ in range(n_scenes * n_gts)]
     gts[0] = GroundTruth(dataclasses.replace(gts[0].box, x=-3.99, y=-2.99), gts[0].class_id)
-    return _ScenePlan(grid, gts, r, 3, [n_gts] * n_scenes)
+    return _ScenePlan(grid, gts, r, 3, n_scenes)
 
 
 def slot_rows(rng, plan):

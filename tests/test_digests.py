@@ -93,6 +93,13 @@ def test_dense_center(tmp_path):
     check("dense_center seed 0", fit_digests(reports))
 
 
+def test_dense_center_stack(tmp_path):
+    # The 3-scene stack the benchmark's dense_center workload runs.
+    config = load_config("perfbench/configs/dense_center.json")
+    _, reports = run_recording(dict(config, seeds=[0, 1, 2]), tmp_path)
+    check("dense_center seeds 0-2", fit_digests(reports))
+
+
 @pytest.mark.parametrize("r", [0, 1, 2])
 def test_assign_stdout(capsys, r):
     assert main(["assign", str(ROOT / "configs/example_scene.json"), "--r", str(r)]) == 0

@@ -34,8 +34,10 @@ from bevbox import (
     generate_scene,
     init_state,
     load_scene,
+    regression_loss_scene,
     rotated_iou_exact,
     run_fit_config,
+    total_loss,
     world_to_cell,
 )
 from bevbox.assignment import _ScenePlan
@@ -333,13 +335,14 @@ class TestFit:
         assert "exceeded" in str(err)
 
     def test_nan_total_raises(self, monkeypatch):
-        real_total_loss = bevbox.harness.total_loss
+        real_losses = bevbox.harness._Stack.losses
 
-        def nan_total(*args, **kwargs):
-            report = real_total_loss(*args, **kwargs)
-            return dataclasses.replace(report, total=math.nan)
+        def nan_losses(stack, *args):
+            losses, grads = real_losses(stack, *args)
+            losses[:, 0] = math.nan
+            return losses, grads
 
-        monkeypatch.setattr(bevbox.harness, "total_loss", nan_total)
+        monkeypatch.setattr(bevbox.harness._Stack, "losses", nan_losses)
         gts = generate_scene(scene16())
         with pytest.raises(DivergenceError) as exc_info:
             fit_scene(GRID16, gts, optimizer=OptimizerConfig(n_steps=3), n_classes=3)
@@ -503,7 +506,7 @@ class TestSparseScoreMap:
         gts = generate_scene(scene16())
         assigner = AssignerConfig()
         for state, n_groups in background_states(gts, assigner):
-            plan = _ScenePlan(GRID16, gts, 1, 3, [len(gts)])
+            plan = _ScenePlan(GRID16, gts, 1, 3)
             # -0.0 == 0.0, yet they are two groups.
             assert n_groups == len(np.unique(np.delete(state.score_logits, plan.entries))) + 1
             stacked = bevbox.harness.TrainState(
@@ -592,13 +595,13 @@ class TestSparseScoreMap:
         border = [GroundTruth(dataclasses.replace(
             gt.box, y=grid.y_min + (row + 0.5) * grid.cell_size), gt.class_id)
             for gt, row in zip(gts, (0, 6, 0, 6))]
-        cases = [(1, [gts, gts[:1], [], gts[::-1]]),
-                 (2, [gts, border, border[::-1], [], border[:1]])]
+        cases = [(1, [gts, gts[::-1], border]),
+                 (2, [gts, border, border[::-1], border[1:] + border[:1]]),
+                 (2, [[], [], []])]
         for r, scenes in cases:
-            plan = _ScenePlan(grid, [gt for g in scenes for gt in g], r, 3,
-                              [len(g) for g in scenes])
             n = len(scenes)
-            slot_scene = np.repeat(np.arange(n), [len(g) for g in scenes])[plan.gt_of]
+            plan = _ScenePlan(grid, [gt for g in scenes for gt in g], r, 3, n)
+            slot_scene = np.repeat(np.arange(n), len(scenes[0]))[plan.gt_of]
             assert np.array_equal(plan.rows // 7, slot_scene)
             boxes = np.concatenate([preds.boxes] * n)
             scores = np.concatenate([preds.scores] * n)
@@ -718,6 +721,23 @@ class TestSigmoid:
         assert bevbox.harness._sigmoid(grid).tobytes() == reference_sigmoid(grid).tobytes()
 
 
+class TestRowReductions:
+    """A stacked fit reduces every scene's row of an ``(S, G)`` table in one
+    call; numpy must round each row as it rounds the row alone."""
+
+    def test_axis_reductions_equal_per_row(self):
+        rng = np.random.default_rng(19)
+        # G up to 64, and the sizes of 32x32 and 128x128 maps of three classes.
+        for n_cols in [*range(1, 65), 3_072, 49_152]:
+            for n_rows in (1, 3, 20):
+                a = rng.random((n_rows, n_cols)) * 10.0 ** rng.integers(-8, 9, (n_rows, n_cols))
+                assert a.flags.c_contiguous
+                means = np.array([np.mean(row.tolist()) for row in a])
+                assert np.mean(a, axis=1).tobytes() == means.tobytes(), (n_rows, n_cols)
+                sums = np.array([np.sum(row) for row in a])
+                assert np.sum(a, axis=1).tobytes() == sums.tobytes(), (n_rows, n_cols)
+
+
 class TestBlowUp:
     @pytest.mark.parametrize("step_size,cause", [(1e3, ZeroDivisionError), (1e5, ValueError)])
     def test_unusable_update_raises_divergence(self, step_size, cause):
@@ -751,7 +771,7 @@ class TestIouReadout:
             r = seed % 3
             assignment = assign_dcla(grid, gts, preds, r=r, lambda_reg=2.0, alpha=0.3)
             expected = scan_readout(grid, gts, preds, r, lambda_reg=2.0, alpha=0.3)
-            assert _true_iou_per_gt(assignment) == expected
+            assert _true_iou_per_gt(assignment).tolist() == expected
 
     @pytest.mark.parametrize("assigner", [AssignerConfig(kind="dcla", r=1),
                                           AssignerConfig(kind="center")])
@@ -906,28 +926,33 @@ class TestStackedFit:
     @pytest.mark.parametrize("regression", ["rwiou", "smooth_l1"])
     @pytest.mark.parametrize("r", [0, 1, 2])
     def test_each_scene_equals_its_own_fit(self, regression, r):
-        # Different ground-truth counts, one scene with none.
-        scenes = [generate_scene(SceneConfig(grid=GRID16, n_objects=n, seed=seed))
-                  for seed, n in enumerate([4, 0, 2, 5, 1])]
-        seeds = [21, 22, 23, 24, 25]
+        # Scenes of four ground truths each, and an all-empty stack.
         config = dict(assigner=AssignerConfig(kind="dcla", r=r),
                       optimizer=OptimizerConfig(n_steps=25),
                       init=InitConfig(kind="noisy", sigma_loc=0.5), weights=LossWeights(),
                       regression=regression, n_classes=3)
-        reports, failure = _fit_scenes(GRID16, scenes, seeds, **config)
-        assert failure is None
-        assert [report.seed for report in reports] == seeds
-        for gts, seed, report in zip(scenes, seeds, reports):
-            assert_same_fit(report, fit_scene(GRID16, gts, init_seed=seed, **config))
-        # The pass's wall time, divided evenly over its scenes.
-        assert len({report.wall_clock_s for report in reports}) == 1
+        for n_gts, seeds in ((4, [21, 22, 23, 24, 25]), (0, [26, 27, 28])):
+            scenes = [generate_scene(SceneConfig(grid=GRID16, n_objects=n_gts, seed=seed))
+                      for seed in range(len(seeds))]
+            reports, failure = _fit_scenes(GRID16, scenes, seeds, **config)
+            assert failure is None
+            assert [report.seed for report in reports] == seeds
+            for gts, seed, report in zip(scenes, seeds, reports):
+                assert_same_fit(report, fit_scene(GRID16, gts, init_seed=seed, **config))
+            # The pass's wall time, divided evenly over its scenes.
+            assert len({report.wall_clock_s for report in reports}) == 1
+
+    def test_ragged_stack_rejected(self):
+        scenes = [generate_scene(SceneConfig(grid=GRID16, n_objects=n, seed=0)) for n in (4, 2)]
+        with pytest.raises(ValueError, match="equally many ground truths"):
+            _fit_scenes(GRID16, scenes, [0, 1], AssignerConfig(), OptimizerConfig(n_steps=2),
+                        InitConfig(), LossWeights(), "rwiou", 3)
 
     @pytest.mark.parametrize("regression", ["rwiou", "smooth_l1"])
     def test_frozen_and_yaw_frozen_states(self, regression):
         gts, assigner, frozen = frozen_scene()
-        other = generate_scene(scene16())
-        scenes = [gts, other, gts]
-        states = [frozen, init_state(GRID16, other, 3, InitConfig(), assigner, 5), frozen]
+        scenes = [gts, gts, gts]
+        states = [frozen, init_state(GRID16, gts, 3, InitConfig(), assigner, 5), frozen]
         config = dict(assigner=assigner, optimizer=OptimizerConfig(n_steps=20),
                       init=InitConfig(), weights=LossWeights(), regression=regression,
                       n_classes=3)
@@ -1021,15 +1046,15 @@ class TestStackedFailureOrder:
         real_decode = bevbox.harness._Stack.decode
 
         def nan_decode(stack, conf_cells):
-            starts = stack.plan.gt_starts
-            for scene in range(len(starts) - 1):
-                if stack.plan.gts[starts[scene]:starts[scene + 1]] != scenes[0]:
+            n_gts = len(stack.plan.gts) // stack.plan.n_scenes
+            for scene in range(stack.plan.n_scenes):
+                if stack.plan.gts[scene * n_gts:(scene + 1) * n_gts] != scenes[0]:
                     stack.logits[stack.scenes == scene] = math.nan
             return real_decode(stack, conf_cells)
 
         monkeypatch.setattr(bevbox.harness._Stack, "decode", nan_decode)
-        scenes = [generate_scene(SceneConfig(grid=GRID16, n_objects=n, seed=seed))
-                  for seed, n in enumerate([3, 4, 2])]
+        scenes = [generate_scene(SceneConfig(grid=GRID16, n_objects=3, seed=seed))
+                  for seed in range(3)]
         optimizer = OptimizerConfig(n_steps=3)
         reports, failure = _fit_scenes(GRID16, scenes, [0, 1, 2], AssignerConfig(), optimizer,
                                        InitConfig(), LossWeights(), "rwiou", 3)
@@ -1093,6 +1118,67 @@ class TestStackedFailureOrder:
         error, files = self.assert_fails_like_seed_by_seed(config, tmp_path)
         assert isinstance(error, DivergenceError)
         assert files == {}
+
+
+def own_report(grid, gts, state, regression, optimizer, step):
+    """``total_loss`` of step ``step`` of the scalar reference's fit of
+    ``gts`` from ``state`` (default settings, ``optimizer``'s step size),
+    with that step's positive count and, for RWIoU, its per-ground-truth
+    list."""
+    weights = LossWeights()
+    steps, at_step = reference_fit_scene(grid, gts, AssignerConfig(),
+                                         OptimizerConfig(optimizer.step_size, n_steps=step),
+                                         InitConfig(), weights, regression, init_seed=0,
+                                         n_classes=3, state=state)
+    _, l_cls, l_reg, l_iou, _, _ = steps[step]
+    assignment = assign_dcla(grid, gts, at_step.prediction_map())
+    per_gt = regression_loss_scene(assignment).per_gt if regression == "rwiou" else ()
+    return total_loss(l_cls, l_reg, l_iou, weights, n_positives=assignment.n_positives,
+                      per_gt=per_gt)
+
+
+class TestFailureReports:
+    """A stacked fit's failure carries ``total_loss`` of the failing scene:
+    of the failing step when its total diverged, of the step before when an
+    update left an unusable state."""
+
+    @pytest.mark.parametrize("regression", ["rwiou", "smooth_l1"])
+    def test_diverged_scene(self, regression):
+        # Scene 1 crosses the threshold at step 0.
+        gts = generate_scene(SceneConfig(grid=GRID32, n_objects=4, seed=2))
+        states = [init_state(GRID32, gts, 3, InitConfig(kind="exact"), AssignerConfig(), 0)
+                  for _ in range(3)]
+        states[1].score_logits[:] = SATURATED_LOGIT
+        optimizer = OptimizerConfig(n_steps=3)
+        reports, failure = _fit_scenes(GRID32, [gts] * 3, [0, 1, 2], AssignerConfig(),
+                                       optimizer, InitConfig(), LossWeights(), regression, 3,
+                                       states=states)
+        assert len(reports) == 1
+        assert isinstance(failure, DivergenceError) and failure.step == 0
+        assert failure.report.total > DIVERGENCE_THRESHOLD
+        assert failure.report == own_report(GRID32, gts, states[1], regression, optimizer, 0)
+        assert len(failure.report.per_gt) == (len(gts) if regression == "rwiou" else 0)
+
+    @pytest.mark.parametrize("regression,failing", [("rwiou", 1), ("smooth_l1", 0)])
+    def test_unusable_update_reports_the_step_before(self, regression, failing):
+        scenes = [generate_scene(SceneConfig(grid=GRID16, n_objects=3, seed=seed))
+                  for seed in range(4)]
+        states = [init_state(GRID16, gts, 3, InitConfig(), AssignerConfig(), seed)
+                  for seed, gts in enumerate(scenes)]
+        optimizer = OptimizerConfig(step_size=300.0, n_steps=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports, failure = _fit_scenes(GRID16, scenes, [0, 1, 2, 3], AssignerConfig(),
+                                           optimizer, InitConfig(), LossWeights(), regression,
+                                           3, states=states)
+        assert len(reports) == failing
+        assert isinstance(failure, DivergenceError) and failure.step >= 1
+        assert type(failure.__cause__) is ZeroDivisionError
+        with np.errstate(all="ignore"):
+            expected = own_report(GRID16, scenes[failing], states[failing], regression,
+                                  optimizer, failure.step - 1)
+        assert failure.report == expected
+        assert len(failure.report.per_gt) == (3 if regression == "rwiou" else 0)
 
 
 SCENE_FILE = {
