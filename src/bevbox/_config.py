@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import typing
 
 
@@ -45,6 +46,17 @@ def _seed(value, context: str) -> int:
     if seed < 0:
         raise ValueError(f"{context}: expected a non-negative integer, got {seed}")
     return seed
+
+
+def _count(value, context: str, minimum: int = 1) -> int:
+    """A sample count: a number (not a string) that is an ``int`` by
+    :func:`_scalar` and at least ``minimum``."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{context}: expected int, got {type(value).__name__}")
+    count = _scalar(int, value, context)
+    if count < minimum:
+        raise ValueError(f"{context}: expected an integer >= {minimum}, got {count}")
+    return count
 
 
 def _from_dict(cls, mapping: dict, context: str, required=(),

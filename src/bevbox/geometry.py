@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._config import _seed
+from ._config import _count, _seed
 
 __all__ = [
     "Box3D",
@@ -597,9 +597,7 @@ def mc_iou_oracle(b1: Box3D, b2: Box3D, n_samples: int = 1_000_000, seed: int = 
     seed:
         Seed for ``numpy.random.default_rng``; fixed seed, fixed estimate.
     """
-    n_samples = int(n_samples)
-    if n_samples < 10_000:
-        raise ValueError(f"n_samples must be >= 10000, got {n_samples}")
+    n_samples = _count(n_samples, "n_samples", minimum=10_000)
     _seed(seed, "seed")
     xs: list[float] = []
     ys: list[float] = []

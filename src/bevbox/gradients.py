@@ -27,11 +27,12 @@ them without re-running the audits.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._config import _seed
+from ._config import _count, _seed
 from .geometry import (
     BoxParams8,
     _FIELDS8,
@@ -65,6 +66,13 @@ FD_REL_TOL = 1e-5
 FD_ABS_FLOOR = 1e-8
 BOUND_SLACK = 1e-9
 BREAKPOINT_MARGIN = 1e-4
+_FD_STEP = 1e-6  # relative step of the central finite differences
+
+# Samples per chunk of the gradient check and the bound audit.  A chunk's
+# 16 stepped FD rows per sample (256 KiB) and its value pass's temporaries
+# (96 KiB each) fit a 2 MiB L2 cache, and memory does not grow with the
+# sample count; chunks of 128 to 1024 samples timed alike.
+_CHECK_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -239,67 +247,94 @@ _OTHER_J = np.array([1, 0, 0])
 _OTHER_K = np.array([2, 2, 1])
 
 
+class _RwiouRows:
+    """:func:`rwiou_loss` and :func:`rwiou_loss_grad` over ``(N, 8)``
+    prediction and target channel rows, one pass each.
+
+    Building it is the value pass: faces, clamped overlap widths, channel
+    weights and volumes, ending in ``loss`` ``(N,)``.  :meth:`grad` is the
+    gradient pass over those quantities.  Every quantity follows the scalar
+    functions' operations in the same order and the tie and clamp rules
+    become ``np.where`` selections, so each row equals the scalar result
+    bitwise.
+    """
+
+    def __init__(self, pred: np.ndarray, target: np.ndarray, alpha: float) -> None:
+        self.alpha = alpha
+        self.c_p, self.c_t = c_p, c_t = pred[:, 0:3], target[:, 0:3]
+        half_p, half_t = 0.5 * pred[:, 3:6], 0.5 * target[:, 3:6]
+        self.lo_p, self.hi_p = lo_p, hi_p = c_p - half_p, c_p + half_p
+        self.lo_t, self.hi_t = lo_t, hi_t = c_t - half_t, c_t + half_t
+        # A prediction face strictly outside the target's is not the overlap bound.
+        self.lo_out, self.hi_out = lo_out, hi_out = lo_p < lo_t, hi_p > hi_t
+        gap = np.where(hi_out, hi_t, hi_p) - np.where(lo_out, lo_t, lo_p)
+        self.overlap = overlap = gap >= 0.0
+        self.width = width = np.where(overlap, gap, 0.0)
+        self.pred_width = pred_width = hi_p - lo_p
+        target_width = hi_t - lo_t
+        self.v_inter = v_inter = width[:, 0] * width[:, 1] * width[:, 2]
+        v_p = pred_width[:, 0] * pred_width[:, 1] * pred_width[:, 2]
+        v_t = target_width[:, 0] * target_width[:, 1] * target_width[:, 2]
+        self.delta = delta = pred[:, 6:8] - target[:, 6:8]
+        raw = 1.0 - 0.5 * alpha * np.abs(delta)
+        self.unclamped = unclamped = raw > 0.0
+        w = np.where(unclamped, raw, 0.0)
+        self.w_s, self.w_c = w_s, w_c = w[:, 0], w[:, 1]
+        self.omega = omega = w_s * w_c
+        self.v_weighted = v_weighted = omega * v_inter
+        self.v_union = v_union = v_p + v_t - v_weighted
+        self.loss = 1.0 - v_weighted / v_union
+
+    def grad(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The gradient rows as ``(d_xyz (N, 3), d_lwh (N, 3), d_s (N,),
+        d_c (N,))``; keeps the face flags and tie weights (``lo_in``,
+        ``hi_in``, ``w_lo``, ``w_hi``) for the center term."""
+        # Each prediction face lies strictly inside the target's, strictly
+        # outside it, or exactly on it (neither flag set: the tie rules).
+        self.lo_in = lo_in = self.lo_p > self.lo_t
+        self.hi_in = hi_in = self.hi_p < self.hi_t
+        self.w_lo = w_lo = np.where(lo_in, 1.0, np.where(self.lo_out, 0.0, 0.5))
+        self.w_hi = w_hi = np.where(hi_in, 1.0, np.where(self.hi_out, 0.0, 0.5))
+        overlap, width, pred_width = self.overlap, self.width, self.pred_width
+        d_center = np.where(overlap, w_hi - w_lo, 0.0)
+        d_size = np.where(overlap, 0.5 * (w_hi + w_lo), 0.0)
+        dw = np.where(self.unclamped,
+                      -0.5 * self.alpha * np.where(self.delta >= 0.0, 1.0, -1.0), 0.0)
+        v_inter, v_weighted, v_union = self.v_inter, self.v_weighted, self.v_union
+        inv_u2 = 1.0 / (v_union * v_union)
+        common = (v_union + v_weighted) * inv_u2
+        other = width[:, _OTHER_J] * width[:, _OTHER_K]
+        other_pred = pred_width[:, _OTHER_J] * pred_width[:, _OTHER_K]
+        neg_omega = -self.omega[:, None]
+        g_loc = neg_omega * d_center * other * common[:, None]
+        g_size = (neg_omega * d_size * other * common[:, None]
+                  + v_weighted[:, None] * other_pred * inv_u2[:, None])
+        g_s = -dw[:, 0] * self.w_c * v_inter * common
+        g_c = -self.w_s * dw[:, 1] * v_inter * common
+        return g_loc, g_size, g_s, g_c
+
+
 def regression_sample_grad_batch(pred: np.ndarray, target: np.ndarray,
                                  alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise :func:`regression_sample_grad` over ``(N, 8)`` channel arrays.
 
-    Returns ``(values (N,), grads (N, 8))``.  Every quantity follows the
-    scalar functions' operations in the same order, the tie and clamp rules
-    become ``np.where`` selections, and squares go through ``np.float_power``
-    (libm ``pow``, like Python's ``**``), so each row equals the scalar
-    result bitwise.
+    Returns ``(values (N,), grads (N, 8))``: the :class:`_RwiouRows` passes
+    plus the center-distance term, whose squares go through
+    ``np.float_power`` (libm ``pow``, like Python's ``**``), so each row
+    equals the scalar result bitwise.
     """
-    alpha = _check_alpha(alpha)
-    c_p, c_t = pred[:, 0:3], target[:, 0:3]
-    half_p, half_t = 0.5 * pred[:, 3:6], 0.5 * target[:, 3:6]
-    lo_p, hi_p = c_p - half_p, c_p + half_p
-    lo_t, hi_t = c_t - half_t, c_t + half_t
-    # Each prediction face lies strictly inside the target's, strictly
-    # outside it, or exactly on it (neither flag set: the tie rules).
-    lo_in, lo_out = lo_p > lo_t, lo_p < lo_t
-    hi_in, hi_out = hi_p < hi_t, hi_p > hi_t
-
-    # RWIoU loss and gradient: _interval_terms per axis, then rwiou_loss_grad.
-    w_lo = np.where(lo_in, 1.0, np.where(lo_out, 0.0, 0.5))
-    w_hi = np.where(hi_in, 1.0, np.where(hi_out, 0.0, 0.5))
-    gap = np.where(hi_out, hi_t, hi_p) - np.where(lo_out, lo_t, lo_p)
-    overlap = gap >= 0.0
-    width = np.where(overlap, gap, 0.0)
-    d_center = np.where(overlap, w_hi - w_lo, 0.0)
-    d_size = np.where(overlap, 0.5 * (w_hi + w_lo), 0.0)
-    pred_width = hi_p - lo_p
-    target_width = hi_t - lo_t
-    v_inter = width[:, 0] * width[:, 1] * width[:, 2]
-    v_p = pred_width[:, 0] * pred_width[:, 1] * pred_width[:, 2]
-    v_t = target_width[:, 0] * target_width[:, 1] * target_width[:, 2]
-    delta = pred[:, 6:8] - target[:, 6:8]
-    raw = 1.0 - 0.5 * alpha * np.abs(delta)
-    unclamped = raw > 0.0
-    w = np.where(unclamped, raw, 0.0)
-    dw = np.where(unclamped, -0.5 * alpha * np.where(delta >= 0.0, 1.0, -1.0), 0.0)
-    w_s, w_c = w[:, 0], w[:, 1]
-    omega = w_s * w_c
-    v_weighted = omega * v_inter
-    v_union = v_p + v_t - v_weighted
-    inv_u2 = 1.0 / (v_union * v_union)
-    common = (v_union + v_weighted) * inv_u2
-    other = width[:, _OTHER_J] * width[:, _OTHER_K]
-    other_pred = pred_width[:, _OTHER_J] * pred_width[:, _OTHER_K]
-    neg_omega = -omega[:, None]
-    g_loc = neg_omega * d_center * other * common[:, None]
-    g_size = (neg_omega * d_size * other * common[:, None]
-              + v_weighted[:, None] * other_pred * inv_u2[:, None])
-    g_s = -dw[:, 0] * w_c * v_inter * common
-    g_c = -w_s * dw[:, 1] * v_inter * common
+    rows = _RwiouRows(pred, target, _check_alpha(alpha))
+    g_loc, g_size, g_s, g_c = rows.grad()
 
     # Center-distance term: center_term_grad, whose enclosing-bound weights
     # are the complements of the intersection's.
-    deltas = c_p - c_t
+    deltas = rows.c_p - rows.c_t
     sq = np.float_power(deltas, 2)
     d2 = sq[:, 0] + sq[:, 1] + sq[:, 2]
-    e_hi = 1.0 - w_hi
-    e_lo = 1.0 - w_lo
-    extent = np.where(hi_in, hi_t, hi_p) - np.where(lo_in, lo_t, lo_p)
+    e_hi = 1.0 - rows.w_hi
+    e_lo = 1.0 - rows.w_lo
+    extent = (np.where(rows.hi_in, rows.hi_t, rows.hi_p)
+              - np.where(rows.lo_in, rows.lo_t, rows.lo_p))
     ext2 = extent * extent
     g2 = ext2[:, 0] + ext2[:, 1] + ext2[:, 2]
     inv_g2 = (1.0 / g2)[:, None]
@@ -307,42 +342,60 @@ def regression_sample_grad_batch(pred: np.ndarray, target: np.ndarray,
     c_loc = 2.0 * deltas * inv_g2 - scale * (2.0 * extent * (e_hi - e_lo))
     c_size = -scale * (extent * (e_hi + e_lo))
 
-    values = 1.0 - v_weighted / v_union + d2 / g2
     grads = np.empty_like(pred)
     grads[:, 0:3] = g_loc + c_loc
     grads[:, 3:6] = g_size + c_size
     # Grad8.__add__ adds the center term's zero s/c components.
     grads[:, 6] = g_s + 0.0
     grads[:, 7] = g_c + 0.0
-    return values, grads
+    return rows.loss + d2 / g2, grads
+
+
+def _fd_rows(rows: np.ndarray, losses, rel_step: float) -> np.ndarray:
+    """Central finite differences over ``(N, 8)`` channel rows.
+
+    The step is relative to each value's magnitude with a floor of the
+    relative step itself.  A step that leaves the valid range (a non-finite
+    value, an overflow included, or a size at or below 0) or vanishes in
+    rounding raises ``ValueError`` naming the first offending row's channel.
+    Otherwise ``losses`` maps the ``(16 * N, 8)`` stepped rows, row after
+    row and for each channel in order its step up and then down, to their
+    loss values.
+    """
+    with np.errstate(over="ignore"):
+        h = rel_step * np.maximum(1.0, np.abs(rows))
+        hi, lo = rows + h, rows - h
+    bad = ~(np.isfinite(hi) & np.isfinite(lo)) | (hi == lo)
+    bad[:, 3:6] |= lo[:, 3:6] <= 0.0
+    if bad.any():
+        row, i = np.argwhere(bad)[0]
+        raise ValueError(f"finite-difference step {float(h[row, i])!r} takes {_FIELDS8[i]} = "
+                         f"{float(rows[row, i])!r} out of range")
+    n = len(rows)
+    stepped = np.repeat(rows, 16, axis=0).reshape(n, 8, 2, 8)
+    diagonal = np.arange(8)
+    stepped[:, diagonal, 0, diagonal] = hi
+    stepped[:, diagonal, 1, diagonal] = lo
+    f = np.asarray(losses(stepped.reshape(16 * n, 8)), dtype=float).reshape(n, 8, 2)
+    return (f[:, :, 0] - f[:, :, 1]) / (hi - lo)
 
 
 def finite_difference_grad(pred: BoxParams8, target: BoxParams8, alpha: float,
-                           loss_fn=rwiou_loss, rel_step: float = 1e-6) -> np.ndarray:
+                           loss_fn=rwiou_loss, rel_step: float = _FD_STEP) -> np.ndarray:
     """Central finite differences of ``loss_fn(pred, target, alpha)``.
 
     The step is relative to each parameter's magnitude with a floor of the
     relative step itself, far smaller than any size the checks draw, so
     perturbed sizes stay positive.  Each perturbed box differs from the
     checked ``pred`` in one channel, so only that channel is checked; a step
-    that leaves the valid range (an overflow included: the steps are taken
-    in Python floats, which overflow to inf silently) raises ``ValueError``.
+    that leaves the valid range (an overflow included) or vanishes in
+    rounding raises ``ValueError``.  ``loss_fn`` is called on the boxes
+    stepped up and then down, channel by channel.
     """
-    values = pred.as_array().tolist()
-    grad = np.empty(8)
-    for i, name in enumerate(_FIELDS8):
-        h = rel_step * max(1.0, abs(values[i]))
-        hi = list(values)
-        lo = list(values)
-        hi[i] += h
-        lo[i] -= h
-        if not (math.isfinite(hi[i]) and math.isfinite(lo[i])) or (3 <= i < 6 and lo[i] <= 0.0):
-            raise ValueError(f"finite-difference step {h!r} takes {name} = {values[i]!r} "
-                             f"out of range")
-        f_hi = loss_fn(BoxParams8._unchecked(hi), target, alpha)
-        f_lo = loss_fn(BoxParams8._unchecked(lo), target, alpha)
-        grad[i] = (f_hi - f_lo) / (hi[i] - lo[i])
-    return grad
+    def losses(stepped: np.ndarray) -> list:
+        return [loss_fn(BoxParams8._unchecked(row), target, alpha) for row in stepped.tolist()]
+
+    return _fd_rows(pred.as_array()[None, :], losses, rel_step)[0]
 
 
 def _uniform(rng: np.random.Generator, *bounds: tuple[float, float]) -> list[float]:
@@ -426,6 +479,27 @@ def random_overlapping_pair(rng: np.random.Generator, alpha: float = 0.5,
         return pred, target
 
 
+_channels = operator.attrgetter(*_FIELDS8)
+_grad_channels = operator.attrgetter(*(f"d_{name}" for name in _FIELDS8))
+
+
+def _chunk_sizes(n_samples: int):
+    """The sizes of the ``_CHECK_CHUNK``-sample chunks of ``n_samples``."""
+    for start in range(0, n_samples, _CHECK_CHUNK):
+        yield min(_CHECK_CHUNK, n_samples - start)
+
+
+def _draw_rows(draw, n: int, *per_pair) -> np.ndarray:
+    """``n`` pairs from ``draw()``, in draw order, as ``(n, 8)`` rows of the
+    prediction's and the target's channels, then of each
+    ``per_pair(pred, target)``'s eight values; no pair outlives its rows."""
+    rows = []
+    for _ in range(n):
+        pred, target = draw()
+        rows.append((_channels(pred), _channels(target), *(f(pred, target) for f in per_pair)))
+    return np.array(rows).transpose(1, 0, 2)
+
+
 @dataclass
 class GradientCheckReport:
     """Finite-difference agreement summary for :func:`rwiou_loss_grad`."""
@@ -456,38 +530,48 @@ def gradient_check(n_samples: int = 10_000, seed: int = 0, alpha: float = 0.5,
     Pairs are sampled overlapping and away from every breakpoint by
     ``margin``.  A component fails when it differs from the numerical value
     by more than ``abs_floor`` absolutely and ``rel_tol`` relatively.
+
+    The pairs are drawn and checked in chunks of ``_CHECK_CHUNK``.  The
+    analytic side is the scalar :func:`rwiou_loss_grad` of each pair; the
+    numerical side steps the chunk's rows and evaluates every stepped row's
+    loss in one :class:`_RwiouRows` value pass, which runs no gradient code.
+    The report folds chunk by chunk as it would sample by sample: the first
+    largest relative error, in sample then channel order, is ``worst``.
     """
     alpha = _check_alpha(alpha)
+    n_samples = _count(n_samples, "n_samples")
     _seed(seed, "seed")
     rng = np.random.default_rng(seed)
     max_abs = 0.0
     max_rel = 0.0
     n_fail = 0
     worst: dict = {}
-    for _ in range(int(n_samples)):
-        pred, target = random_overlapping_pair(rng, alpha=alpha, margin=margin)
-        analytic = rwiou_loss_grad(pred, target, alpha).as_array()
-        numeric = finite_difference_grad(pred, target, alpha)
-        for i, name in enumerate(_FIELDS8):
-            err = abs(analytic[i] - numeric[i])
-            scale = max(abs(analytic[i]), abs(numeric[i]))
-            rel = err / scale if scale > 0.0 else 0.0
-            ok = err <= abs_floor or err <= rel_tol * scale
-            if not ok:
-                n_fail += 1
-            if err > max_abs:
-                max_abs = err
-            if scale > abs_floor and rel > max_rel:
-                max_rel = rel
-                worst = {
-                    "component": name,
-                    "analytic": float(analytic[i]),
-                    "numeric": float(numeric[i]),
-                    "pred": list(pred.as_array()),
-                    "target": list(target.as_array()),
-                }
+    for n in _chunk_sizes(n_samples):
+        preds, targets, analytic = _draw_rows(
+            lambda: random_overlapping_pair(rng, alpha=alpha, margin=margin), n,
+            lambda pred, target: _grad_channels(rwiou_loss_grad(pred, target, alpha)))
+        stepped_targets = np.repeat(targets, 16, axis=0)
+        numeric = _fd_rows(preds, lambda stepped: _RwiouRows(stepped, stepped_targets, alpha).loss,
+                           _FD_STEP)
+        err = np.abs(analytic - numeric)
+        scale = np.maximum(np.abs(analytic), np.abs(numeric))
+        rel = np.divide(err, scale, out=np.zeros_like(err), where=scale > 0.0)
+        n_fail += int(np.count_nonzero(~((err <= abs_floor) | (err <= rel_tol * scale))))
+        max_abs = max(max_abs, float(err.max()))
+        # The first largest eligible error, sample by sample then by channel.
+        ranked = np.where(scale > abs_floor, rel, 0.0)
+        k, i = divmod(int(np.argmax(ranked)), 8)
+        if ranked[k, i] > max_rel:
+            max_rel = float(ranked[k, i])
+            worst = {
+                "component": _FIELDS8[i],
+                "analytic": float(analytic[k, i]),
+                "numeric": float(numeric[k, i]),
+                "pred": list(preds[k]),
+                "target": list(targets[k]),
+            }
     return GradientCheckReport(
-        n_samples=int(n_samples), seed=seed, alpha=alpha,
+        n_samples=n_samples, seed=seed, alpha=alpha,
         rel_tol=rel_tol, abs_floor=abs_floor,
         max_abs_err=max_abs, max_rel_err=max_rel, n_failures=n_fail, worst=worst,
     )
@@ -592,28 +676,34 @@ def gradient_bound_audit(n_samples: int = 10_000, seed: int = 0,
     Violations beyond the absolute slack ``1e-9`` are collected (first five
     offending samples per regime) and the audit reports failure instead of
     raising.
+
+    Each regime draws its pairs in chunks of ``_CHECK_CHUNK`` and takes the
+    chunk's gradients from one :class:`_RwiouRows` gradient pass, the
+    kernel the fit runs, bitwise :func:`rwiou_loss_grad` per row; the
+    closed-form bounds share no code with it.
     """
     alpha = _check_alpha(alpha)
+    n_samples = _count(n_samples, "n_samples")
     _seed(seed, "seed")
-    n_samples = int(n_samples)
     rng = np.random.default_rng(seed)
 
     def regime(name, bound, note, draw, measure) -> BoundRegimeReport:
-        # measure(g, target) gives the observed magnitude, its per-sample
-        # bound, and the unit in which max_observed reports it.
+        # measure(grads, targets) gives the observed magnitudes, their
+        # per-sample bounds, and the units in which max_observed reports them.
         report = BoundRegimeReport(regime=name, bound=bound, max_observed=0.0,
                                    n_violations=0, n_samples=n_samples, note=note)
-        for _ in range(n_samples):
-            pred, target = draw()
-            observed, limit, unit = measure(rwiou_loss_grad(pred, target, alpha), target)
-            report.max_observed = max(report.max_observed, observed / unit)
-            if observed > limit + BOUND_SLACK:
-                report.n_violations += 1
-                if len(report.violations) < 5:
-                    report.violations.append(
-                        {"observed": observed, "bound": limit,
-                         "pred": list(pred.as_array()), "target": list(target.as_array())}
-                    )
+        for n in _chunk_sizes(n_samples):
+            preds, targets = _draw_rows(draw, n)
+            grads = np.column_stack(_RwiouRows(preds, targets, alpha).grad())
+            observed, limit, unit = measure(grads, targets)
+            report.max_observed = max(report.max_observed, float((observed / unit).max()))
+            over = np.flatnonzero(observed > limit + BOUND_SLACK)
+            report.n_violations += len(over)
+            for k in over[:5 - len(report.violations)]:
+                report.violations.append(
+                    {"observed": float(observed[k]), "bound": float(limit[k]),
+                     "pred": list(preds[k]), "target": list(targets[k])}
+                )
         return report
 
     # One generator feeds the three regimes, so their order fixes every draw.
@@ -621,15 +711,16 @@ def gradient_bound_audit(n_samples: int = 10_000, seed: int = 0,
         regime("sin_cos_channel", alpha,
                "|d_s| and |d_c| against the constant bound alpha",
                lambda: random_overlapping_pair(rng, alpha=alpha),
-               lambda g, t: (max(abs(g.d_s), abs(g.d_c)), alpha, 1.0)),
+               lambda g, t: (np.maximum(np.abs(g[:, 6]), np.abs(g[:, 7])),
+                             np.full(len(t), alpha), 1.0)),
         regime("center_overlap", 1.0,
                "|d_x| as a fraction of the per-sample bound 2 / l_t",
                lambda: _left_overlap_pair(rng),
-               lambda g, t: (abs(g.d_x), 2.0 / t.l, 2.0 / t.l)),
+               lambda g, t: (np.abs(g[:, 0]), 2.0 / t[:, 3], 2.0 / t[:, 3])),
         regime("scale_center_aligned", 1.0,
                "|d_l| as a fraction of the per-sample bound 1 / l_t",
                lambda: _center_aligned_pair(rng),
-               lambda g, t: (abs(g.d_l), 1.0 / t.l, 1.0 / t.l)),
+               lambda g, t: (np.abs(g[:, 3]), 1.0 / t[:, 3], 1.0 / t[:, 3])),
     ]
     return GradientBoundAudit(alpha=alpha, seed=seed, n_samples=n_samples,
                               regimes=regimes)

@@ -11,6 +11,10 @@ clipper, and the fit reference runs every per-positive loss and update as a
 scalar loop, the full quality focal formula on every heatmap entry and a full
 decode of the map after every update; all keep the arithmetic of the array
 paths they check, so agreement is bitwise too.
+
+The gradient check and the bound audit are referenced by their per-sample
+loops: one ``BoxParams8`` pair at a time, a scalar central difference per
+channel, and the reports folded sample by sample.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+import bevbox.gradients
 
 from bevbox import (
     AssignerConfig,
@@ -36,11 +42,21 @@ from bevbox import (
     regression_sample_grad,
     regression_sample_loss,
     rotated_iou_exact,
+    rwiou_loss,
+    rwiou_loss_grad,
     selection_cost,
     smooth_l1_with_grad,
     total_loss,
 )
 from bevbox.geometry import CLIP_EPS, BoxParams8
+from bevbox.gradients import (
+    BoundRegimeReport,
+    GradientBoundAudit,
+    GradientCheckReport,
+    _center_aligned_pair,
+    _left_overlap_pair,
+    random_overlapping_pair,
+)
 from bevbox.losses import SCORE_EPS
 
 
@@ -319,6 +335,110 @@ def reference_quality_focal_with_grad(p, q, gamma: float = 2.0):
     pass_band = (p >= SCORE_EPS) & (p <= 1.0 - SCORE_EPS)
     d_ce = -(q / p_safe - (1.0 - q) / (1.0 - p_safe)) * pass_band
     return value, d_mod * ce + mod * d_ce
+
+
+CHANNELS = ("x", "y", "z", "l", "w", "h", "s", "c")
+
+
+def reference_finite_difference_grad(pred: BoxParams8, target: BoxParams8, alpha: float,
+                                     loss_fn=rwiou_loss, rel_step: float = 1e-6) -> np.ndarray:
+    """Central finite differences of ``loss_fn``, one channel at a time in
+    Python floats: the step ``rel_step * max(1, |value|)``, a ``ValueError``
+    for a step that leaves the valid range, then two ``loss_fn`` calls."""
+    values = pred.as_array().tolist()
+    grad = np.empty(8)
+    for i, name in enumerate(CHANNELS):
+        h = rel_step * max(1.0, abs(values[i]))
+        hi = list(values)
+        lo = list(values)
+        hi[i] += h
+        lo[i] -= h
+        if not (math.isfinite(hi[i]) and math.isfinite(lo[i])) or (3 <= i < 6 and lo[i] <= 0.0):
+            raise ValueError(f"finite-difference step {h!r} takes {name} = {values[i]!r} "
+                             f"out of range")
+        f_hi = loss_fn(BoxParams8(*hi), target, alpha)
+        f_lo = loss_fn(BoxParams8(*lo), target, alpha)
+        grad[i] = (f_hi - f_lo) / (hi[i] - lo[i])
+    return grad
+
+
+def reference_gradient_check(n_samples: int, seed: int, alpha: float,
+                             rel_tol: float = 1e-5, abs_floor: float = 1e-8,
+                             margin: float = 1e-4) -> GradientCheckReport:
+    """``gradient_check`` sample by sample: one drawn pair, its scalar
+    ``rwiou_loss_grad`` against :func:`reference_finite_difference_grad`,
+    and each component folded into the report in turn."""
+    rng = np.random.default_rng(seed)
+    max_abs = 0.0
+    max_rel = 0.0
+    n_fail = 0
+    worst: dict = {}
+    for _ in range(n_samples):
+        pred, target = random_overlapping_pair(rng, alpha=alpha, margin=margin)
+        analytic = rwiou_loss_grad(pred, target, alpha).as_array()
+        numeric = reference_finite_difference_grad(pred, target, alpha)
+        for i, name in enumerate(CHANNELS):
+            err = abs(analytic[i] - numeric[i])
+            scale = max(abs(analytic[i]), abs(numeric[i]))
+            rel = err / scale if scale > 0.0 else 0.0
+            ok = err <= abs_floor or err <= rel_tol * scale
+            if not ok:
+                n_fail += 1
+            if err > max_abs:
+                max_abs = err
+            if scale > abs_floor and rel > max_rel:
+                max_rel = rel
+                worst = {
+                    "component": name,
+                    "analytic": float(analytic[i]),
+                    "numeric": float(numeric[i]),
+                    "pred": list(pred.as_array()),
+                    "target": list(target.as_array()),
+                }
+    return GradientCheckReport(
+        n_samples=n_samples, seed=seed, alpha=alpha, rel_tol=rel_tol, abs_floor=abs_floor,
+        max_abs_err=max_abs, max_rel_err=max_rel, n_failures=n_fail, worst=worst,
+    )
+
+
+def reference_gradient_bound_audit(n_samples: int, seed: int, alpha: float) -> GradientBoundAudit:
+    """``gradient_bound_audit`` sample by sample: each regime draws one pair,
+    takes its scalar ``rwiou_loss_grad`` and folds it into the report.  The
+    slack is read from ``bevbox.gradients.BOUND_SLACK`` at call time."""
+    slack = bevbox.gradients.BOUND_SLACK
+    rng = np.random.default_rng(seed)
+
+    def regime(name, bound, note, draw, measure) -> BoundRegimeReport:
+        report = BoundRegimeReport(regime=name, bound=bound, max_observed=0.0,
+                                   n_violations=0, n_samples=n_samples, note=note)
+        for _ in range(n_samples):
+            pred, target = draw()
+            observed, limit, unit = measure(rwiou_loss_grad(pred, target, alpha), target)
+            report.max_observed = max(report.max_observed, observed / unit)
+            if observed > limit + slack:
+                report.n_violations += 1
+                if len(report.violations) < 5:
+                    report.violations.append(
+                        {"observed": observed, "bound": limit,
+                         "pred": list(pred.as_array()), "target": list(target.as_array())}
+                    )
+        return report
+
+    regimes = [
+        regime("sin_cos_channel", alpha,
+               "|d_s| and |d_c| against the constant bound alpha",
+               lambda: random_overlapping_pair(rng, alpha=alpha),
+               lambda g, t: (max(abs(g.d_s), abs(g.d_c)), alpha, 1.0)),
+        regime("center_overlap", 1.0,
+               "|d_x| as a fraction of the per-sample bound 2 / l_t",
+               lambda: _left_overlap_pair(rng),
+               lambda g, t: (abs(g.d_x), 2.0 / t.l, 2.0 / t.l)),
+        regime("scale_center_aligned", 1.0,
+               "|d_l| as a fraction of the per-sample bound 1 / l_t",
+               lambda: _center_aligned_pair(rng),
+               lambda g, t: (abs(g.d_l), 1.0 / t.l, 1.0 / t.l)),
+    ]
+    return GradientBoundAudit(alpha=alpha, seed=seed, n_samples=n_samples, regimes=regimes)
 
 
 def reference_sigmoid(x: np.ndarray) -> np.ndarray:

@@ -11,7 +11,8 @@ recorded on:
 - state: the seeds' final ``TrainState`` arrays concatenated in field order;
 - the stdout of ``bevbox assign configs/example_scene.json --r R``;
 - one failing stack: its error, step, cause, last report and files;
-- the stdout of ``bevbox gradcheck --samples 1000 --seed 0 --alpha 0.5``;
+- the stdout of ``bevbox gradcheck --samples N --seed S --alpha 0.5`` for
+  1000 samples at seed 0 and 10k samples at seeds 0 and 1;
 - the ``(n_union_hits, n_inter_hits)`` of 20 seeded Monte Carlo estimates.
 
 numpy's ufuncs and pairwise sums can round differently on another numpy or
@@ -124,9 +125,20 @@ def test_failing_stack(tmp_path):
     })
 
 
+def gradcheck_digest(capsys, samples: int, seed: int) -> str:
+    assert main(["gradcheck", "--samples", str(samples), "--seed", str(seed),
+                 "--alpha", "0.5"]) == 0
+    return sha(capsys.readouterr().out)
+
+
 def test_gradcheck_stdout(capsys):
-    assert main(["gradcheck", "--samples", "1000", "--seed", "0", "--alpha", "0.5"]) == 0
-    check("gradcheck samples=1000 seed=0", sha(capsys.readouterr().out))
+    check("gradcheck samples=1000 seed=0", gradcheck_digest(capsys, 1000, 0))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gradcheck_stdout_10k(capsys, seed):
+    # Seed 0 is the benchmark's call.
+    check(f"gradcheck samples=10000 seed={seed}", gradcheck_digest(capsys, 10_000, seed))
 
 
 def test_mc_hit_counts():

@@ -458,6 +458,18 @@ class TestMcOracle:
         with pytest.raises(ValueError):
             mc_iou_oracle(b, b, n_samples=100, seed=0)
 
+    @pytest.mark.parametrize("n_samples,message", [
+        (9_999, "expected an integer >= 10000, got 9999"),
+        (20_000.5, "expected an integer, got 20000.5"),
+        (True, "expected int, got bool"),
+        ("20000", "expected int, got str"),
+    ])
+    def test_rejects_malformed_sample_counts(self, n_samples, message):
+        # A count is never truncated to an integer.
+        b = Box3D(0, 0, 0, 2, 2, 2, 0.0)
+        with pytest.raises(ValueError, match=f"^n_samples: {message}$"):
+            mc_iou_oracle(b, b, n_samples=n_samples, seed=0)
+
     def test_rejects_negative_seed(self):
         b = Box3D(0, 0, 0, 2, 2, 2, 0.0)
         with pytest.raises(ValueError, match="^seed: expected a non-negative integer, got -1$"):

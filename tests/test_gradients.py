@@ -6,13 +6,16 @@ rotation weight. Each gets closed-form assertions here; generic correctness
 away from the kinks is covered by finite differences and the magnitude audit.
 """
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bevbox.gradients
 from bevbox import (
     Box3D,
     BoxParams8,
@@ -29,7 +32,10 @@ from bevbox import (
     rwiou_loss_grad,
 )
 from bevbox.gradients import (
+    _CHECK_CHUNK,
+    _RwiouRows,
     _center_aligned_pair,
+    _fd_rows,
     _left_overlap_pair,
     _margin_ok,
     _normal,
@@ -39,6 +45,11 @@ from bevbox.gradients import (
     center_term_grad,
     random_overlapping_pair,
     regression_sample_grad_batch,
+)
+from helpers import (
+    reference_finite_difference_grad,
+    reference_gradient_bound_audit,
+    reference_gradient_check,
 )
 
 GEOMETRY_COMPONENTS = ("d_x", "d_y", "d_z", "d_l", "d_w", "d_h")
@@ -310,6 +321,13 @@ class TestFiniteDifferenceAgreement:
         with pytest.raises(ValueError):
             finite_difference_grad(BoxParams8(*values), target, 0.5)
 
+    @pytest.mark.parametrize("rel_step", [0.0, 1e-20])
+    def test_vanishing_step_raises(self, rel_step):
+        # 0.5 + 1e-20 rounds to 0.5: the step would divide 0 by 0.
+        with pytest.raises(ValueError, match=f"^finite-difference step {rel_step!r} takes "
+                                             "x = 0.5 out of range$"):
+            finite_difference_grad(PROBE, UNIT_CUBE, 0.5, rel_step=rel_step)
+
     def test_report_is_deterministic(self):
         a = gradient_check(n_samples=50, seed=3)
         b = gradient_check(n_samples=50, seed=3)
@@ -326,6 +344,18 @@ class TestFiniteDifferenceAgreement:
             "n_samples", "seed", "alpha", "rel_tol", "abs_floor",
             "max_abs_err", "max_rel_err", "n_failures", "worst", "passed",
         }
+
+    @pytest.mark.parametrize("check", [gradient_check, gradient_bound_audit])
+    @pytest.mark.parametrize("n_samples,message", [
+        (2.7, "expected an integer, got 2.7"),
+        (-3, "expected an integer >= 1, got -3"),
+        (0, "expected an integer >= 1, got 0"),
+        (True, "expected int, got bool"),
+        ("10", "expected int, got str"),
+    ])
+    def test_rejects_malformed_sample_counts(self, check, n_samples, message):
+        with pytest.raises(ValueError, match=f"^n_samples: {re.escape(message)}$"):
+            check(n_samples=n_samples, seed=0)
 
     @pytest.mark.parametrize("check", [gradient_check, gradient_bound_audit])
     def test_rejects_negative_seed(self, check):
@@ -603,6 +633,146 @@ class TestRegressionSampleGradBatch:
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             regression_sample_grad_batch(np.ones((1, 8)), np.ones((1, 8)), -0.1)
+
+
+def scalar_rwiou_rows(pred, target, alpha):
+    """``rwiou_loss`` and ``rwiou_loss_grad`` row by row, as arrays."""
+    pairs = [(BoxParams8(*p), BoxParams8(*t)) for p, t in zip(pred.tolist(), target.tolist())]
+    values = np.array([rwiou_loss(p, t, alpha) for p, t in pairs])
+    grads = np.array([rwiou_loss_grad(p, t, alpha).as_array() for p, t in pairs]).reshape(-1, 8)
+    return values, grads
+
+
+def assert_rows_match_scalar(pred, target, alpha):
+    rows = _RwiouRows(pred, target, alpha)
+    values, grads = scalar_rwiou_rows(pred, target, alpha)
+    assert rows.loss.tobytes() == values.tobytes()
+    assert np.column_stack(rows.grad()).tobytes() == grads.tobytes()
+
+
+def overlapping_rows(seed, n, alpha=0.5):
+    """``n`` gradient-check pairs as (pred, target) channel rows."""
+    rng = np.random.default_rng(seed)
+    pairs = [random_overlapping_pair(rng, alpha=alpha, margin=1e-4) for _ in range(n)]
+    return (np.array([p.as_array() for p, _ in pairs]),
+            np.array([t.as_array() for _, t in pairs]))
+
+
+def row_fd(pred, target, alpha):
+    """The gradient check's numerical side over rows."""
+    stepped_targets = np.repeat(target, 16, axis=0)
+    return _fd_rows(pred, lambda s: _RwiouRows(s, stepped_targets, alpha).loss, 1e-6)
+
+
+class TestRwiouRows:
+    """The RWIoU row passes equal ``rwiou_loss`` and ``rwiou_loss_grad``
+    byte for byte, and the row finite differences equal the scalar loop."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_matches_scalar_on_random_pairs(self, alpha):
+        rng = np.random.default_rng(23)
+        n = 2_000
+        yaw = rng.uniform(-math.pi, math.pi, n)
+        target = np.column_stack([rng.uniform(-5, 5, (n, 3)), rng.uniform(0.6, 5, (n, 3)),
+                                  np.sin(yaw), np.cos(yaw)])
+        pred = target.copy()
+        pred[:, 0:3] += rng.uniform(-0.8, 0.8, (n, 3)) * target[:, 3:6]
+        pred[:, 3:6] *= rng.uniform(0.6, 1.6, (n, 3))
+        pred[:, 6:8] += rng.normal(0, 0.8, (n, 2))
+        assert_rows_match_scalar(pred, target, alpha)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=kink_pair())
+    def test_matches_scalar_on_kinks(self, case):
+        # Dyadic ties, touching faces, disjoint boxes and clamped weights.
+        pred, target, alpha = case
+        assert_rows_match_scalar(pred[None, :], target[None, :], alpha)
+
+    def test_kinks_stacked_in_one_pass(self):
+        target = np.tile([0.0, 0.0, 0.0, 2.0, 2.0, 2.0, 1.0, 0.0], (6, 1))
+        pred = target.copy()
+        pred[1, 0] = 2.0            # faces touch: gap exactly 0
+        pred[2, 0] = 2.5            # disjoint
+        pred[3, 6] = -1.0           # |ds| = 2, clamps at alpha = 1
+        pred[4, 7] = 0.3            # s_p == s_t: sign(0)
+        pred[5, 1:6] = [0.5, -0.5, 2.0, 1.0, 1.0]   # y's hi and z's lo faces tie
+        for alpha in (0.0, 0.5, 1.0):
+            assert_rows_match_scalar(pred, target, alpha)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_row_fd_equals_scalar_fd(self, alpha):
+        pred, target = overlapping_rows(24, 300, alpha)
+        expected = np.array([reference_finite_difference_grad(BoxParams8(*p), BoxParams8(*t), alpha)
+                             for p, t in zip(pred.tolist(), target.tolist())])
+        assert row_fd(pred, target, alpha).tobytes() == expected.tobytes()
+
+    def test_public_fd_equals_scalar_fd(self):
+        pred, target = overlapping_rows(25, 50)
+        for p, t in zip(pred.tolist(), target.tolist()):
+            p, t = BoxParams8(*p), BoxParams8(*t)
+            for loss_fn in (rwiou_loss, regression_sample_loss):
+                got = finite_difference_grad(p, t, 0.5, loss_fn=loss_fn)
+                want = reference_finite_difference_grad(p, t, 0.5, loss_fn=loss_fn)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("offenders,first", [
+        ({(1, 4): 1e-7, (2, 3): 1e-7}, 1),
+        ({(2, 3): 1e-7, (3, 0): 1.7976931348623157e308}, 2),
+        ({(3, 0): 1.7976931348623157e308}, 3),
+    ])
+    def test_first_offending_row_raises(self, offenders, first):
+        # Later rows step a size to <= 0 or overflow; the message is the
+        # scalar FD's for the first offending (row, channel).
+        pred, target = overlapping_rows(26, 4)
+        for (row, channel), value in offenders.items():
+            pred[row, channel] = value
+        with pytest.raises(ValueError) as scalar:
+            reference_finite_difference_grad(BoxParams8(*pred[first]), BoxParams8(*target[first]),
+                                             0.5)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(scalar.value))}$"):
+            row_fd(pred, target, 0.5)
+
+
+def report_json(report) -> str:
+    return json.dumps(report.to_json_dict())
+
+
+class TestChunkedChecks:
+    """The chunked gradient check and bound audit give the per-sample loops'
+    reports (``helpers``) byte for byte."""
+
+    @pytest.mark.parametrize("n_samples,seed,alpha", [
+        (1, 0, 0.5),
+        (2 * _CHECK_CHUNK + 37, 5, 0.0),
+        (2 * _CHECK_CHUNK + 37, 6, 0.5),
+        (2 * _CHECK_CHUNK + 37, 7, 1.0),
+        (10_000, 0, 0.5),
+    ])
+    def test_reports_equal_per_sample_loops(self, n_samples, seed, alpha):
+        assert (report_json(gradient_check(n_samples, seed, alpha))
+                == report_json(reference_gradient_check(n_samples, seed, alpha)))
+        assert (report_json(gradient_bound_audit(n_samples, seed, alpha))
+                == report_json(reference_gradient_bound_audit(n_samples, seed, alpha)))
+
+    def test_failures_equal_per_sample_loop(self):
+        # Tight tolerances fail some components, and components where one
+        # side is 0 tie at relative error 1: this pins n_failures and the
+        # first of equal maxima as worst.
+        n_samples = 2 * _CHECK_CHUNK + 37
+        report = gradient_check(n_samples, 9, 0.5, rel_tol=1e-7, abs_floor=1e-12)
+        assert report.n_failures > 0 and report.max_rel_err == 1.0
+        assert report_json(report) == report_json(
+            reference_gradient_check(n_samples, 9, 0.5, rel_tol=1e-7, abs_floor=1e-12))
+
+    def test_violations_equal_per_sample_loop(self, monkeypatch):
+        # A slack of -1 makes nearly every sample a violation, which pins
+        # the count, the first five entries in order and max_observed.
+        monkeypatch.setattr(bevbox.gradients, "BOUND_SLACK", -1.0)
+        n_samples = 2 * _CHECK_CHUNK + 37
+        audit = gradient_bound_audit(n_samples, 8, 0.5)
+        assert report_json(audit) == report_json(reference_gradient_bound_audit(n_samples, 8, 0.5))
+        assert all(len(r.violations) == 5 and r.n_violations > n_samples // 2
+                   for r in audit.regimes)
 
 
 class TestGrad8:
