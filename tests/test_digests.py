@@ -11,8 +11,9 @@ recorded on:
 - state: the seeds' final ``TrainState`` arrays concatenated in field order;
 - the stdout of ``bevbox assign configs/example_scene.json --r R``;
 - one failing stack: its error, step, cause, last report and files;
-- the stdout of ``bevbox gradcheck --samples N --seed S --alpha 0.5`` for
-  1000 samples at seed 0 and 10k samples at seeds 0 and 1;
+- the stdout of ``bevbox gradcheck --samples N --seed S --alpha A`` for
+  1000 samples at seed 0 and 10k samples at seeds 0 and 1, all at alpha
+  0.5, and 2000 samples at seed 3 with alpha 0.0 and 1.0;
 - the ``(n_union_hits, n_inter_hits)`` of 20 seeded Monte Carlo estimates.
 
 numpy's ufuncs and pairwise sums can round differently on another numpy or
@@ -125,9 +126,9 @@ def test_failing_stack(tmp_path):
     })
 
 
-def gradcheck_digest(capsys, samples: int, seed: int) -> str:
+def gradcheck_digest(capsys, samples: int, seed: int, alpha: float = 0.5) -> str:
     assert main(["gradcheck", "--samples", str(samples), "--seed", str(seed),
-                 "--alpha", "0.5"]) == 0
+                 "--alpha", str(alpha)]) == 0
     return sha(capsys.readouterr().out)
 
 
@@ -139,6 +140,13 @@ def test_gradcheck_stdout(capsys):
 def test_gradcheck_stdout_10k(capsys, seed):
     # Seed 0 is the benchmark's call.
     check(f"gradcheck samples=10000 seed={seed}", gradcheck_digest(capsys, 10_000, seed))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_gradcheck_stdout_alpha(capsys, alpha):
+    # The margin test reads alpha: its channel-weight term is 1 at alpha 0.0
+    # and can reach the clamp's breakpoint at 1.0.
+    check(f"gradcheck samples=2000 seed=3 alpha={alpha}", gradcheck_digest(capsys, 2000, 3, alpha))
 
 
 def test_mc_hit_counts():
