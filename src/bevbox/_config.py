@@ -26,17 +26,17 @@ def _require_list(value, context: str) -> list:
 
 
 def _scalar(kind, value, context: str):
-    """``kind(value)`` for ``kind`` ``float``, ``int`` or ``str``.  A value
-    ``kind`` cannot take (``null``, a list or an object), a boolean for a
-    number and a number with a fractional part for an ``int`` raise
-    ``ValueError``."""
-    if kind is not str and isinstance(value, bool):
-        raise ValueError(f"{context}: expected {kind.__name__}, got bool")
+    """``kind(value)`` for ``kind`` ``float``, ``int`` or ``str``.  For a
+    number, anything but a real number (``null``, a string, a list or an
+    object), a boolean, an ``int`` too large for a ``float`` and a number
+    with a fractional part for an ``int`` raise ``ValueError``."""
+    if kind is not str and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise ValueError(f"{context}: expected {kind.__name__}, got {type(value).__name__}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{context}: expected an integer, got {value!r}")
     try:
         return kind(value)
-    except (TypeError, OverflowError):
+    except OverflowError:
         raise ValueError(f"{context}: expected {kind.__name__}, got {type(value).__name__}") from None
 
 
@@ -49,10 +49,8 @@ def _seed(value, context: str) -> int:
 
 
 def _count(value, context: str, minimum: int = 1) -> int:
-    """A sample count: a number (not a string) that is an ``int`` by
-    :func:`_scalar` and at least ``minimum``."""
-    if not isinstance(value, numbers.Real):
-        raise ValueError(f"{context}: expected int, got {type(value).__name__}")
+    """A sample count: an ``int`` by :func:`_scalar` that is at least
+    ``minimum``."""
     count = _scalar(int, value, context)
     if count < minimum:
         raise ValueError(f"{context}: expected an integer >= {minimum}, got {count}")

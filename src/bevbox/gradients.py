@@ -41,7 +41,6 @@ from .geometry import (
     _check_alpha,
     _face_volume,
     _rwiou_volumes,
-    aabb_intersection_volume,
     center_distance_term,
 )
 
@@ -398,67 +397,118 @@ def finite_difference_grad(pred: BoxParams8, target: BoxParams8, alpha: float,
     return _fd_rows(pred.as_array()[None, :], losses, rel_step)[0]
 
 
-def _uniform(rng: np.random.Generator, *bounds: tuple[float, float]) -> list[float]:
-    """``[float(rng.uniform(low, high)) for low, high in bounds]`` from one
-    ``rng.random`` call: the generator maps each draw ``u`` to
-    ``low + (high - low) * u``, taking the draws in the same order."""
-    return [low + (high - low) * u
-            for (low, high), u in zip(bounds, rng.random(len(bounds)).tolist())]
+def _ranges(*bounds: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(low, high - low)`` arrays of uniform ``(low, high)`` ranges."""
+    low, high = np.array(bounds).T
+    return low, high - low
 
 
-def _normal(rng: np.random.Generator, *scales: float) -> list[float]:
-    """``[float(rng.normal(0.0, scale)) for scale in scales]`` from one
-    ``rng.standard_normal`` call, mapped by the generator's ``loc + scale * z``."""
-    return [0.0 + scale * z for scale, z in zip(scales, rng.standard_normal(len(scales)).tolist())]
+def _map_uniform(ranges: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> np.ndarray:
+    """Draws ``u`` of ``rng.random`` mapped to ``ranges`` by the generator's
+    ``uniform`` formula ``low + (high - low) * u``, so each equals a
+    ``rng.uniform(low, high)`` call taking the same draw."""
+    low, span = ranges
+    return low + span * u
 
 
-def _jittered_yaw(rng: np.random.Generator, target: BoxParams8) -> float:
-    """The target's yaw ``atan2(s, c)`` plus a normal draw of scale 0.6."""
-    (d_yaw,) = _normal(rng, 0.6)
-    return math.atan2(target.s, target.c) + d_yaw
+def _map_normal(scale, z: np.ndarray) -> np.ndarray:
+    """Draws ``z`` of ``rng.standard_normal`` mapped by the generator's
+    ``normal`` formula ``loc + scale * z`` with ``loc = 0.0``, so each equals
+    a ``rng.normal(0.0, scale)`` call taking the same draw."""
+    return 0.0 + scale * z
 
 
 # Center, size and yaw ranges of a sampled target box.
-_BOX_BOUNDS = ((-5.0, 5.0), (-5.0, 5.0), (-2.0, 2.0),
+_BOX = _ranges((-5.0, 5.0), (-5.0, 5.0), (-2.0, 2.0),
                (0.6, 5.0), (0.6, 5.0), (0.6, 5.0), (0.0, 2.0 * math.pi))
+# A perturbed prediction's center shifts and size factors.
+_PERTURB = _ranges(*[(-0.5, 0.5)] * 3, *[(0.6, 1.6)] * 3)
+# A sliding prediction's size factors and x shift, then its y and z shifts.
+_SLIDE = _ranges(*[(0.7, 1.3)] * 3, (0.05, 0.95))
+_SLIDE_YZ = _ranges((-0.3, 0.3), (-0.3, 0.3))
+# A center-aligned prediction's size factors.
+_RESCALE = _ranges(*[(0.5, 2.0)] * 3)
 
 
-def _random_box_params(rng: np.random.Generator) -> BoxParams8:
-    # Bounded draws are finite with positive sizes, so the samplers build
-    # their boxes unchecked.
-    x, y, z, l, w, h, theta = _uniform(rng, *_BOX_BOUNDS)
-    return BoxParams8._unchecked([x, y, z, l, w, h, math.sin(theta), math.cos(theta)])
+def _targets(u7: np.ndarray) -> np.ndarray:
+    """Target rows from ``(n, 7)`` draws of the :data:`_BOX` ranges; the
+    yaw's sine and cosine are ``math``'s."""
+    box = _map_uniform(_BOX, u7)
+    theta = box[:, 6].tolist()
+    targets = np.empty((len(u7), 8))
+    targets[:, 0:6] = box[:, 0:6]
+    targets[:, 6] = list(map(math.sin, theta))
+    targets[:, 7] = list(map(math.cos, theta))
+    return targets
 
 
-def _perturbed_params(rng: np.random.Generator, target: BoxParams8) -> BoxParams8:
-    yaw = _jittered_yaw(rng, target)
-    f_x, f_y, f_z, f_l, f_w, f_h = _uniform(rng, *[(-0.5, 0.5)] * 3, *[(0.6, 1.6)] * 3)
-    d_s, d_c = _normal(rng, 0.05, 0.05)
-    return BoxParams8._unchecked([
-        target.x + f_x * target.l,
-        target.y + f_y * target.w,
-        target.z + f_z * target.h,
-        target.l * f_l,
-        target.w * f_w,
-        target.h * f_h,
-        math.sin(yaw) + d_s,
-        math.cos(yaw) + d_c,
-    ])
+def _sin_cos_near(targets: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``(n, 2)`` sine and cosine of the targets' yaws ``atan2(s, c)`` plus
+    normal draws ``z`` of scale 0.6, all by ``math``: ``np.arctan2`` can
+    differ from ``math.atan2`` in the last bit."""
+    yaw = (np.array(list(map(math.atan2, targets[:, 6].tolist(), targets[:, 7].tolist())))
+           + _map_normal(0.6, z)).tolist()
+    return np.array([list(map(math.sin, yaw)), list(map(math.cos, yaw))]).T
 
 
-def _margin_ok(pred: BoxParams8, target: BoxParams8, alpha: float, margin: float) -> bool:
-    """True when every clamp argument sits at least ``margin`` from its breakpoint."""
-    for (lo_p, hi_p), (lo_t, hi_t) in zip(_axis_bounds(pred), _axis_bounds(target)):
-        if abs(lo_p - lo_t) < margin or abs(hi_p - hi_t) < margin:
-            return False
-        if min(hi_p, hi_t) - max(lo_p, lo_t) < margin:
-            return False
-    for delta in (pred.s - target.s, pred.c - target.c):
-        if abs(delta) < margin:
-            return False
-        if abs(1.0 - 0.5 * alpha * abs(delta)) < margin:
-            return False
-    return True
+def _overlap_gaps(pred: np.ndarray, target: np.ndarray):
+    """The faces ``(lo_p, hi_p, lo_t, hi_t)`` of ``(n, 8)`` rows, each
+    ``(n, 3)`` as :func:`~bevbox.geometry._axis_bounds` gives them, and the
+    per-axis overlaps ``min(hi_p, hi_t) - max(lo_p, lo_t)``."""
+    half_p, half_t = 0.5 * pred[:, 3:6], 0.5 * target[:, 3:6]
+    lo_p, hi_p = pred[:, 0:3] - half_p, pred[:, 0:3] + half_p
+    lo_t, hi_t = target[:, 0:3] - half_t, target[:, 0:3] + half_t
+    return lo_p, hi_p, lo_t, hi_t, np.minimum(hi_p, hi_t) - np.maximum(lo_p, lo_t)
+
+
+def _overlapping(gap: np.ndarray) -> np.ndarray:
+    """Whether each pair's ``aabb_intersection_volume`` is positive: every
+    overlap is, and so is their product in ``_overlap_volume``'s order."""
+    return (gap > 0.0).all(axis=1) & (gap[:, 0] * gap[:, 1] * gap[:, 2] > 0.0)
+
+
+def _overlapping_rows(rng: np.random.Generator, n: int, alpha: float,
+                      margin: float) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` (pred, target) pairs with overlapping axis-aligned footprints,
+    as ``(n, 8)`` prediction and target rows.
+
+    An attempt draws the target's seven uniforms, the yaw jitter's normal,
+    six uniforms of the prediction's center shifts and size factors, and
+    its sine and cosine noise's two normals.  It is rejected when the
+    footprints do not overlap, or when a clamp argument sits less than
+    ``margin`` from its breakpoint, which is what makes central finite
+    differences trustworthy on the pair.  A round draws as many attempts
+    as pairs are still needed, one generator call per kind and attempt in
+    that order, and keeps the accepted ones in attempt order; so the pairs
+    and the generator's state are those of drawing pair by pair.
+    """
+    u7, n1, u6, n2 = np.empty((n, 7)), np.empty((n, 1)), np.empty((n, 6)), np.empty((n, 2))
+    preds, targets = [], []
+    need = n
+    while need:
+        for row in zip(u7[:need], n1[:need], u6[:need], n2[:need]):
+            rng.random(out=row[0])
+            rng.standard_normal(out=row[1])
+            rng.random(out=row[2])
+            rng.standard_normal(out=row[3])
+        target = _targets(u7[:need])
+        f = _map_uniform(_PERTURB, u6[:need])
+        pred = np.empty_like(target)
+        pred[:, 0:3] = target[:, 0:3] + f[:, 0:3] * target[:, 3:6]
+        pred[:, 3:6] = target[:, 3:6] * f[:, 3:6]
+        pred[:, 6:8] = _sin_cos_near(target, n1[:need, 0]) + _map_normal(0.05, n2[:need])
+        lo_p, hi_p, lo_t, hi_t, gap = _overlap_gaps(pred, target)
+        delta = pred[:, 6:8] - target[:, 6:8]
+        # A margin of 0 rejects nothing more: no overlap or magnitude is < 0.
+        near = ((np.abs(lo_p - lo_t) < margin) | (np.abs(hi_p - hi_t) < margin)
+                | (gap < margin)).any(axis=1)
+        near |= ((np.abs(delta) < margin)
+                 | (np.abs(1.0 - 0.5 * alpha * np.abs(delta)) < margin)).any(axis=1)
+        keep = _overlapping(gap) & ~near
+        preds.append(pred[keep])
+        targets.append(target[keep])
+        need -= int(np.count_nonzero(keep))
+    return np.concatenate(preds), np.concatenate(targets)
 
 
 def random_overlapping_pair(rng: np.random.Generator, alpha: float = 0.5,
@@ -469,17 +519,72 @@ def random_overlapping_pair(rng: np.random.Generator, alpha: float = 0.5,
     least ``margin`` away from its breakpoint, which is what makes central
     finite differences trustworthy on it.
     """
-    while True:
-        target = _random_box_params(rng)
-        pred = _perturbed_params(rng, target)
-        if aabb_intersection_volume(pred, target) <= 0.0:
-            continue
-        if margin > 0.0 and not _margin_ok(pred, target, alpha, margin):
-            continue
-        return pred, target
+    preds, targets = _overlapping_rows(rng, 1, alpha, margin)
+    return BoxParams8._unchecked(preds[0].tolist()), BoxParams8._unchecked(targets[0].tolist())
 
 
-_channels = operator.attrgetter(*_FIELDS8)
+def _left_overlap_rows(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` overlapping pairs with both pred x-faces strictly left of the
+    target's, as ``(n, 8)`` prediction and target rows.
+
+    This is the configuration in which the center-gradient bound
+    ``2 / l_t`` is stated, with the prediction sliding in along x.  An
+    attempt draws eleven uniforms: the target's seven, the prediction's
+    size factors and its x shift.  Only an attempt whose x faces land as
+    stated draws its y and z shifts and its yaw jitter, so that test runs
+    attempt by attempt; a round draws until as many attempts pass it as
+    pairs are still needed, then rejects those whose footprints do not
+    overlap in y or z.
+    """
+    u11, u2, n1 = np.empty((n, 11)), np.empty((n, 2)), np.empty((n, 1))
+    (x_low, l_low), (x_span, l_span) = _BOX[0][[0, 3]].tolist(), _BOX[1][[0, 3]].tolist()
+    (f_low, shift_low), (f_span, shift_span) = _SLIDE[0][[0, 3]].tolist(), _SLIDE[1][[0, 3]].tolist()
+    preds, targets = [], []
+    need = n
+    while need:
+        x_p = []
+        while len(x_p) < need:
+            k = len(x_p)
+            rng.random(out=u11[k])
+            u_x, _, _, u_l, _, _, _, u_f, _, _, u_shift = u11[k].tolist()
+            t_x, t_l = x_low + x_span * u_x, l_low + l_span * u_l
+            l_p = t_l * (f_low + f_span * u_f)
+            # Slide in from the left: right face inside, left face outside.
+            x = t_x - 0.5 * t_l - 0.5 * l_p + 0.5 * (t_l + l_p) * (shift_low + shift_span * u_shift)
+            if x + 0.5 * l_p < t_x + 0.5 * t_l and x - 0.5 * l_p < t_x - 0.5 * t_l:
+                rng.random(out=u2[k])
+                rng.standard_normal(out=n1[k])
+                x_p.append(x)
+        target = _targets(u11[:need, 0:7])
+        f = _map_uniform(_SLIDE, u11[:need, 7:11])[:, 0:3]
+        pred = np.empty_like(target)
+        pred[:, 0] = x_p
+        pred[:, 1:3] = target[:, 1:3] + _map_uniform(_SLIDE_YZ, u2[:need]) * target[:, 4:6]
+        pred[:, 3:6] = target[:, 3:6] * f
+        pred[:, 6:8] = _sin_cos_near(target, n1[:need, 0])
+        # The x faces overlap by construction; this checks y and z.
+        keep = _overlapping(_overlap_gaps(pred, target)[-1])
+        preds.append(pred[keep])
+        targets.append(target[keep])
+        need -= int(np.count_nonzero(keep))
+    return np.concatenate(preds), np.concatenate(targets)
+
+
+def _center_aligned_rows(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` pairs sharing the exact center, sizes independently rescaled,
+    as ``(n, 8)`` prediction and target rows."""
+    u7, n1, u3 = np.empty((n, 7)), np.empty((n, 1)), np.empty((n, 3))
+    for row in zip(u7, n1, u3):
+        rng.random(out=row[0])
+        rng.standard_normal(out=row[1])
+        rng.random(out=row[2])
+    target = _targets(u7)
+    pred = target.copy()
+    pred[:, 3:6] = target[:, 3:6] * _map_uniform(_RESCALE, u3)
+    pred[:, 6:8] = _sin_cos_near(target, n1[:, 0])
+    return pred, target
+
+
 _grad_channels = operator.attrgetter(*(f"d_{name}" for name in _FIELDS8))
 
 
@@ -487,17 +592,6 @@ def _chunk_sizes(n_samples: int):
     """The sizes of the ``_CHECK_CHUNK``-sample chunks of ``n_samples``."""
     for start in range(0, n_samples, _CHECK_CHUNK):
         yield min(_CHECK_CHUNK, n_samples - start)
-
-
-def _draw_rows(draw, n: int, *per_pair) -> np.ndarray:
-    """``n`` pairs from ``draw()``, in draw order, as ``(n, 8)`` rows of the
-    prediction's and the target's channels, then of each
-    ``per_pair(pred, target)``'s eight values; no pair outlives its rows."""
-    rows = []
-    for _ in range(n):
-        pred, target = draw()
-        rows.append((_channels(pred), _channels(target), *(f(pred, target) for f in per_pair)))
-    return np.array(rows).transpose(1, 0, 2)
 
 
 @dataclass
@@ -547,9 +641,10 @@ def gradient_check(n_samples: int = 10_000, seed: int = 0, alpha: float = 0.5,
     n_fail = 0
     worst: dict = {}
     for n in _chunk_sizes(n_samples):
-        preds, targets, analytic = _draw_rows(
-            lambda: random_overlapping_pair(rng, alpha=alpha, margin=margin), n,
-            lambda pred, target: _grad_channels(rwiou_loss_grad(pred, target, alpha)))
+        preds, targets = _overlapping_rows(rng, n, alpha, margin)
+        analytic = np.array([
+            _grad_channels(rwiou_loss_grad(BoxParams8._unchecked(p), BoxParams8._unchecked(t), alpha))
+            for p, t in zip(preds.tolist(), targets.tolist())])
         stepped_targets = np.repeat(targets, 16, axis=0)
         numeric = _fd_rows(preds, lambda stepped: _RwiouRows(stepped, stepped_targets, alpha).loss,
                            _FD_STEP)
@@ -622,45 +717,6 @@ class GradientBoundAudit:
                 "passed": self.passed}
 
 
-def _left_overlap_pair(rng: np.random.Generator) -> tuple[BoxParams8, BoxParams8]:
-    """Overlapping pair with both pred x-faces strictly left of the target's.
-
-    This is the configuration in which the center-gradient bound
-    ``2 / l_t`` is stated, with the prediction sliding in along x.
-    """
-    while True:
-        target = _random_box_params(rng)
-        f_l, f_w, f_h, f_shift = _uniform(rng, *[(0.7, 1.3)] * 3, (0.05, 0.95))
-        l_p = target.l * f_l
-        w_p = target.w * f_w
-        h_p = target.h * f_h
-        # Slide in from the left: right face inside, left face outside.
-        shift = 0.5 * (target.l + l_p) * f_shift
-        x_p = target.x - 0.5 * target.l - 0.5 * l_p + shift
-        if not (x_p + 0.5 * l_p < target.x + 0.5 * target.l
-                and x_p - 0.5 * l_p < target.x - 0.5 * target.l):
-            continue
-        f_y, f_z = _uniform(rng, (-0.3, 0.3), (-0.3, 0.3))
-        yaw = _jittered_yaw(rng, target)
-        pred = BoxParams8._unchecked([x_p, target.y + f_y * target.w, target.z + f_z * target.h,
-                                      l_p, w_p, h_p, math.sin(yaw), math.cos(yaw)])
-        # The x faces overlap by construction; this checks y and z.
-        if aabb_intersection_volume(pred, target) <= 0.0:
-            continue
-        return pred, target
-
-
-def _center_aligned_pair(rng: np.random.Generator) -> tuple[BoxParams8, BoxParams8]:
-    """Pair sharing the exact center, sizes independently rescaled."""
-    target = _random_box_params(rng)
-    yaw = _jittered_yaw(rng, target)
-    f_l, f_w, f_h = _uniform(rng, *[(0.5, 2.0)] * 3)
-    pred = BoxParams8._unchecked([target.x, target.y, target.z,
-                                  target.l * f_l, target.w * f_w, target.h * f_h,
-                                  math.sin(yaw), math.cos(yaw)])
-    return pred, target
-
-
 def gradient_bound_audit(n_samples: int = 10_000, seed: int = 0,
                          alpha: float = 0.5) -> GradientBoundAudit:
     """Audit the analytic gradient against its closed-form magnitude bounds.
@@ -693,7 +749,7 @@ def gradient_bound_audit(n_samples: int = 10_000, seed: int = 0,
         report = BoundRegimeReport(regime=name, bound=bound, max_observed=0.0,
                                    n_violations=0, n_samples=n_samples, note=note)
         for n in _chunk_sizes(n_samples):
-            preds, targets = _draw_rows(draw, n)
+            preds, targets = draw(n)
             grads = np.column_stack(_RwiouRows(preds, targets, alpha).grad())
             observed, limit, unit = measure(grads, targets)
             report.max_observed = max(report.max_observed, float((observed / unit).max()))
@@ -710,16 +766,16 @@ def gradient_bound_audit(n_samples: int = 10_000, seed: int = 0,
     regimes = [
         regime("sin_cos_channel", alpha,
                "|d_s| and |d_c| against the constant bound alpha",
-               lambda: random_overlapping_pair(rng, alpha=alpha),
+               lambda n: _overlapping_rows(rng, n, alpha, 0.0),
                lambda g, t: (np.maximum(np.abs(g[:, 6]), np.abs(g[:, 7])),
                              np.full(len(t), alpha), 1.0)),
         regime("center_overlap", 1.0,
                "|d_x| as a fraction of the per-sample bound 2 / l_t",
-               lambda: _left_overlap_pair(rng),
+               lambda n: _left_overlap_rows(rng, n),
                lambda g, t: (np.abs(g[:, 0]), 2.0 / t[:, 3], 2.0 / t[:, 3])),
         regime("scale_center_aligned", 1.0,
                "|d_l| as a fraction of the per-sample bound 1 / l_t",
-               lambda: _center_aligned_pair(rng),
+               lambda n: _center_aligned_rows(rng, n),
                lambda g, t: (np.abs(g[:, 3]), 1.0 / t[:, 3], 1.0 / t[:, 3])),
     ]
     return GradientBoundAudit(alpha=alpha, seed=seed, n_samples=n_samples,

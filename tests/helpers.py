@@ -14,7 +14,9 @@ paths they check, so agreement is bitwise too.
 
 The gradient check and the bound audit are referenced by their per-sample
 loops: one ``BoxParams8`` pair at a time, a scalar central difference per
-channel, and the reports folded sample by sample.
+channel, and the reports folded sample by sample.  Their pairs come from
+per-value samplers: one ``rng.uniform`` or ``rng.normal`` call per value and
+one rejection test per pair, on validated ``BoxParams8`` boxes.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from bevbox import (
     LossWeights,
     OptimizerConfig,
     PredictionMap,
+    aabb_intersection_volume,
     assign_center,
     assign_dcla,
     init_state,
@@ -53,9 +56,6 @@ from bevbox.gradients import (
     BoundRegimeReport,
     GradientBoundAudit,
     GradientCheckReport,
-    _center_aligned_pair,
-    _left_overlap_pair,
-    random_overlapping_pair,
 )
 from bevbox.losses import SCORE_EPS
 
@@ -362,6 +362,102 @@ def reference_finite_difference_grad(pred: BoxParams8, target: BoxParams8, alpha
     return grad
 
 
+def scalar_box_params(rng) -> BoxParams8:
+    """A sampled target box, one generator call per value."""
+    return BoxParams8.from_box(Box3D(
+        float(rng.uniform(-5.0, 5.0)), float(rng.uniform(-5.0, 5.0)),
+        float(rng.uniform(-2.0, 2.0)), float(rng.uniform(0.6, 5.0)),
+        float(rng.uniform(0.6, 5.0)), float(rng.uniform(0.6, 5.0)),
+        float(rng.uniform(0.0, 2.0 * math.pi)),
+    ))
+
+
+def scalar_perturbed_params(rng, target: BoxParams8) -> BoxParams8:
+    """A prediction near ``target``: jittered yaw, shifted center, rescaled
+    sizes and noisy sine and cosine channels."""
+    yaw = math.atan2(target.s, target.c) + float(rng.normal(0.0, 0.6))
+    return BoxParams8(
+        target.x + float(rng.uniform(-0.5, 0.5)) * target.l,
+        target.y + float(rng.uniform(-0.5, 0.5)) * target.w,
+        target.z + float(rng.uniform(-0.5, 0.5)) * target.h,
+        target.l * float(rng.uniform(0.6, 1.6)),
+        target.w * float(rng.uniform(0.6, 1.6)),
+        target.h * float(rng.uniform(0.6, 1.6)),
+        math.sin(yaw) + float(rng.normal(0.0, 0.05)),
+        math.cos(yaw) + float(rng.normal(0.0, 0.05)),
+    )
+
+
+def reference_margin_ok(pred: BoxParams8, target: BoxParams8, alpha: float,
+                        margin: float) -> bool:
+    """True when every clamp argument of the loss sits at least ``margin``
+    from its breakpoint: face differences, overlaps, sine and cosine
+    differences and the channel weights' raw values."""
+    for c_p, c_t, e_p, e_t in ((pred.x, target.x, pred.l, target.l),
+                               (pred.y, target.y, pred.w, target.w),
+                               (pred.z, target.z, pred.h, target.h)):
+        lo_p, hi_p = c_p - 0.5 * e_p, c_p + 0.5 * e_p
+        lo_t, hi_t = c_t - 0.5 * e_t, c_t + 0.5 * e_t
+        if abs(lo_p - lo_t) < margin or abs(hi_p - hi_t) < margin:
+            return False
+        if min(hi_p, hi_t) - max(lo_p, lo_t) < margin:
+            return False
+    for delta in (pred.s - target.s, pred.c - target.c):
+        if abs(delta) < margin or abs(1.0 - 0.5 * alpha * abs(delta)) < margin:
+            return False
+    return True
+
+
+def scalar_overlapping_pair(rng, alpha: float, margin: float):
+    """An overlapping (pred, target) pair, each clamp argument at least
+    ``margin`` from its breakpoint: draw, then test, until one passes."""
+    while True:
+        target = scalar_box_params(rng)
+        pred = scalar_perturbed_params(rng, target)
+        if aabb_intersection_volume(pred, target) <= 0.0:
+            continue
+        if margin > 0.0 and not reference_margin_ok(pred, target, alpha, margin):
+            continue
+        return pred, target
+
+
+def scalar_left_overlap_pair(rng):
+    """An overlapping pair with both pred x-faces strictly left of the
+    target's; the y and z shifts and the yaw are drawn only once the x faces
+    land so."""
+    while True:
+        target = scalar_box_params(rng)
+        l_p = target.l * float(rng.uniform(0.7, 1.3))
+        w_p = target.w * float(rng.uniform(0.7, 1.3))
+        h_p = target.h * float(rng.uniform(0.7, 1.3))
+        shift = 0.5 * (target.l + l_p) * float(rng.uniform(0.05, 0.95))
+        x_p = target.x - 0.5 * target.l - 0.5 * l_p + shift
+        if not (x_p + 0.5 * l_p < target.x + 0.5 * target.l
+                and x_p - 0.5 * l_p < target.x - 0.5 * target.l):
+            continue
+        y_p = target.y + float(rng.uniform(-0.3, 0.3)) * target.w
+        z_p = target.z + float(rng.uniform(-0.3, 0.3)) * target.h
+        yaw = math.atan2(target.s, target.c) + float(rng.normal(0.0, 0.6))
+        pred = BoxParams8(x_p, y_p, z_p, l_p, w_p, h_p, math.sin(yaw), math.cos(yaw))
+        if aabb_intersection_volume(pred, target) <= 0.0:
+            continue
+        return pred, target
+
+
+def scalar_center_aligned_pair(rng):
+    """A pair sharing the exact center, sizes independently rescaled."""
+    target = scalar_box_params(rng)
+    yaw = math.atan2(target.s, target.c) + float(rng.normal(0.0, 0.6))
+    pred = BoxParams8(
+        target.x, target.y, target.z,
+        target.l * float(rng.uniform(0.5, 2.0)),
+        target.w * float(rng.uniform(0.5, 2.0)),
+        target.h * float(rng.uniform(0.5, 2.0)),
+        math.sin(yaw), math.cos(yaw),
+    )
+    return pred, target
+
+
 def reference_gradient_check(n_samples: int, seed: int, alpha: float,
                              rel_tol: float = 1e-5, abs_floor: float = 1e-8,
                              margin: float = 1e-4) -> GradientCheckReport:
@@ -374,7 +470,7 @@ def reference_gradient_check(n_samples: int, seed: int, alpha: float,
     n_fail = 0
     worst: dict = {}
     for _ in range(n_samples):
-        pred, target = random_overlapping_pair(rng, alpha=alpha, margin=margin)
+        pred, target = scalar_overlapping_pair(rng, alpha, margin)
         analytic = rwiou_loss_grad(pred, target, alpha).as_array()
         numeric = reference_finite_difference_grad(pred, target, alpha)
         for i, name in enumerate(CHANNELS):
@@ -427,15 +523,15 @@ def reference_gradient_bound_audit(n_samples: int, seed: int, alpha: float) -> G
     regimes = [
         regime("sin_cos_channel", alpha,
                "|d_s| and |d_c| against the constant bound alpha",
-               lambda: random_overlapping_pair(rng, alpha=alpha),
+               lambda: scalar_overlapping_pair(rng, alpha, 0.0),
                lambda g, t: (max(abs(g.d_s), abs(g.d_c)), alpha, 1.0)),
         regime("center_overlap", 1.0,
                "|d_x| as a fraction of the per-sample bound 2 / l_t",
-               lambda: _left_overlap_pair(rng),
+               lambda: scalar_left_overlap_pair(rng),
                lambda g, t: (abs(g.d_x), 2.0 / t.l, 2.0 / t.l)),
         regime("scale_center_aligned", 1.0,
                "|d_l| as a fraction of the per-sample bound 1 / l_t",
-               lambda: _center_aligned_pair(rng),
+               lambda: scalar_center_aligned_pair(rng),
                lambda g, t: (abs(g.d_l), 1.0 / t.l, 1.0 / t.l)),
     ]
     return GradientBoundAudit(alpha=alpha, seed=seed, n_samples=n_samples, regimes=regimes)

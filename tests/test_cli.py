@@ -240,6 +240,11 @@ MALFORMED = [
     ("fit", ("output",), 3),
     ("fit", ("assigner",), None),
     ("fit", ("assigner", "r"), 1.5),
+    # A number in a JSON string is not a number.
+    ("fit", ("optimizer", "n_steps"), "3"),
+    ("fit", ("optimizer", "n_steps"), "abc"),
+    ("fit", ("seeds",), ["1"]),
+    ("assign", ("ground_truths", 0, "box"), [1.5, "2.5", 0.0, 4.2, 1.9, 1.6, 0.4]),
     ("assign", ("predictions",), {"kind": "explicit", "boxes": {}, "scores": []}),
     ("assign", ("predictions",), {"kind": "explicit", "boxes": [], "scores": [[{}]]}),
     ("assign", ("predictions",), {"kind": "explicit", "boxes": [], "scores": [],

@@ -297,7 +297,22 @@ class TestCoercion:
 
     def test_bad_value_is_a_value_error(self):
         message = fit_message(with_scene(grid=dict(GRID, n_rows="many")))
-        assert message == "invalid literal for int() with base 10: 'many'"
+        assert message == "grid: n_rows: expected int, got str"
+
+    @pytest.mark.parametrize("config,message", [
+        (dict(CONFIG, optimizer={"n_steps": "3"}), "optimizer: n_steps: expected int, got str"),
+        (dict(CONFIG, optimizer={"step_size": "0.5"}),
+         "optimizer: step_size: expected float, got str"),
+        (dict(CONFIG, seeds=["1"]), "config: seeds: expected int, got str"),
+        (with_scene(seed="2"), "scene: seed: expected int, got str"),
+    ])
+    def test_number_in_a_string_is_refused(self, config, message):
+        assert fit_message(config) == message
+
+    def test_number_in_a_string_in_a_box_is_refused(self):
+        scene = json.loads(json.dumps(SCENE_FILE))
+        scene["ground_truths"][0]["box"][2] = "0.0"
+        assert scene_message(scene) == "ground truth: box: expected float, got str"
 
 
 class TestSeedsAndBooleans:

@@ -34,14 +34,13 @@ from bevbox import (
 from bevbox.gradients import (
     _CHECK_CHUNK,
     _RwiouRows,
-    _center_aligned_pair,
+    _center_aligned_rows,
     _fd_rows,
-    _left_overlap_pair,
-    _margin_ok,
-    _normal,
-    _perturbed_params,
-    _random_box_params,
-    _uniform,
+    _left_overlap_rows,
+    _map_normal,
+    _map_uniform,
+    _overlapping_rows,
+    _ranges,
     center_term_grad,
     random_overlapping_pair,
     regression_sample_grad_batch,
@@ -50,6 +49,9 @@ from helpers import (
     reference_finite_difference_grad,
     reference_gradient_bound_audit,
     reference_gradient_check,
+    scalar_center_aligned_pair,
+    scalar_left_overlap_pair,
+    scalar_overlapping_pair,
 )
 
 GEOMETRY_COMPONENTS = ("d_x", "d_y", "d_z", "d_l", "d_w", "d_h")
@@ -369,112 +371,79 @@ class TestFiniteDifferenceAgreement:
             rwiou_loss_grad(PROBE, PROBE, -0.1)
 
 
-def scalar_box_params(rng):
-    return BoxParams8.from_box(Box3D(
-        float(rng.uniform(-5.0, 5.0)), float(rng.uniform(-5.0, 5.0)),
-        float(rng.uniform(-2.0, 2.0)), float(rng.uniform(0.6, 5.0)),
-        float(rng.uniform(0.6, 5.0)), float(rng.uniform(0.6, 5.0)),
-        float(rng.uniform(0.0, 2.0 * math.pi)),
-    ))
-
-
-def scalar_perturbed_params(rng, target):
-    yaw = math.atan2(target.s, target.c) + float(rng.normal(0.0, 0.6))
-    return BoxParams8(
-        target.x + float(rng.uniform(-0.5, 0.5)) * target.l,
-        target.y + float(rng.uniform(-0.5, 0.5)) * target.w,
-        target.z + float(rng.uniform(-0.5, 0.5)) * target.h,
-        target.l * float(rng.uniform(0.6, 1.6)),
-        target.w * float(rng.uniform(0.6, 1.6)),
-        target.h * float(rng.uniform(0.6, 1.6)),
-        math.sin(yaw) + float(rng.normal(0.0, 0.05)),
-        math.cos(yaw) + float(rng.normal(0.0, 0.05)),
-    )
-
-
-def scalar_left_overlap_pair(rng):
-    while True:
-        target = scalar_box_params(rng)
-        l_p = target.l * float(rng.uniform(0.7, 1.3))
-        w_p = target.w * float(rng.uniform(0.7, 1.3))
-        h_p = target.h * float(rng.uniform(0.7, 1.3))
-        shift = 0.5 * (target.l + l_p) * float(rng.uniform(0.05, 0.95))
-        x_p = target.x - 0.5 * target.l - 0.5 * l_p + shift
-        if not (x_p + 0.5 * l_p < target.x + 0.5 * target.l
-                and x_p - 0.5 * l_p < target.x - 0.5 * target.l):
-            continue
-        y_p = target.y + float(rng.uniform(-0.3, 0.3)) * target.w
-        z_p = target.z + float(rng.uniform(-0.3, 0.3)) * target.h
-        yaw = math.atan2(target.s, target.c) + float(rng.normal(0.0, 0.6))
-        pred = BoxParams8(x_p, y_p, z_p, l_p, w_p, h_p, math.sin(yaw), math.cos(yaw))
-        if aabb_intersection_volume(pred, target) <= 0.0:
-            continue
-        return pred, target
-
-
-def scalar_center_aligned_pair(rng):
-    target = scalar_box_params(rng)
-    yaw = math.atan2(target.s, target.c) + float(rng.normal(0.0, 0.6))
-    pred = BoxParams8(
-        target.x, target.y, target.z,
-        target.l * float(rng.uniform(0.5, 2.0)),
-        target.w * float(rng.uniform(0.5, 2.0)),
-        target.h * float(rng.uniform(0.5, 2.0)),
-        math.sin(yaw), math.cos(yaw),
-    )
-    return pred, target
-
-
-def scalar_overlapping_pair(rng, margin):
-    # random_overlapping_pair's loop over the scalar draws.
-    while True:
-        target = scalar_box_params(rng)
-        pred = scalar_perturbed_params(rng, target)
-        if aabb_intersection_volume(pred, target) <= 0.0:
-            continue
-        if margin > 0.0 and not _margin_ok(pred, target, 0.5, margin):
-            continue
-        return pred, target
+def rows_of(pairs):
+    """``(pred, target)`` channel rows of ``BoxParams8`` pairs."""
+    return (np.array([p.as_array() for p, _ in pairs]).reshape(-1, 8),
+            np.array([t.as_array() for _, t in pairs]).reshape(-1, 8))
 
 
 class TestSamplerDraws:
-    """The samplers draw each box's values with one generator call per kind
-    and map them by the generator's own formulas; these references make one
-    ``rng.uniform`` or ``rng.normal`` call per value, as the samplers did.
-    Each sampler must give the reference's boxes bit for bit and leave the
-    generator where the reference leaves it."""
+    """The row samplers draw each attempt's values with one generator call
+    per kind and map and test a round of attempts in array passes; the
+    ``helpers`` references make one ``rng.uniform`` or ``rng.normal`` call
+    per value and test pair by pair.  Each sampler must give the
+    reference's rows bit for bit and leave the generator where the
+    reference leaves it."""
 
-    @staticmethod
-    def bits(boxes):
-        return [box.as_array().tobytes() for box in boxes]
+    # One call draws a pair, two, a chunk less one, a chunk and more than a
+    # chunk.  A margin makes the overlapping sampler reject attempts and
+    # draw in several rounds; the left-overlap sampler's x-face test
+    # rejects attempts within a round.
+    SIZES = [1, 2, 255, 256, 300]
+    # Each sampler's (alpha, margin) cases and seeds.  The overlapping
+    # sampler's 200 seeds are split between the bound audit's margin 0 and
+    # the margins of the gradient check and of a wider test.
+    CASES = {
+        "overlapping": ([(alpha, 0.0) for alpha in (0.0, 0.5, 1.0)], range(100)),
+        "overlapping_margin": ([(alpha, margin) for alpha in (0.0, 0.5, 1.0)
+                                for margin in (1e-4, 0.05)], range(100, 200)),
+        "left_overlap": ([(0.5, 0.0)], range(200)),
+        "center_aligned": ([(0.5, 0.0)], range(200)),
+    }
 
-    @pytest.mark.parametrize("sampler,reference", [
-        (lambda rng: [_random_box_params(rng)], lambda rng: [scalar_box_params(rng)]),
-        (lambda rng: [_perturbed_params(rng, PROBE)],
-         lambda rng: [scalar_perturbed_params(rng, PROBE)]),
-        (_left_overlap_pair, scalar_left_overlap_pair),
-        (_center_aligned_pair, scalar_center_aligned_pair),
-        (lambda rng: random_overlapping_pair(rng, alpha=0.5),
-         lambda rng: scalar_overlapping_pair(rng, 0.0)),
-        (lambda rng: random_overlapping_pair(rng, alpha=0.5, margin=0.05),
-         lambda rng: scalar_overlapping_pair(rng, 0.05)),
-    ], ids=["box", "perturbed", "left_overlap", "center_aligned", "overlapping",
-            "overlapping_margin"])
-    def test_sampler_equals_scalar_draws(self, sampler, reference):
-        for seed in range(200):
+    @pytest.mark.parametrize("kind", list(CASES))
+    def test_sampler_equals_scalar_draws(self, kind):
+        # Seed s draws SIZES[s % 5] pairs in case cases[s % k]; with k
+        # coprime to 5, 100 seeds meet every (size, case) pair.
+        cases, seeds = self.CASES[kind]
+        for seed in seeds:
+            n = self.SIZES[seed % len(self.SIZES)]
+            alpha, margin = cases[seed % len(cases)]
             rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            for _ in range(3):
-                assert self.bits(sampler(rng)) == self.bits(reference(rng_ref)), seed
+            if kind == "left_overlap":
+                got, want = _left_overlap_rows(rng, n), [
+                    scalar_left_overlap_pair(rng_ref) for _ in range(n)]
+            elif kind == "center_aligned":
+                got, want = _center_aligned_rows(rng, n), [
+                    scalar_center_aligned_pair(rng_ref) for _ in range(n)]
+            else:
+                got, want = _overlapping_rows(rng, n, alpha, margin), [
+                    scalar_overlapping_pair(rng_ref, alpha, margin) for _ in range(n)]
+            for rows, boxes in zip(got, rows_of(want)):
+                assert rows.tobytes() == boxes.tobytes(), seed
             assert rng.bit_generator.state == rng_ref.bit_generator.state, seed
 
+    def test_public_pair_is_one_row(self):
+        for seed in range(20):
+            rng, rng_rows = np.random.default_rng(seed), np.random.default_rng(seed)
+            pred, target = random_overlapping_pair(rng, alpha=1.0, margin=0.05)
+            preds, targets = _overlapping_rows(rng_rows, 1, 1.0, 0.05)
+            assert pred == BoxParams8(*preds[0]) and target == BoxParams8(*targets[0])
+            assert all(type(getattr(box, name)) is float
+                       for box in (pred, target) for name in "xyzlwhsc")
+            assert rng.bit_generator.state == rng_rows.bit_generator.state
+
     def test_draws_equal_per_value_calls(self):
+        # The samplers' uniform and normal maps against one generator call
+        # per value.
         bounds = [(-5.0, 5.0), (0.6, 5.0), (0.0, 2.0 * math.pi), (0.05, 0.95), (-1e3, 1e-3)]
-        scales = [0.6, 0.05, 1.0, 3.7]
+        scales = np.array([0.6, 0.05, 1.0, 3.7])
         for seed in range(200):
             rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = _uniform(rng, *bounds) + _normal(rng, *scales)
+            got = [*_map_uniform(_ranges(*bounds), rng.random(len(bounds))).tolist(),
+                   *_map_normal(scales, rng.standard_normal(len(scales))).tolist()]
             want = ([float(rng_ref.uniform(low, high)) for low, high in bounds]
-                    + [float(rng_ref.normal(0.0, scale)) for scale in scales])
+                    + [float(rng_ref.normal(0.0, scale)) for scale in scales.tolist()])
             assert [v.hex() for v in got] == [v.hex() for v in want], seed
 
 
@@ -652,10 +621,7 @@ def assert_rows_match_scalar(pred, target, alpha):
 
 def overlapping_rows(seed, n, alpha=0.5):
     """``n`` gradient-check pairs as (pred, target) channel rows."""
-    rng = np.random.default_rng(seed)
-    pairs = [random_overlapping_pair(rng, alpha=alpha, margin=1e-4) for _ in range(n)]
-    return (np.array([p.as_array() for p, _ in pairs]),
-            np.array([t.as_array() for _, t in pairs]))
+    return _overlapping_rows(np.random.default_rng(seed), n, alpha, 1e-4)
 
 
 def row_fd(pred, target, alpha):
