@@ -537,6 +537,8 @@ def _left_overlap_rows(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np
     overlap in y or z.
     """
     u11, u2, n1 = np.empty((n, 11)), np.empty((n, 2)), np.empty((n, 1))
+    # The x-face test's ranges as Python floats: the target's x and l, the
+    # prediction's l factor and its x shift.
     (x_low, l_low), (x_span, l_span) = _BOX[0][[0, 3]].tolist(), _BOX[1][[0, 3]].tolist()
     (f_low, shift_low), (f_span, shift_span) = _SLIDE[0][[0, 3]].tolist(), _SLIDE[1][[0, 3]].tolist()
     preds, targets = [], []

@@ -309,6 +309,10 @@ class TestCoercion:
     def test_number_in_a_string_is_refused(self, config, message):
         assert fit_message(config) == message
 
+    def test_int_too_large_for_a_float_is_refused(self):
+        config = dict(CONFIG, optimizer={"step_size": json.loads("1" + "0" * 400)})
+        assert fit_message(config) == "optimizer: step_size: expected float, got int"
+
     def test_number_in_a_string_in_a_box_is_refused(self):
         scene = json.loads(json.dumps(SCENE_FILE))
         scene["ground_truths"][0]["box"][2] = "0.0"
