@@ -6,6 +6,8 @@ import dataclasses
 import numbers
 import typing
 
+import numpy as np
+
 
 def _require_keys(mapping: dict, required, optional, context: str) -> None:
     if not isinstance(mapping, dict):
@@ -25,12 +27,31 @@ def _require_list(value, context: str) -> list:
     return value
 
 
+def _number_array(value, context: str) -> np.ndarray:
+    """Nested lists of real numbers as a float array.  A leaf that is not a
+    real number (a boolean, a string, ``null`` or an object), a ragged list
+    and an ``int`` too large for a ``float`` raise ``ValueError``."""
+    leaves = [value]
+    while leaves:
+        leaf = leaves.pop()
+        if isinstance(leaf, list):
+            leaves.extend(leaf)
+        elif isinstance(leaf, bool) or not isinstance(leaf, numbers.Real):
+            raise ValueError(f"{context}: expected nested lists of numbers")
+    try:
+        return np.asarray(value, dtype=float)
+    except (ValueError, OverflowError):
+        raise ValueError(f"{context}: expected nested lists of numbers") from None
+
+
 def _scalar(kind, value, context: str):
-    """``kind(value)`` for ``kind`` ``float``, ``int`` or ``str``.  For a
-    number, anything but a real number (``null``, a string, a list or an
-    object), a boolean, an ``int`` too large for a ``float`` and a number
-    with a fractional part for an ``int`` raise ``ValueError``."""
-    if kind is not str and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+    """``kind(value)`` for ``kind`` ``float``, ``int`` or ``str``.  A
+    non-string for a ``str``; for a number anything but a real number
+    (``null``, a string, a list or an object), a boolean, an ``int`` too
+    large for a ``float`` and a number with a fractional part for an
+    ``int`` raise ``ValueError``."""
+    if (not isinstance(value, str) if kind is str
+            else isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise ValueError(f"{context}: expected {kind.__name__}, got {type(value).__name__}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{context}: expected an integer, got {value!r}")

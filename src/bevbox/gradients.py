@@ -451,22 +451,6 @@ def _sin_cos_near(targets: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.array([list(map(math.sin, yaw)), list(map(math.cos, yaw))]).T
 
 
-def _overlap_gaps(pred: np.ndarray, target: np.ndarray):
-    """The faces ``(lo_p, hi_p, lo_t, hi_t)`` of ``(n, 8)`` rows, each
-    ``(n, 3)`` as :func:`~bevbox.geometry._axis_bounds` gives them, and the
-    per-axis overlaps ``min(hi_p, hi_t) - max(lo_p, lo_t)``."""
-    half_p, half_t = 0.5 * pred[:, 3:6], 0.5 * target[:, 3:6]
-    lo_p, hi_p = pred[:, 0:3] - half_p, pred[:, 0:3] + half_p
-    lo_t, hi_t = target[:, 0:3] - half_t, target[:, 0:3] + half_t
-    return lo_p, hi_p, lo_t, hi_t, np.minimum(hi_p, hi_t) - np.maximum(lo_p, lo_t)
-
-
-def _overlapping(gap: np.ndarray) -> np.ndarray:
-    """Whether each pair's ``aabb_intersection_volume`` is positive: every
-    overlap is, and so is their product in ``_overlap_volume``'s order."""
-    return (gap > 0.0).all(axis=1) & (gap[:, 0] * gap[:, 1] * gap[:, 2] > 0.0)
-
-
 def _overlapping_rows(rng: np.random.Generator, n: int, alpha: float,
                       margin: float) -> tuple[np.ndarray, np.ndarray]:
     """``n`` (pred, target) pairs with overlapping axis-aligned footprints,
@@ -474,13 +458,15 @@ def _overlapping_rows(rng: np.random.Generator, n: int, alpha: float,
 
     An attempt draws the target's seven uniforms, the yaw jitter's normal,
     six uniforms of the prediction's center shifts and size factors, and
-    its sine and cosine noise's two normals.  It is rejected when the
-    footprints do not overlap, or when a clamp argument sits less than
-    ``margin`` from its breakpoint, which is what makes central finite
-    differences trustworthy on the pair.  A round draws as many attempts
-    as pairs are still needed, one generator call per kind and attempt in
-    that order, and keeps the accepted ones in attempt order; so the pairs
-    and the generator's state are those of drawing pair by pair.
+    its sine and cosine noise's two normals.  The ranges make the
+    footprints overlap: a center moves by less than half the target's size
+    and a size factor is at least 0.6, so each axis overlaps by at least
+    0.3 of the target's size.  An attempt is rejected only when a clamp
+    argument sits less than ``margin`` from its breakpoint, which makes
+    central finite differences trustworthy on the pair.  A round draws as
+    many attempts as pairs are still needed, one generator call per kind
+    and attempt in that order, and keeps the accepted ones in attempt
+    order: the pairs and generator state of drawing pair by pair.
     """
     u7, n1, u6, n2 = np.empty((n, 7)), np.empty((n, 1)), np.empty((n, 6)), np.empty((n, 2))
     preds, targets = [], []
@@ -497,17 +483,19 @@ def _overlapping_rows(rng: np.random.Generator, n: int, alpha: float,
         pred[:, 0:3] = target[:, 0:3] + f[:, 0:3] * target[:, 3:6]
         pred[:, 3:6] = target[:, 3:6] * f[:, 3:6]
         pred[:, 6:8] = _sin_cos_near(target, n1[:need, 0]) + _map_normal(0.05, n2[:need])
-        lo_p, hi_p, lo_t, hi_t, gap = _overlap_gaps(pred, target)
+        half_p, half_t = 0.5 * pred[:, 3:6], 0.5 * target[:, 3:6]
+        lo_p, hi_p = pred[:, 0:3] - half_p, pred[:, 0:3] + half_p
+        lo_t, hi_t = target[:, 0:3] - half_t, target[:, 0:3] + half_t
+        gap = np.minimum(hi_p, hi_t) - np.maximum(lo_p, lo_t)
         delta = pred[:, 6:8] - target[:, 6:8]
-        # A margin of 0 rejects nothing more: no overlap or magnitude is < 0.
+        # A margin of 0 rejects nothing: no overlap or magnitude is < 0.
         near = ((np.abs(lo_p - lo_t) < margin) | (np.abs(hi_p - hi_t) < margin)
                 | (gap < margin)).any(axis=1)
         near |= ((np.abs(delta) < margin)
                  | (np.abs(1.0 - 0.5 * alpha * np.abs(delta)) < margin)).any(axis=1)
-        keep = _overlapping(gap) & ~near
-        preds.append(pred[keep])
-        targets.append(target[keep])
-        need -= int(np.count_nonzero(keep))
+        preds.append(pred[~near])
+        targets.append(target[~near])
+        need -= int(np.count_nonzero(~near))
     return np.concatenate(preds), np.concatenate(targets)
 
 
@@ -515,9 +503,10 @@ def random_overlapping_pair(rng: np.random.Generator, alpha: float = 0.5,
                             margin: float = 0.0) -> tuple[BoxParams8, BoxParams8]:
     """Random (pred, target) pair with overlapping axis-aligned footprints.
 
-    With ``margin > 0`` the pair additionally keeps every clamp argument at
-    least ``margin`` away from its breakpoint, which is what makes central
-    finite differences trustworthy on it.
+    The footprints overlap by the sampling ranges.  With ``margin > 0`` the
+    pair also keeps every clamp argument at least ``margin`` away from its
+    breakpoint, which is what makes central finite differences trustworthy
+    on it; attempts that miss the margin are drawn again.
     """
     preds, targets = _overlapping_rows(rng, 1, alpha, margin)
     return BoxParams8._unchecked(preds[0].tolist()), BoxParams8._unchecked(targets[0].tolist())
@@ -531,45 +520,38 @@ def _left_overlap_rows(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np
     ``2 / l_t`` is stated, with the prediction sliding in along x.  An
     attempt draws eleven uniforms: the target's seven, the prediction's
     size factors and its x shift.  Only an attempt whose x faces land as
-    stated draws its y and z shifts and its yaw jitter, so that test runs
-    attempt by attempt; a round draws until as many attempts pass it as
-    pairs are still needed, then rejects those whose footprints do not
-    overlap in y or z.
+    stated draws its y and z shifts and its yaw jitter.  That test, the
+    only rejection, runs attempt by attempt until ``n`` attempts pass it.
+    The ranges make the footprints overlap: in x by the shift, at least
+    0.025 of ``l_t + l_p``; in y and z, where a center moves by at most 0.3
+    of the target's size and a size factor is at least 0.7, by at least
+    0.55 of the target's size.
     """
     u11, u2, n1 = np.empty((n, 11)), np.empty((n, 2)), np.empty((n, 1))
     # The x-face test's ranges as Python floats: the target's x and l, the
     # prediction's l factor and its x shift.
     (x_low, l_low), (x_span, l_span) = _BOX[0][[0, 3]].tolist(), _BOX[1][[0, 3]].tolist()
     (f_low, shift_low), (f_span, shift_span) = _SLIDE[0][[0, 3]].tolist(), _SLIDE[1][[0, 3]].tolist()
-    preds, targets = [], []
-    need = n
-    while need:
-        x_p = []
-        while len(x_p) < need:
-            k = len(x_p)
-            rng.random(out=u11[k])
-            u_x, _, _, u_l, _, _, _, u_f, _, _, u_shift = u11[k].tolist()
-            t_x, t_l = x_low + x_span * u_x, l_low + l_span * u_l
-            l_p = t_l * (f_low + f_span * u_f)
-            # Slide in from the left: right face inside, left face outside.
-            x = t_x - 0.5 * t_l - 0.5 * l_p + 0.5 * (t_l + l_p) * (shift_low + shift_span * u_shift)
-            if x + 0.5 * l_p < t_x + 0.5 * t_l and x - 0.5 * l_p < t_x - 0.5 * t_l:
-                rng.random(out=u2[k])
-                rng.standard_normal(out=n1[k])
-                x_p.append(x)
-        target = _targets(u11[:need, 0:7])
-        f = _map_uniform(_SLIDE, u11[:need, 7:11])[:, 0:3]
-        pred = np.empty_like(target)
-        pred[:, 0] = x_p
-        pred[:, 1:3] = target[:, 1:3] + _map_uniform(_SLIDE_YZ, u2[:need]) * target[:, 4:6]
-        pred[:, 3:6] = target[:, 3:6] * f
-        pred[:, 6:8] = _sin_cos_near(target, n1[:need, 0])
-        # The x faces overlap by construction; this checks y and z.
-        keep = _overlapping(_overlap_gaps(pred, target)[-1])
-        preds.append(pred[keep])
-        targets.append(target[keep])
-        need -= int(np.count_nonzero(keep))
-    return np.concatenate(preds), np.concatenate(targets)
+    x_p = []
+    while len(x_p) < n:
+        k = len(x_p)
+        rng.random(out=u11[k])
+        u_x, _, _, u_l, _, _, _, u_f, _, _, u_shift = u11[k].tolist()
+        t_x, t_l = x_low + x_span * u_x, l_low + l_span * u_l
+        l_p = t_l * (f_low + f_span * u_f)
+        # Slide in from the left: right face inside, left face outside.
+        x = t_x - 0.5 * t_l - 0.5 * l_p + 0.5 * (t_l + l_p) * (shift_low + shift_span * u_shift)
+        if x + 0.5 * l_p < t_x + 0.5 * t_l and x - 0.5 * l_p < t_x - 0.5 * t_l:
+            rng.random(out=u2[k])
+            rng.standard_normal(out=n1[k])
+            x_p.append(x)
+    target = _targets(u11[:, 0:7])
+    pred = np.empty_like(target)
+    pred[:, 0] = x_p
+    pred[:, 1:3] = target[:, 1:3] + _map_uniform(_SLIDE_YZ, u2) * target[:, 4:6]
+    pred[:, 3:6] = target[:, 3:6] * _map_uniform(_SLIDE, u11[:, 7:11])[:, 0:3]
+    pred[:, 6:8] = _sin_cos_near(target, n1[:, 0])
+    return pred, target
 
 
 def _center_aligned_rows(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:

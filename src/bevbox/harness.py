@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._config import _from_dict, _require_keys, _require_list, _scalar, _seed
+from ._config import _from_dict, _number_array, _require_keys, _require_list, _scalar, _seed
 from .assignment import (
     AssignmentResult,
     CellIndex,
@@ -941,7 +941,7 @@ def run_fit_config(config: dict, out_dir: Path | str | None = None) -> dict:
             ("weights", LossWeights, ()),
         )
     )
-    regression = str(config.get("regression", "rwiou"))
+    regression = _scalar(str, config.get("regression", "rwiou"), "config: regression")
     if regression not in ("rwiou", "smooth_l1"):
         raise ValueError("regression must be 'rwiou' or 'smooth_l1'")
     seeds = [_seed(s, "config: seeds")
@@ -951,14 +951,12 @@ def run_fit_config(config: dict, out_dir: Path | str | None = None) -> dict:
 
     output = config.get("output", {})
     _require_keys(output, set(), {"dir", "prefix"}, "output")
-    prefix = str(output.get("prefix", "fit"))
+    prefix = _scalar(str, output.get("prefix", "fit"), "output: prefix")
     directory: Path | None = None
     if out_dir is not None:
         directory = Path(out_dir)
     elif "dir" in output:
-        if not isinstance(output["dir"], str):
-            raise ValueError(f"output: dir: expected str, got {type(output['dir']).__name__}")
-        directory = Path(output["dir"])
+        directory = Path(_scalar(str, output["dir"], "output: dir"))
     if directory is not None:
         directory.mkdir(parents=True, exist_ok=True)
 
@@ -1030,17 +1028,11 @@ def load_scene(
     init_keys = {f.name for f in fields(InitConfig)}
     _require_keys(pred_spec, {"kind"},
                   init_keys | {"seed", "boxes", "scores", "iou_conf"}, "predictions")
-    kind = str(pred_spec["kind"])
+    kind = _scalar(str, pred_spec["kind"], "predictions: kind")
     if kind == "explicit":
         _require_keys(pred_spec, {"boxes", "scores"}, set(pred_spec), "predictions")
-        arrays = {}
-        for key in ("boxes", "scores", "iou_conf"):
-            if key in pred_spec:
-                try:
-                    arrays[key] = np.asarray(pred_spec[key], dtype=float)
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(
-                        f"predictions: {key}: expected nested lists of numbers") from exc
+        arrays = {key: _number_array(pred_spec[key], f"predictions: {key}")
+                  for key in ("boxes", "scores", "iou_conf") if key in pred_spec}
         return grid, gts, PredictionMap(**arrays)
     if kind not in ("exact", "noisy"):
         raise ValueError("predictions kind must be 'exact', 'noisy', or 'explicit'")

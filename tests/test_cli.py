@@ -249,7 +249,23 @@ MALFORMED = [
     ("assign", ("predictions",), {"kind": "explicit", "boxes": [], "scores": [[{}]]}),
     ("assign", ("predictions",), {"kind": "explicit", "boxes": [], "scores": [],
                                   "iou_conf": {"a": 1}}),
+    # A string field takes only a JSON string, and an explicit map's leaves
+    # only numbers: neither a string nor a boolean.
+    ("fit", ("regression",), 5),
+    ("fit", ("output",), {"prefix": [1, 2]}),
+    ("fit", ("output",), {"dir": 5}),
+    ("fit", ("scene", "size_classes"), [{"name": None, "length": 4.7, "width": 2.1,
+                                         "height": 1.7}]),
+    ("assign", ("predictions",), {"kind": True}),
+    ("assign", ("predictions",), {"kind": "explicit", "boxes": [[["0.5"]]], "scores": []}),
+    ("assign", ("predictions",), {"kind": "explicit", "boxes": [], "scores": [[[True]]]}),
+    ("assign", ("predictions",), {"kind": "explicit", "boxes": [], "scores": [],
+                                  "iou_conf": [[True, 2]]}),
 ]
+
+# A valid explicit prediction map for SCENE_FILE's 16x16 grid.
+EXPLICIT = {"kind": "explicit", "boxes": [[[1.5, 2.5, 0.0, 4.2, 1.9, 1.6, 0.0, 1.0]] * 16] * 16,
+            "scores": [[[0.5]] * 16] * 16, "iou_conf": [[0.0] * 16] * 16}
 
 
 class TestMalformedJson:
@@ -266,6 +282,21 @@ class TestMalformedJson:
         assert main([command, str(file)]) == 2
         label = "scene" if command == "assign" else "config"
         assert capsys.readouterr().err.startswith(f"error: {label}: ")
+
+    @pytest.mark.parametrize("key,leaf", [("boxes", "0.5"), ("boxes", True), ("scores", "1"),
+                                          ("scores", False), ("iou_conf", True)])
+    def test_explicit_leaf_is_a_number(self, tmp_path, capsys, key, leaf):
+        # One leaf of a valid map is a string or a boolean among numbers.
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(dict(SCENE_FILE, predictions=EXPLICIT)))
+        assert main(["assign", str(path)]) == 0
+        predictions = json.loads(json.dumps(EXPLICIT))
+        (predictions[key][3] if key == "iou_conf" else predictions[key][3][4])[-1] = leaf
+        path.write_text(json.dumps(dict(SCENE_FILE, predictions=predictions)))
+        capsys.readouterr()
+        assert main(["assign", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: scene: predictions: {key}: expected nested lists of numbers\n")
 
     def test_non_finite_costs_are_a_scene_error(self, tmp_path, capsys):
         # Sizes of 1e308 overflow the volume: the ground truth is refused as
@@ -337,6 +368,12 @@ class TestFitCommand:
     @pytest.mark.parametrize("extra,message", [
         ({"bogus": 1}, "config: unknown keys ['bogus']"),
         ({"seeds": []}, "config: seeds must be non-empty"),
+        ({"regression": 5}, "config: regression: expected str, got int"),
+        ({"output": {"prefix": [1, 2]}}, "config: output: prefix: expected str, got list"),
+        ({"output": {"dir": None}}, "config: output: dir: expected str, got NoneType"),
+        ({"scene": dict(FIT_CONFIG["scene"], size_classes=[
+            {"name": None, "length": 4.7, "width": 2.1, "height": 1.7}])},
+         "config: size class: name: expected str, got NoneType"),
     ])
     def test_config_prefix_printed_once(self, tmp_path, capsys, extra, message):
         path = tmp_path / "bad.json"

@@ -1,6 +1,7 @@
 """Mutated scene files and fit configs through ``bevbox.cli.main``.
 
-Every key of a valid document, at any depth, gets a ``null``, a boolean, a
+Every key of a valid document (a scene file with a noisy or an explicit
+prediction map, or a fit config), at any depth, gets a ``null``, a boolean, a
 list, an object, a string, a NaN, an infinity, or a huge, negative or
 fractional number.  Whatever the input, ``main`` returns 0, 1 or 2 without raising,
 and an exit of 2 comes with an ``error:`` line.  Fits are kept small: a 16x16 grid, two objects and
@@ -27,6 +28,12 @@ SCENE = {
     "n_classes": 2,
     "predictions": {"kind": "noisy", "seed": 3, "sigma_loc": 0.3, "sigma_yaw": 0.2},
 }
+EXPLICIT_SCENE = dict(SCENE, predictions={
+    "kind": "explicit",
+    "boxes": [[[0.5, -0.5, 0.8, 4.0, 1.8, 1.6, 0.0, 1.0]] * 16] * 16,
+    "scores": [[[0.5, 0.2]] * 16] * 16,
+    "iou_conf": [[0.0] * 16] * 16,
+})
 FIT = {
     "scene": {"grid": GRID, "n_objects": 2, "seed": 0, "min_clearance": 0.5,
               "size_classes": [{"name": "car", "length": 3.0, "width": 1.5,
@@ -37,6 +44,7 @@ FIT = {
     "weights": {"lambda_cls": 1.0, "lambda_reg": 3.0, "lambda_iou": 1.0, "alpha": 0.5},
     "regression": "rwiou",
     "seeds": [0, 1],
+    "output": {"prefix": "fuzz"},
 }
 # Keys whose value sets how much work a run does.
 SIZING = {"n_rows", "n_cols", "n_steps", "n_objects", "max_attempts", "n_classes"}
@@ -82,6 +90,11 @@ class TestMutatedInputs:
     @given(mutations(SCENE))
     def test_scene_file(self, mutation):
         run("assign", SCENE, *mutation)
+
+    @settings(max_examples=40, deadline=None)
+    @given(mutations(EXPLICIT_SCENE))
+    def test_explicit_scene_file(self, mutation):
+        run("assign", EXPLICIT_SCENE, *mutation)
 
     @settings(max_examples=40, deadline=None)
     @given(mutations(FIT))

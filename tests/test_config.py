@@ -255,7 +255,7 @@ class TestCoercion:
                          "n_rows": 16.0, "n_cols": 16.0},
                 "n_objects": 2.0, "seed": 1.0, "min_clearance": 1,
                 "max_attempts": 50.0,
-                "size_classes": [{"name": 7, "length": 4, "width": 2,
+                "size_classes": [{"name": "7", "length": 4, "width": 2,
                                   "height": 1, "spread": 0}],
             },
             "assigner": {"kind": "dcla", "r": 2.0},
@@ -320,8 +320,8 @@ class TestCoercion:
 
 
 class TestSeedsAndBooleans:
-    """A seed is a non-negative integer and a number is not a JSON boolean,
-    each checked where it enters, naming its field."""
+    """A seed is a non-negative integer, and neither a number nor a string
+    is a JSON boolean, each checked where it enters, naming its field."""
 
     def test_negative_fit_seed_before_any_output(self, tmp_path):
         out = tmp_path / "out"
@@ -347,9 +347,9 @@ class TestSeedsAndBooleans:
         config = dict(CONFIG, **{section: dict(fields, **{key: value})})
         assert fit_message(config) == f"{section}: {key}: expected {kind}, got bool"
 
-    def test_boolean_string_is_coerced(self, capture_fit):
-        seen = capture_fit(with_scene(size_classes=[dict(SIZE_CLASS, name=True)]))
-        assert seen["scene"].size_classes[0].name == "True"
+    def test_boolean_is_not_a_string(self):
+        config = with_scene(size_classes=[dict(SIZE_CLASS, name=True)])
+        assert fit_message(config) == "size class: name: expected str, got bool"
 
 
 def expected_scene(section):

@@ -20,6 +20,7 @@ from bevbox import (
     Box3D,
     BoxParams8,
     Grad8,
+    aabb_intersection_volume,
     center_distance_term,
     finite_difference_grad,
     gradient_bound_audit,
@@ -31,7 +32,11 @@ from bevbox import (
     rwiou_loss_grad,
 )
 from bevbox.gradients import (
+    _BOX,
     _CHECK_CHUNK,
+    _PERTURB,
+    _SLIDE,
+    _SLIDE_YZ,
     _RwiouRows,
     _center_aligned_rows,
     _fd_rows,
@@ -456,6 +461,52 @@ class TestSamplerDraws:
             want = ([float(rng_ref.uniform(low, high)) for low, high in bounds]
                     + [float(rng_ref.normal(0.0, scale)) for scale in scales.tolist()])
             assert [v.hex() for v in got] == [v.hex() for v in want], seed
+
+
+def range_bounds(ranges, i):
+    """The ``(low, high)`` of the ``i``-th range of a ``_ranges`` pair."""
+    low, span = ranges
+    return float(low[i]), float(low[i] + span[i])
+
+
+def least_overlap(shifts, factors):
+    """Least overlap, as a fraction of the target's size on one axis, of a
+    prediction whose center moves by a fraction in ``shifts`` of that size
+    and whose size is the target's times a factor in ``factors``.  The
+    overlap ``min(1/2, s + f/2) - max(-1/2, s - f/2)`` is concave in
+    ``(s, f)``, so a corner of the ranges is least."""
+    return min(min(0.5, s + 0.5 * f) - max(-0.5, s - 0.5 * f)
+               for s in shifts for f in factors)
+
+
+class TestSamplerRanges:
+    """Neither row sampler tests for overlap: the ranges make every pair
+    overlap.  A range change that could draw a disjoint pair fails here
+    instead of silently changing the draws."""
+
+    def test_least_overlap_is_positive(self):
+        sizes = [range_bounds(_BOX, 3 + i)[0] for i in range(3)]
+        # _overlapping_rows: per axis, a center shift and a size factor.
+        perturbed = [sizes[i] * least_overlap(range_bounds(_PERTURB, i),
+                                              range_bounds(_PERTURB, 3 + i))
+                     for i in range(3)]
+        # _left_overlap_rows: y and z as above; in x the accepted faces
+        # overlap by the slide shift 0.5 * (l_t + l_p) * u.
+        sliding = [sizes[i] * least_overlap(range_bounds(_SLIDE_YZ, i - 1),
+                                            range_bounds(_SLIDE, i))
+                   for i in (1, 2)]
+        slide_x = 0.5 * sizes[0] * (1.0 + range_bounds(_SLIDE, 0)[0]) * range_bounds(_SLIDE, 3)[0]
+        # At least 0.18, 0.33 and 0.0255 with the committed ranges.
+        assert min(perturbed) > 0.0 and min(sliding) > 0.0 and slide_x > 0.0
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_drawn_pairs_overlap(self, alpha):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            for preds, targets in (_overlapping_rows(rng, 256, alpha, 0.0),
+                                   _left_overlap_rows(rng, 256)):
+                assert all(aabb_intersection_volume(BoxParams8(*p), BoxParams8(*t)) > 0.0
+                           for p, t in zip(preds.tolist(), targets.tolist())), seed
 
 
 class TestMagnitudeBounds:
