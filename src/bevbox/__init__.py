@@ -3,138 +3,18 @@
 The package splits into six layers: exact and weighted overlap geometry,
 analytical gradients for the weighted overlap loss, the loss functions, the
 dynamic cross label assignment, a network-free gradient-descent harness on
-synthetic scenes, and a command-line front end.
+synthetic scenes, and a command-line front end.  It exports the names in
+each module's ``__all__``, the one list of that module's public names.
 """
 
-from .assignment import (
-    AssignmentResult,
-    CellIndex,
-    GridSpec,
-    GroundTruth,
-    PredictionMap,
-    assign_center,
-    assign_dcla,
-    cross_region,
-    dynamic_k,
-    dynamic_k_from_ious,
-    selection_cost,
-    world_to_cell,
-)
-from .geometry import (
-    Box3D,
-    BoxParams8,
-    MCIoUEstimate,
-    aabb_intersection_volume,
-    center_distance_term,
-    convex_intersection_area,
-    mc_iou_oracle,
-    rotated_iou_exact,
-    rotation_weight,
-    rwiou,
-)
-from .gradients import (
-    Grad8,
-    GradientBoundAudit,
-    GradientCheckReport,
-    finite_difference_grad,
-    gradient_bound_audit,
-    gradient_check,
-    regression_sample_grad,
-    regression_sample_loss,
-    rwiou_loss,
-    rwiou_loss_grad,
-)
-from .harness import (
-    AssignerConfig,
-    BalanceReport,
-    DivergenceError,
-    ExperimentReport,
-    InitConfig,
-    OptimizerConfig,
-    PlacementError,
-    SceneConfig,
-    SizeClass,
-    TrainState,
-    balance_experiment,
-    fit_scene,
-    generate_scene,
-    init_state,
-    load_scene,
-    run_fit_config,
-)
-from .losses import (
-    LossReport,
-    LossWeights,
-    classification_loss,
-    iou_prediction_loss,
-    quality_focal,
-    quality_focal_with_grad,
-    regression_loss_scene,
-    smooth_l1,
-    smooth_l1_with_grad,
-    total_loss,
-)
+from . import assignment, geometry, gradients, harness, losses
+from .assignment import *
+from .geometry import *
+from .gradients import *
+from .harness import *
+from .losses import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssignmentResult",
-    "AssignerConfig",
-    "BalanceReport",
-    "Box3D",
-    "BoxParams8",
-    "CellIndex",
-    "DivergenceError",
-    "ExperimentReport",
-    "Grad8",
-    "GradientBoundAudit",
-    "GradientCheckReport",
-    "GridSpec",
-    "GroundTruth",
-    "InitConfig",
-    "LossReport",
-    "LossWeights",
-    "MCIoUEstimate",
-    "OptimizerConfig",
-    "PlacementError",
-    "PredictionMap",
-    "SceneConfig",
-    "SizeClass",
-    "TrainState",
-    "aabb_intersection_volume",
-    "assign_center",
-    "assign_dcla",
-    "balance_experiment",
-    "center_distance_term",
-    "classification_loss",
-    "convex_intersection_area",
-    "cross_region",
-    "dynamic_k",
-    "dynamic_k_from_ious",
-    "finite_difference_grad",
-    "fit_scene",
-    "generate_scene",
-    "gradient_bound_audit",
-    "gradient_check",
-    "init_state",
-    "iou_prediction_loss",
-    "load_scene",
-    "mc_iou_oracle",
-    "quality_focal",
-    "quality_focal_with_grad",
-    "regression_loss_scene",
-    "regression_sample_grad",
-    "regression_sample_loss",
-    "rotated_iou_exact",
-    "rotation_weight",
-    "run_fit_config",
-    "rwiou",
-    "rwiou_loss",
-    "rwiou_loss_grad",
-    "selection_cost",
-    "smooth_l1",
-    "smooth_l1_with_grad",
-    "total_loss",
-    "world_to_cell",
-    "__version__",
-]
+__all__ = [name for module in (assignment, geometry, gradients, harness, losses)
+           for name in module.__all__] + ["__version__"]

@@ -33,6 +33,7 @@ from .geometry import (
     _check_alpha,
     _check_volume,
     _iou_quads,
+    _log_sizes,
     _Quads,
     _target_rows,
     rotated_iou_exact,
@@ -479,9 +480,7 @@ class _ScenePlan:
         self.entries, self.slot_entry = np.unique(keys, return_inverse=True)
         targets = _target_rows([gt.box for gt in self.gts])
         self.targets = targets[self.gt_of]
-        # math.log, not np.log: the two differ in the last bit on some sizes.
-        targets[:, 3:6] = np.array([math.log(v) for v in targets[:, 3:6].ravel().tolist()]
-                                   ).reshape(-1, 3)
+        targets[:, 3:6] = _log_sizes(targets[:, 3:6])
         self.log_targets = targets[self.gt_of]
         self.quads = _Quads.of([gt.box for gt in self.gts])
         self._bits: np.ndarray | None = None

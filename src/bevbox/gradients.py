@@ -451,6 +451,14 @@ def _sin_cos_near(targets: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.array([list(map(math.sin, yaw)), list(map(math.cos, yaw))]).T
 
 
+def _check_margin(margin: float) -> float:
+    # Past 2/3 at alpha 1, _overlapping_rows would reject every attempt.
+    margin = float(margin)
+    if not (0.0 <= margin <= 0.5):
+        raise ValueError(f"margin must lie in [0, 0.5], got {margin!r}")
+    return margin
+
+
 def _overlapping_rows(rng: np.random.Generator, n: int, alpha: float,
                       margin: float) -> tuple[np.ndarray, np.ndarray]:
     """``n`` (pred, target) pairs with overlapping axis-aligned footprints,
@@ -506,9 +514,9 @@ def random_overlapping_pair(rng: np.random.Generator, alpha: float = 0.5,
     The footprints overlap by the sampling ranges.  With ``margin > 0`` the
     pair also keeps every clamp argument at least ``margin`` away from its
     breakpoint, which is what makes central finite differences trustworthy
-    on it; attempts that miss the margin are drawn again.
+    on it, for ``margin`` in [0, 0.5]; attempts that miss it are drawn again.
     """
-    preds, targets = _overlapping_rows(rng, 1, alpha, margin)
+    preds, targets = _overlapping_rows(rng, 1, alpha, _check_margin(margin))
     return BoxParams8._unchecked(preds[0].tolist()), BoxParams8._unchecked(targets[0].tolist())
 
 
@@ -606,8 +614,9 @@ def gradient_check(n_samples: int = 10_000, seed: int = 0, alpha: float = 0.5,
     """Compare :func:`rwiou_loss_grad` against central finite differences.
 
     Pairs are sampled overlapping and away from every breakpoint by
-    ``margin``.  A component fails when it differs from the numerical value
-    by more than ``abs_floor`` absolutely and ``rel_tol`` relatively.
+    ``margin``, which must lie in [0, 0.5].  A component fails when it
+    differs from the numerical value by more than ``abs_floor`` absolutely
+    and ``rel_tol`` relatively.
 
     The pairs are drawn and checked in chunks of ``_CHECK_CHUNK``.  The
     analytic side is the scalar :func:`rwiou_loss_grad` of each pair; the
@@ -617,6 +626,7 @@ def gradient_check(n_samples: int = 10_000, seed: int = 0, alpha: float = 0.5,
     largest relative error, in sample then channel order, is ``worst``.
     """
     alpha = _check_alpha(alpha)
+    margin = _check_margin(margin)
     n_samples = _count(n_samples, "n_samples")
     _seed(seed, "seed")
     rng = np.random.default_rng(seed)

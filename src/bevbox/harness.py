@@ -36,7 +36,14 @@ from .assignment import (
     _validate_scene,
     world_to_cell,
 )
-from .geometry import Box3D, _bev_corners, _check_volume, _target_rows, convex_intersection_area
+from .geometry import (
+    Box3D,
+    _bev_corners,
+    _check_volume,
+    _log_sizes,
+    _target_rows,
+    convex_intersection_area,
+)
 from .losses import (
     LossReport,
     LossWeights,
@@ -48,6 +55,26 @@ from .losses import (
     _smooth_l1_losses,
     total_loss,
 )
+
+__all__ = [
+    "PlacementError",
+    "DivergenceError",
+    "SizeClass",
+    "SceneConfig",
+    "AssignerConfig",
+    "OptimizerConfig",
+    "InitConfig",
+    "TrainState",
+    "StepRecord",
+    "ExperimentReport",
+    "BalanceReport",
+    "generate_scene",
+    "init_state",
+    "fit_scene",
+    "balance_experiment",
+    "run_fit_config",
+    "load_scene",
+]
 
 DIVERGENCE_THRESHOLD = 1e3
 INIT_SEED_OFFSET = 1_000_003
@@ -163,8 +190,8 @@ class OptimizerConfig:
     n_steps: int = 500
 
     def __post_init__(self) -> None:
-        if not self.step_size > 0.0:
-            raise ValueError("step_size must be positive")
+        if not 0.0 < self.step_size < math.inf:
+            raise ValueError("step_size must be finite and positive")
         if self.n_steps < 0:
             raise ValueError("n_steps must be >= 0")
 
@@ -439,10 +466,10 @@ def init_state(
 
     if gts:
         nearest = _nearest_gt_indices(grid, gts)
-        gathered = _target_rows([gt.box for gt in gts])[nearest]
+        targets = _target_rows([gt.box for gt in gts])
+        gathered = targets[nearest]
         loc = gathered[..., 0:3].copy()
-        log_size = np.array([[math.log(gt.box.l), math.log(gt.box.w), math.log(gt.box.h)]
-                             for gt in gts])[nearest]
+        log_size = _log_sizes(targets[:, 3:6])[nearest]
         sin_cos = gathered[..., 6:8].copy()
     else:
         nearest = np.zeros((rows, cols), dtype=int)

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .geometry import _check_alpha
+from .geometry import _check_alpha, _log_sizes
 
 if TYPE_CHECKING:  # pragma: no cover
     from .assignment import AssignmentResult, PredictionMap
@@ -294,9 +294,7 @@ def _smooth_l1_losses(assignment: "AssignmentResult", boxes: np.ndarray,
     slots = assignment.positive_slots
     pred = boxes[slots]
     logged = pred.copy()
-    # math.log, not np.log: the two differ in the last bit on some sizes.
-    logged[:, 3:6] = np.array([math.log(v) for v in pred[:, 3:6].ravel().tolist()]
-                              ).reshape(-1, 3)
+    logged[:, 3:6] = _log_sizes(pred[:, 3:6])
     values, d_res = smooth_l1_with_grad(logged - log_targets[slots])
     d = d_res / n[:, None]
     # The log-size residual differentiates through 1/size.

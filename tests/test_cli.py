@@ -439,7 +439,7 @@ class TestFitCommand:
     @pytest.mark.parametrize("section,field", [
         ("weights", "lambda_cls"), ("weights", "lambda_reg"), ("weights", "lambda_iou"),
         ("weights", "alpha"), ("init", "sigma_loc"), ("init", "sigma_yaw"),
-        ("init", "sigma_log_size"), ("scene", "min_clearance"),
+        ("init", "sigma_log_size"), ("scene", "min_clearance"), ("optimizer", "step_size"),
         ("size_class", "length"), ("size_class", "width"), ("size_class", "height")])
     def test_non_finite_number_is_a_config_error(self, tmp_path, capsys, section, field,
                                                   value):

@@ -53,6 +53,7 @@ from helpers import (
     reference_finite_difference_grad,
     reference_gradient_bound_audit,
     reference_gradient_check,
+    reference_margin_ok,
     scalar_center_aligned_pair,
     scalar_left_overlap_pair,
     scalar_overlapping_pair,
@@ -507,6 +508,20 @@ class TestSamplerRanges:
                                    _left_overlap_rows(rng, 256)):
                 assert all(aabb_intersection_volume(BoxParams8(*p), BoxParams8(*t)) > 0.0
                            for p, t in zip(preds.tolist(), targets.tolist())), seed
+
+    @pytest.mark.parametrize("margin", [math.inf, 10.0, 0.5 + 1e-9, -1e-3, math.nan])
+    def test_margin_out_of_range_is_refused(self, margin):
+        # Past 2/3 at alpha 1, and past about 1 at any alpha, the margin
+        # test rejects every attempt and the rejection loop never ends.
+        with pytest.raises(ValueError, match=r"^margin must lie in \[0, 0\.5\]"):
+            random_overlapping_pair(np.random.default_rng(0), 0.5, margin)
+        with pytest.raises(ValueError, match=r"^margin must lie in \[0, 0\.5\]"):
+            gradient_check(100, 0, 0.5, margin=margin)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_widest_margin_draws(self, alpha):
+        pred, target = random_overlapping_pair(np.random.default_rng(0), alpha, 0.5)
+        assert reference_margin_ok(pred, target, alpha, 0.5)
 
 
 class TestMagnitudeBounds:

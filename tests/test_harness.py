@@ -91,6 +91,9 @@ class TestConfigValidation:
     def test_optimizer_and_init_config(self):
         with pytest.raises(ValueError):
             OptimizerConfig(step_size=0.0)
+        for step_size in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="^step_size must be finite and positive$"):
+                OptimizerConfig(step_size=step_size)
         with pytest.raises(ValueError):
             OptimizerConfig(n_steps=-1)
         with pytest.raises(ValueError):
