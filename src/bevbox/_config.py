@@ -61,6 +61,14 @@ def _scalar(kind, value, context: str):
         raise ValueError(f"{context}: expected {kind.__name__}, got {type(value).__name__}") from None
 
 
+def _int_fields(obj, *names: str) -> None:
+    """Store each field ``names`` of the dataclass ``obj`` as the ``int`` that
+    :func:`_scalar` makes of it, with ``Class.field`` as the context."""
+    for name in names:
+        value = _scalar(int, getattr(obj, name), f"{type(obj).__name__}.{name}")
+        object.__setattr__(obj, name, value)
+
+
 def _seed(value, context: str) -> int:
     """A random seed: an ``int`` by :func:`_scalar` that is not negative."""
     seed = _scalar(int, value, context)

@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._config import _from_dict
+from ._config import _from_dict, _int_fields
 from .geometry import (
     Box3D,
     BoxParams8,
@@ -75,6 +75,7 @@ class GridSpec:
     n_cols: int
 
     def __post_init__(self) -> None:
+        _int_fields(self, "n_rows", "n_cols")
         if self.cell_size <= 0.0:
             raise ValueError(f"cell_size must be positive, got {self.cell_size!r}")
         if self.n_rows < 1 or self.n_cols < 1:
@@ -116,6 +117,7 @@ class GroundTruth:
     class_id: int
 
     def __post_init__(self) -> None:
+        _int_fields(self, "class_id")
         if self.class_id < 0:
             raise ValueError(f"class_id must be non-negative, got {self.class_id!r}")
 

@@ -61,6 +61,20 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _check_fields(box, names) -> None:
+    """Check the fields ``names`` of ``box`` and store them as floats: each
+    must be a finite number, and the sizes ``l``, ``w``, ``h`` positive."""
+    for name in names:
+        value = getattr(box, name)
+        if not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ValueError(f"{type(box).__name__}.{name} must be a finite number, got {value!r}")
+        object.__setattr__(box, name, float(value))
+    for name in ("l", "w", "h"):
+        if getattr(box, name) <= 0.0:
+            raise ValueError(f"{type(box).__name__}.{name} must be strictly positive, "
+                             f"got {getattr(box, name)!r}")
+
+
 @dataclass(frozen=True)
 class Box3D:
     """Oriented 3D box: center ``(x, y, z)``, sizes ``(l, w, h)``, yaw ``theta``.
@@ -79,16 +93,7 @@ class Box3D:
     theta: float
 
     def __post_init__(self) -> None:
-        for name in _FIELDS7:
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ValueError(f"Box3D.{name} must be a finite number, got {value!r}")
-            object.__setattr__(self, name, float(value))
-        for name in ("l", "w", "h"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(
-                    f"Box3D.{name} must be strictly positive, got {getattr(self, name)!r}"
-                )
+        _check_fields(self, _FIELDS7)
 
     def as_tuple(self) -> tuple[float, ...]:
         return (self.x, self.y, self.z, self.l, self.w, self.h, self.theta)
@@ -128,16 +133,7 @@ class BoxParams8:
     c: float
 
     def __post_init__(self) -> None:
-        for name in _FIELDS8:
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ValueError(f"BoxParams8.{name} must be a finite number, got {value!r}")
-            object.__setattr__(self, name, float(value))
-        for name in ("l", "w", "h"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(
-                    f"BoxParams8.{name} must be strictly positive, got {getattr(self, name)!r}"
-                )
+        _check_fields(self, _FIELDS8)
 
     @classmethod
     def from_box(cls, box: Box3D) -> "BoxParams8":
@@ -386,8 +382,8 @@ def _iou_footprints(f1, f2) -> float:
 # overflows and no NaN appears: then numpy and Python floats round alike and
 # every comparison agrees.  Inputs below this bound guarantee that (four clip
 # passes grow a coordinate at most 5**4-fold, and the products of two such
-# coordinates and a z face stay far below the float range); rows past it, or
-# not finite, take the scalar path.
+# coordinates and a z face stay far below the float range); a call with any
+# value at or past it, or not finite, goes whole to the scalar clipper.
 _BATCH_BOUND = 1e75
 
 # A clip pass at most doubles a polygon, so four passes on a quad leave at
@@ -416,16 +412,15 @@ class _Quads(NamedTuple):
 
     Per box ``j``, its :func:`_footprint` tuple ``feet[j]`` and the same
     values as arrays: the corners ``x + 1j * y`` as ``corners[:, j]``, the
-    z faces as ``(-z_lo, z_hi)`` in ``faces[:, j]``, the volume, and whether
-    every value lies below ``_BATCH_BOUND`` (and whether all do).
+    z faces as ``(-z_lo, z_hi)`` in ``faces[:, j]`` and the volume; and
+    whether every value of every box lies below ``_BATCH_BOUND``.
     """
 
     feet: list
     corners: np.ndarray
     faces: np.ndarray
     volume: np.ndarray
-    bounded: np.ndarray
-    all_bounded: bool
+    bounded: bool
 
     @classmethod
     def of(cls, boxes: Sequence[Box3D]) -> "_Quads":
@@ -434,18 +429,19 @@ class _Quads(NamedTuple):
                            dtype=complex).reshape(-1, 4).T.copy()
         faces = np.array([(-lo, hi) for _, lo, hi, _ in feet]).reshape(-1, 2).T.copy()
         values = np.concatenate([corners.real, corners.imag, faces])
-        bounded = np.all(np.abs(values) < _BATCH_BOUND, axis=0)
-        return cls(feet, corners, faces, np.array([foot[3] for foot in feet]), bounded,
-                   bool(bounded.all()))
+        return cls(feet, corners, faces, np.array([foot[3] for foot in feet]),
+                   bool(np.all(np.abs(values) < _BATCH_BOUND)))
 
 
 def _iou_quads(quads: _Quads, index: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``_iou_footprints(quads.feet[index[k]], _footprint(x, y, z, l, w, h,
     math.atan2(s, c)))`` for every row ``k`` ``(x, y, z, l, w, h, s, c)`` of
-    ``rows``: by :func:`_iou_quads_batch` from ``_BATCH_MIN_ROWS`` rows on,
-    else pair by pair.  A live pair whose union is 0.0 raises the scalar's
-    ``ZeroDivisionError``."""
-    if len(rows) < _BATCH_MIN_ROWS:
+    ``rows``: whole by :func:`_iou_quads_batch` from ``_BATCH_MIN_ROWS`` rows
+    on if every value of ``quads`` and ``rows`` lies below ``_BATCH_BOUND``
+    (none NaN or infinite), else pair by pair.  A live pair whose union is
+    0.0 raises the scalar's ``ZeroDivisionError``."""
+    if (len(rows) < _BATCH_MIN_ROWS or not quads.bounded
+            or not np.abs(rows).max() < _BATCH_BOUND):
         return _iou_quads_scalar(quads, index, rows)
     return _iou_quads_batch(quads, index, rows)
 
@@ -460,20 +456,19 @@ def _iou_quads_scalar(quads: _Quads, index: np.ndarray, rows: np.ndarray) -> np.
 
 def _iou_quads_batch(quads: _Quads, index: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """:func:`_iou_quads` of every row, bitwise, by one Sutherland-Hodgman
-    clip of all rows at once.
+    clip of all rows at once; every value of ``rows`` and ``quads`` must lie
+    below ``_BATCH_BOUND``, as :func:`_iou_quads` checks.
 
     Polygons are held vertex-major, ``(vertices, rows)``, as complex
     ``x + 1j * y``, so one gather or scatter moves both coordinates; the
     arithmetic runs on their real and imaginary parts.  Each row is padded
     past its vertex count with NaN, which is never inside and never
     crosses.  A row with fewer than 3 vertices after a pass scores 0.0, and
-    areas are sequential shoelace sums from vertex 0.  Rows past
-    ``_BATCH_BOUND`` take the scalar path.
+    areas are sequential shoelace sums from vertex 0.
     """
     n = len(rows)
     cols = rows.T.copy()
     with np.errstate(all="ignore"):
-        bounded = quads.all_bounded and np.abs(rows).max(initial=0.0) < _BATCH_BOUND
         theta = list(map(math.atan2, cols[6].tolist(), cols[7].tolist()))
         trig = np.array([*map(math.cos, theta), *map(math.sin, theta)]).reshape(2, 1, n)
         half = 0.5 * cols[3:6]
@@ -506,15 +501,9 @@ def _iou_quads_batch(quads: _Quads, index: np.ndarray, rows: np.ndarray) -> np.n
         v_inter = area * dz
         v_union = quads.volume.take(index) + v_pred - v_inter
         live = (dz > 0.0) & (fewest >= 3) & (area > 0.0)
-        if not bounded:
-            fallback = ~(np.all(np.abs(rows) < _BATCH_BOUND, axis=1) & quads.bounded[index])
-            live &= ~fallback
         if (live & (v_union == 0.0)).any():
             raise ZeroDivisionError("float division by zero")
-        ious = np.where(live, v_inter / v_union, 0.0)
-    if not bounded:
-        ious[fallback] = _iou_quads_scalar(quads, index[fallback], rows[fallback])
-    return ious
+        return np.where(live, v_inter / v_union, 0.0)
 
 
 def _half_shoelace(poly: np.ndarray, succ: np.ndarray) -> np.ndarray:

@@ -515,8 +515,9 @@ def random_overlapping_pair(rng: np.random.Generator, alpha: float = 0.5,
     pair also keeps every clamp argument at least ``margin`` away from its
     breakpoint, which is what makes central finite differences trustworthy
     on it, for ``margin`` in [0, 0.5]; attempts that miss it are drawn again.
+    ``alpha`` must lie in [0, 1], as for every loss.
     """
-    preds, targets = _overlapping_rows(rng, 1, alpha, _check_margin(margin))
+    preds, targets = _overlapping_rows(rng, 1, _check_alpha(alpha), _check_margin(margin))
     return BoxParams8._unchecked(preds[0].tolist()), BoxParams8._unchecked(targets[0].tolist())
 
 

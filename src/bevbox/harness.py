@@ -22,7 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ._config import _from_dict, _number_array, _require_keys, _require_list, _scalar, _seed
+from ._config import (
+    _from_dict, _int_fields, _number_array, _require_keys, _require_list, _scalar, _seed,
+)
 from .assignment import (
     AssignmentResult,
     CellIndex,
@@ -148,6 +150,7 @@ class SceneConfig:
     max_attempts: int = 10_000
 
     def __post_init__(self) -> None:
+        _int_fields(self, "n_objects", "seed", "max_attempts")
         if self.n_objects < 0:
             raise ValueError("n_objects must be >= 0")
         if self.seed < 0:
@@ -176,6 +179,7 @@ class AssignerConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("dcla", "center"):
             raise ValueError("assigner kind must be 'dcla' or 'center'")
+        _int_fields(self, "r")
         if self.r < 0:
             raise ValueError("r must be >= 0")
 
@@ -192,6 +196,7 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.step_size < math.inf:
             raise ValueError("step_size must be finite and positive")
+        _int_fields(self, "n_steps")
         if self.n_steps < 0:
             raise ValueError("n_steps must be >= 0")
 

@@ -17,7 +17,9 @@ import pytest
 import bevbox.harness
 from bevbox import (
     AssignerConfig,
+    Box3D,
     GridSpec,
+    GroundTruth,
     InitConfig,
     LossWeights,
     OptimizerConfig,
@@ -350,6 +352,43 @@ class TestSeedsAndBooleans:
     def test_boolean_is_not_a_string(self):
         config = with_scene(size_classes=[dict(SIZE_CLASS, name=True)])
         assert fit_message(config) == "size class: name: expected str, got bool"
+
+
+BOX = Box3D(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0)
+# Each integer field of a configuration dataclass, with valid values for
+# the other fields.
+INT_FIELDS = [
+    (GridSpec, GRID, "n_rows"),
+    (GridSpec, GRID, "n_cols"),
+    (GroundTruth, {"box": BOX, "class_id": 0}, "class_id"),
+    (SceneConfig, {"grid": GridSpec(**GRID), "n_objects": 2, "seed": 0}, "n_objects"),
+    (SceneConfig, {"grid": GridSpec(**GRID), "n_objects": 2, "seed": 0}, "seed"),
+    (SceneConfig, {"grid": GridSpec(**GRID), "n_objects": 2, "seed": 0}, "max_attempts"),
+    (AssignerConfig, {}, "r"),
+    (OptimizerConfig, {}, "n_steps"),
+]
+
+
+@pytest.mark.parametrize("cls,values,field", INT_FIELDS,
+                         ids=[f"{cls.__name__}.{field}" for cls, _, field in INT_FIELDS])
+class TestIntegerFields:
+    """Built from Python, an integer field takes what the JSON loader
+    takes, stored as an ``int``, and refuses the rest naming the field."""
+
+    @pytest.mark.parametrize("value,message", [
+        (1.5, "expected an integer, got 1.5"),
+        (True, "expected int, got bool"),
+        ("3", "expected int, got str"),
+    ])
+    def test_refused(self, cls, values, field, value, message):
+        with pytest.raises(ValueError) as info:
+            cls(**dict(values, **{field: value}))
+        assert str(info.value) == f"{cls.__name__}.{field}: {message}"
+
+    @pytest.mark.parametrize("value", [3, 3.0])
+    def test_integral_number_is_stored_as_int(self, cls, values, field, value):
+        built = cls(**dict(values, **{field: value}))
+        assert type(getattr(built, field)) is int and getattr(built, field) == 3
 
 
 def expected_scene(section):

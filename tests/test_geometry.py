@@ -410,39 +410,94 @@ class TestBatchedIou:
         blown.append(zero_union)
         assert outcome(lambda: scalar_iou(*zero_union)) == (
             ZeroDivisionError, "float division by zero")
+        # Each blown pair sits in a 30-row call of the base pair: a call with
+        # any unbounded value goes whole to the scalar clipper, and either
+        # way the call gives the scalar's bits or raises its exception.
         for box, row in blown:
-            quads, table = _Quads.of([box]), np.array([row])
-            want = outcome(lambda: scalar_iou(box, row))
-            for path in IOU_PATHS.values():
-                assert outcome(lambda: path(quads, np.array([0]), table)) == want, row
-        # Together in one batch, the rows that do not raise keep their bits.
+            quads = _Quads.of([gt, box])
+            index, table = np.array([0] * 29 + [1]), np.array([base] * 29 + [row])
+            want = outcome(lambda: [scalar_iou(gt, base)] * 29 + [scalar_iou(box, row)])
+            assert outcome(lambda: geometry._iou_quads(quads, index, table)) == want, row
+            if quads.bounded and np.all(np.abs(table) < geometry._BATCH_BOUND):
+                assert outcome(lambda: _iou_quads_batch(quads, index, table)) == want, row
+        # All in one call, the scalar's ZeroDivisionError; without the
+        # pair that raises it, each row keeps the scalar's bits.
         fine = [(box, row) for box, row in blown if not isinstance(
             outcome(lambda: scalar_iou(box, row)), tuple)]
-        got = _iou_quads_batch(_Quads.of([box for box, _ in fine]), np.arange(len(fine)),
-                               np.array([row for _, row in fine]))
-        assert [v.hex() for v in got.tolist()] == [scalar_iou(*pair).hex() for pair in fine]
+        for pairs in (blown, fine):
+            want = outcome(lambda: [scalar_iou(*pair) for pair in pairs])
+            got = outcome(lambda: geometry._iou_quads(
+                _Quads.of([box for box, _ in pairs]), np.arange(len(pairs)),
+                np.array([row for _, row in pairs])))
+            assert got == want
+        # Both calls are long enough for the batch: their bounds, not their
+        # sizes, send them to the scalar clipper.
+        assert isinstance(want, bytes) and len(fine) >= geometry._BATCH_MIN_ROWS
         with pytest.raises(ZeroDivisionError, match="^float division by zero$"):
             _iou_quads_batch(_Quads.of([gt] * 30 + [tiny_gt]), np.arange(31),
                              np.array([base] * 30 + [zero_union[1]]))
 
-    @pytest.mark.parametrize("value,routed", [(1e75, True), (9.9e74, False)])
+    @staticmethod
+    def spy_paths(monkeypatch):
+        """Record the rows' bytes of every call of each side of ``_iou_quads``."""
+        spied = {"batch": [], "scalar": []}
+
+        def spy(path):
+            def call(quads, index, rows):
+                spied[path].append(rows.tobytes())
+                return IOU_PATHS[path](quads, index, rows)
+            return call
+
+        for path in IOU_PATHS:
+            monkeypatch.setattr(geometry, f"_iou_quads_{path}", spy(path))
+        return spied
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n_rows,path", [(23, "scalar"), (24, "batch")])
+    def test_size_cutover(self, monkeypatch, n_rows, path):
+        # Calls of fewer than _BATCH_MIN_ROWS rows run only the scalar
+        # clipper, and longer ones only the batch.
+        assert geometry._BATCH_MIN_ROWS == 24
+        pairs = iou_pair_families(np.random.default_rng(3), 4)[:n_rows]
+        gts, table = [a for a, _ in pairs], yaw_rows([b for _, b in pairs])
+        spied = self.spy_paths(monkeypatch)
+        got = geometry._iou_quads(_Quads.of(gts), np.arange(n_rows), table)
+        assert spied == {side: [table.tobytes()] if side == path else [] for side in spied}
+        assert [v.hex() for v in got.tolist()] == [scalar_iou(*p).hex() for p in zip(gts, table)]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value,routed", [(1e75, True), (9.9e74, False), (math.nan, True),
+                                              (math.inf, True), (-math.inf, True)])
     def test_rows_past_the_bound_take_the_scalar_path(self, monkeypatch, value, routed):
-        # A finite row holding a value at _BATCH_BOUND goes to the scalar
-        # clipper; one just below it stays in the batch.  Both give the
-        # scalar's bits.
+        # A 30-row call with one value at _BATCH_BOUND, NaN or infinite goes
+        # whole to the scalar clipper; one just below the bound stays whole
+        # in the batch.  Both give the scalar's bits.
         gt = Box3D(0.3, -0.2, 0.1, 3.0, 1.5, 1.2, 0.4)
         base = [0.5, 0.0, 0.2, 2.5, 1.4, 1.0, 0.3, 0.95]
         table = np.array([base] * 29 + [base[:5] + [value] + base[6:]])
-        spied = []
-
-        def spy(quads, index, rows):
-            spied.append(rows.copy())
-            return _iou_quads_scalar(quads, index, rows)
-
-        monkeypatch.setattr(geometry, "_iou_quads_scalar", spy)
+        spied = self.spy_paths(monkeypatch)
         got = geometry._iou_quads(_Quads.of([gt]), np.zeros(30, dtype=np.intp), table)
-        assert [rows.tolist() for rows in spied] == ([[table[-1].tolist()]] if routed else [])
+        path = "scalar" if routed else "batch"
+        assert spied == {side: [table.tobytes()] if side == path else [] for side in spied}
         assert [v.hex() for v in got.tolist()] == [scalar_iou(gt, row).hex() for row in table]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("far,routed", [(1e75, True), (9.9e74, False)])
+    def test_far_ground_truth_takes_the_scalar_path(self, monkeypatch, far, routed):
+        # One ground truth with a footprint value at _BATCH_BOUND sends every
+        # call on its _Quads to the scalar clipper, rows near the other
+        # ground truth included.
+        gts = [Box3D(0.3, -0.2, 0.1, 3.0, 1.5, 1.2, 0.4), Box3D(far, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0)]
+        quads = _Quads.of(gts)
+        assert quads.bounded is not routed
+        base = [0.5, 0.0, 0.2, 2.5, 1.4, 1.0, 0.3, 0.95]
+        index, table = np.array([0] * 29 + [1]), np.array([base] * 30)
+        spied = self.spy_paths(monkeypatch)
+        got = geometry._iou_quads(quads, index, table)
+        path = "scalar" if routed else "batch"
+        assert spied == {side: [table.tobytes()] if side == path else [] for side in spied}
+        assert [v.hex() for v in got.tolist()] == [scalar_iou(gts[j], row).hex()
+                                                   for j, row in zip(index.tolist(), table)]
 
 
 class TestMcOracle:

@@ -518,6 +518,14 @@ class TestSamplerRanges:
         with pytest.raises(ValueError, match=r"^margin must lie in \[0, 0\.5\]"):
             gradient_check(100, 0, 0.5, margin=margin)
 
+    @pytest.mark.parametrize("alpha,margin", [(5.0, 0.3), (-3.0, 0.0), (math.nan, 0.0)])
+    def test_alpha_out_of_range_is_refused(self, alpha, margin):
+        # As gradient_check and every loss refuse it.
+        with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got "):
+            random_overlapping_pair(np.random.default_rng(0), alpha, margin)
+        with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got "):
+            gradient_check(100, 0, alpha, margin=margin)
+
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     def test_widest_margin_draws(self, alpha):
         pred, target = random_overlapping_pair(np.random.default_rng(0), alpha, 0.5)
